@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-all verify docs-check chaos-smoke farm-smoke farm-chaos bench bench-smoke backend-gate packed-gate service-smoke dash-smoke bench-full repro examples clean
+.PHONY: install test test-all verify docs-check chaos-smoke farm-smoke farm-chaos bench bench-e2e bench-smoke backend-gate packed-gate service-smoke dash-smoke bench-full repro examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -57,6 +57,13 @@ farm-chaos:
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
+
+# The layered end-to-end benchmark's self-tests (~40 s): --smoke runs
+# of all five workloads, every declared metric emitted, and a
+# corrupted record must count as failed.  bench/run.py itself exits 0
+# even when failed > 0, so this is its automated guard.  bench/README.md.
+bench-e2e:
+	$(PY) -m pytest bench -q
 
 # CI-sized screening gate: both backends over a small full space must
 # produce identical records (smoke timings printed, no floor asserted).

@@ -336,6 +336,11 @@ def _gen_slice(width: int, poly: int, refin: bool, n: int) -> Kernel:
     return _compile(f"slice{n}", source, names)
 
 
+#: Bytes the wordwise kernel folds at a time (a power of two).  Its
+#: temporaries scale with the block, not with the buffer.
+WORDWISE_BLOCK = 1 << 16
+
+
 def _gen_wordwise(width: int, poly: int, refin: bool, bytewise: Kernel):
     """Numpy log-fold kernel: per-byte contributions in one gather,
     then ``O(log n)`` rounds of vectorized block combining.
@@ -348,6 +353,11 @@ def _gen_wordwise(width: int, poly: int, refin: bool, bytewise: Kernel):
     byte-sliced 256-entry lookup planes (built once per level by
     composing the previous level with itself).  Zero bytes contribute
     nothing, so buffers pad at the *front* for free.
+
+    The fold runs over :data:`WORDWISE_BLOCK`-byte blocks, chaining the
+    register from one block into the next, so its working set (eight
+    bytes per input byte, padded to a power of two) stays bounded
+    however long the buffer is.
     """
     if _np is None or width > 64:
         return None
@@ -384,10 +394,14 @@ def _gen_wordwise(width: int, poly: int, refin: bool, bytewise: Kernel):
         return levels[t]
 
     def _process(register: int, data: bytes) -> int:
-        n = len(data)
-        if n == 0:
-            return register
-        vals = contrib[np.frombuffer(data, dtype=np.uint8)]
+        octets = np.frombuffer(data, dtype=np.uint8)
+        for start in range(0, len(octets), WORDWISE_BLOCK):
+            register = _fold(register, octets[start:start + WORDWISE_BLOCK])
+        return register
+
+    def _fold(register: int, octets) -> int:
+        n = len(octets)
+        vals = contrib[octets]
         size = 1 << (n - 1).bit_length()
         if size != n:
             padded = np.zeros(size, dtype=np.uint64)

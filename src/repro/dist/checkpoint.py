@@ -16,9 +16,10 @@ format has grown accordingly:
 * **Format 3** (this module's writer): the format-2 envelope plus
 
   - a **CRC-32 self-checksum** over the canonical payload bytes,
-    computed with the repository's own CRC engine (eating our own
-    cooking: the paper's subject matter guarding the campaign's own
-    state).  A torn write, a flipped bit, or a truncated file fails
+    computed with the repository's own kernel registry -- the numpy
+    log-fold ``wordwise`` kernel once the payload is large (eating our
+    own cooking: the paper's subject matter guarding the campaign's
+    own state).  A torn write, a flipped bit, or a truncated file fails
     verification and raises :class:`CheckpointCorrupt` instead of
     feeding garbage into a resume;
   - a ``quarantined`` list recording poison chunks whose retry budget
@@ -29,7 +30,14 @@ format has grown accordingly:
   - a **rotated previous generation** (``<path>.prev``): each save
     first promotes the current (verified-good) file to ``.prev``,
     and :func:`load` falls back to it when the current generation is
-    corrupt or missing.
+    corrupt or missing.  "Verified" is cheap in the common case: a
+    live file whose bytes hash to the digest of what this process last
+    published there is exactly that checked publication; any other
+    file (bit rot, a foreign or older writer) gets the full CRC check.
+
+The file layout (whitespace, key order) is not part of the format:
+only the canonical payload is checksummed, so files written with any
+JSON layout -- including the older ``indent=1`` one -- load alike.
 
 :func:`load` returns a :class:`LoadedCheckpoint` carrying the
 campaign, the quarantine set, and whether the fallback generation had
@@ -41,13 +49,14 @@ bare ``FileNotFoundError``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.crc.backends import crc_compute
 from repro.crc.catalog import CATALOG
-from repro.crc.engine import crc_slice4
 from repro.search.exhaustive import SearchConfig
 from repro.search.records import CampaignRecord
 
@@ -58,7 +67,8 @@ FORMAT_2 = "repro-campaign-checkpoint/2"
 
 #: The self-checksum algorithm: CRC-32C (Castagnoli), the polynomial
 #: the paper's lineage put into iSCSI for exactly this at-rest-data
-#: integrity job, computed by our own slice-by-4 engine.
+#: integrity job, computed through the kernel registry's ``auto``
+#: choice (the numpy ``wordwise`` kernel for all but tiny payloads).
 CRC_SPEC = CATALOG["CRC-32C/Castagnoli"]
 
 
@@ -95,9 +105,12 @@ def canonical_payload_bytes(doc: dict[str, Any]) -> bytes:
     ).encode("ascii")
 
 
-def payload_crc(doc: dict[str, Any]) -> int:
-    """CRC-32C of :func:`canonical_payload_bytes`."""
-    return crc_slice4(CRC_SPEC, canonical_payload_bytes(doc))
+def payload_crc(doc: dict[str, Any] | bytes) -> int:
+    """CRC-32C of :func:`canonical_payload_bytes` -- of ``doc``, or of
+    ``doc`` itself when it already is those bytes."""
+    if not isinstance(doc, bytes):
+        doc = canonical_payload_bytes(doc)
+    return crc_compute(CRC_SPEC, doc)
 
 
 # -- save --------------------------------------------------------------
@@ -120,13 +133,42 @@ def _fsync_dir(directory: str) -> None:
 
 def verify_file(path: str) -> bool:
     """True iff ``path`` holds a structurally sound checkpoint (any
-    format; format 3 must also pass its CRC).  Used to decide whether
-    the current generation deserves promotion to ``.prev``."""
+    format; format 3 must also pass its CRC).  Decides whether a
+    current generation this process did not just publish deserves
+    promotion to ``.prev``."""
     try:
         _read_document(path)
     except (OSError, CheckpointCorrupt):
         return False
     return True
+
+
+#: Digest of the bytes this process last published at each absolute
+#: checkpoint path, for :func:`_promotable`.  Process-wide on purpose:
+#: a stale or inherited entry can only match bytes some save wrote with
+#: a correct CRC, so sharing it never lets a bad file through.
+_published: dict[str, bytes] = {}
+
+
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=32).digest()
+
+
+def _promotable(path: str) -> bool:
+    """Whether the live file at ``path`` may be rotated to ``.prev``.
+
+    Bytes that hash to what this process last published there are that
+    publication, whose CRC was computed as it was written; any other
+    file -- rotten, foreign, or left by an earlier run -- must pass
+    the full :func:`verify_file`.  Promoting silent bit rot into
+    ``.prev`` would poison the fallback.
+    """
+    try:
+        with open(path, "rb") as f:
+            digest = _digest(f.read())
+    except OSError:
+        return False
+    return _published.get(os.path.abspath(path)) == digest or verify_file(path)
 
 
 def save(
@@ -141,7 +183,8 @@ def save(
     Write path: temp file -> flush -> fsync -> promote the existing
     (verified-good) current file to ``.prev`` -> atomic rename ->
     directory fsync.  At every instant there is at least one intact
-    generation on disk.
+    generation on disk.  The canonical payload is serialized once and
+    checksummed once; both encoders run in C.
     """
     doc: dict[str, Any] = {
         "format": FORMAT,
@@ -154,17 +197,19 @@ def save(
         "campaign": campaign.to_json_dict(),
         "quarantined": sorted(set(quarantined)),
     }
-    doc["crc32"] = f"{payload_crc(doc):#010x}"
+    doc["crc32"] = f"{payload_crc(canonical_payload_bytes(doc)):#010x}"
+    # ": " keeps the familiar "key": value spacing; without indent the
+    # C encoder does the work.
+    data = json.dumps(doc, separators=(",", ": ")).encode("ascii")
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
+    with open(tmp, "wb") as f:
+        f.write(data)
         f.flush()
         os.fsync(f.fileno())
-    # Rotate only a generation that still verifies: promoting silent
-    # bit rot into .prev would poison the fallback.
-    if os.path.exists(path) and verify_file(path):
+    if _promotable(path):
         os.replace(path, previous_path(path))
     os.replace(tmp, path)
+    _published[os.path.abspath(path)] = _digest(data)
     _fsync_dir(os.path.dirname(os.path.abspath(path)))
 
 

@@ -11,7 +11,7 @@ values, never double-count).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.gf2.notation import class_signature, full_to_koopman
@@ -50,13 +50,23 @@ class PolyRecord:
         return class_signature(self.poly)
 
     def to_json_dict(self) -> dict[str, Any]:
-        d = asdict(self)
-        d["poly"] = f"{self.poly:#x}"
-        if self.witness is not None:
-            d["witness"] = list(self.witness)
-        if self.weights is not None:
-            d["weights"] = {str(k): v for k, v in self.weights.items()}
-        return d
+        # Built by hand, in field order: ``dataclasses.asdict`` deep-
+        # copies recursively, which dominated serializing a large
+        # campaign for every checkpoint.
+        return {
+            "poly": f"{self.poly:#x}",
+            "width": self.width,
+            "data_word_bits": self.data_word_bits,
+            "hd": self.hd,
+            "survived": self.survived,
+            "filtered_at_bits": self.filtered_at_bits,
+            "witness": None if self.witness is None else list(self.witness),
+            "weights": (
+                None
+                if self.weights is None
+                else {str(k): v for k, v in self.weights.items()}
+            ),
+        }
 
     @classmethod
     def from_json_dict(cls, d: dict[str, Any]) -> "PolyRecord":

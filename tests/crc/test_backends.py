@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crc.backends import (
+    WORDWISE_BLOCK,
     BackendMismatch,
     Kernel,
     available_backends,
@@ -268,3 +269,69 @@ class TestWordwise:
             assert kernel.process(engine_init(spec), data) == get_kernel(
                 spec, "bitwise"
             ).process(engine_init(spec), data)
+
+
+class TestWordwiseBlocks:
+    """The wordwise fold runs in WORDWISE_BLOCK-byte blocks, chaining
+    the register between them; block edges must be invisible."""
+
+    BLOCK = WORDWISE_BLOCK
+    SPECS = ("CRC-32C/Castagnoli", "CRC-5/USB", "CRC-12/UMTS", "CRC-16/XMODEM")
+
+    @staticmethod
+    def data(n: int) -> bytes:
+        return bytes((i * 131 + (i >> 9) + 89) & 0xFF for i in range(n))
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_lengths_around_block_edges(self, name):
+        spec = CATALOG[name]
+        wordwise = get_kernel(spec, "wordwise")
+        bytewise = get_kernel(spec, "bytewise")
+        register = undress(spec, 0x5C17_93A6 & ((1 << spec.width) - 1))
+        assert register != engine_init(spec)
+        for n in (self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, 3 * self.BLOCK + 7):
+            buf = self.data(n)
+            for start in (engine_init(spec), register):
+                assert wordwise.process(start, buf) == bytewise.process(start, buf), n
+
+    def test_chunk_splits_straddling_a_block(self):
+        spec = CATALOG["CRC-32C/Castagnoli"]
+        wordwise = get_kernel(spec, "wordwise")
+        buf = self.data(2 * self.BLOCK + 300)
+        want = get_kernel(spec, "bytewise").process(engine_init(spec), buf)
+        for cut in (1, self.BLOCK - 5, self.BLOCK + 5, 2 * self.BLOCK + 1):
+            mid = wordwise.process(engine_init(spec), buf[:cut])
+            assert wordwise.process(mid, buf[cut:]) == want, cut
+        # three pieces, the middle one spanning a whole block edge
+        a, b = self.BLOCK // 2, self.BLOCK + self.BLOCK // 2
+        reg = engine_init(spec)
+        for piece in (buf[:a], buf[a:b], buf[b:]):
+            reg = wordwise.process(reg, piece)
+        assert reg == want
+
+    def test_accepts_any_buffer_object(self):
+        spec = CATALOG["CRC-32C/Castagnoli"]
+        wordwise = get_kernel(spec, "wordwise")
+        buf = self.data(self.BLOCK + 9)
+        want = wordwise.process(0, buf)
+        assert wordwise.process(0, bytearray(buf)) == want
+        assert wordwise.process(0, memoryview(buf)) == want
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        import tracemalloc
+
+        spec = CATALOG["CRC-32C/Castagnoli"]
+        wordwise = get_kernel(spec, "wordwise")
+        buf = self.data(1 << 20)
+        want = wordwise.process(engine_init(spec), buf)  # builds all levels
+        tracemalloc.start()
+        try:
+            got = wordwise.process(engine_init(spec), buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert dress(spec, got) == crc_compute(spec, buf, backend="slice8")
+        # An unblocked fold holds 8 bytes per input byte (8 MiB here)
+        # plus its halves; the blocked one about 1.5 MiB at any length.
+        assert peak < 4 * 2**20, peak
