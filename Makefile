@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-all verify docs-check chaos-smoke farm-smoke farm-chaos bench bench-e2e bench-smoke backend-gate packed-gate service-smoke dash-smoke bench-full repro examples clean
+.PHONY: install test test-all verify docs-check chaos-smoke farm-smoke farm-chaos bench bench-e2e backend-gate packed-gate service-smoke dash-smoke bench-full repro examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -65,19 +65,15 @@ bench:
 bench-e2e:
 	$(PY) -m pytest bench -q
 
-# CI-sized screening gate: both backends over a small full space must
-# produce identical records (smoke timings printed, no floor asserted).
-bench-smoke:
-	PYTHONPATH=src $(PY) tools/bench_smoke.py
-
 # Kernel-registry identity gate: every generated backend of every
 # catalog spec must agree with the bit-serial reference, end to end.
 backend-gate:
 	PYTHONPATH=src $(PY) tools/backend_gate.py
 
-# Packed-kernel identity gate: the bit-plane screening census over the
-# width-10 full space must be bit-identical to the scalar oracle, and
-# the matpow / jump engines must hit their independent oracles.
+# Packed-kernel identity gate: the screening census over the width-10
+# full space, and index-range sweeps at widths 40 and 63, must be
+# bit-identical to the scalar oracle, and the matpow / jump engines
+# must hit their independent oracles.
 packed-gate:
 	PYTHONPATH=src $(PY) tools/packed_gate.py
 

@@ -1,35 +1,26 @@
-"""E-BATCH: the screening-kernel ladder -- scalar, batched, packed.
+"""E-BATCH: the vectorized screen against its oracle -- packed vs scalar.
 
 The paper's campaign throughput ("approximately two polynomials
 filtered per second per CPU" on 2001 hardware) is bounded by the
 screening phase: per-candidate syndrome tables and low-weight searches.
-This exhibit prices the three kernels pairwise, each on the space
-where the comparison is honest:
-
-* ``scalar`` vs ``batched`` on the E7b configuration (width-12 full
-  canonical space, ``SearchConfig.for_bits(12, 4, 300)``).  The scalar
-  kernel is a python loop; short filter lengths keep a full-space
-  scalar sweep affordable.
-* ``batched`` vs ``packed`` on the E7 configuration (width-16 full
-  canonical space at the CRC-16 breakpoint length,
-  ``SearchConfig.for_bits(16, 4, 12112)``).  The packed backend
-  (:mod:`repro.search.packed`) keeps syndromes as bit-planes -- one
-  bit per candidate per register bit, the whole batch stepped by
-  ``~r`` word-wide XORs -- and screens weight-2/3 kills plane-wise,
-  materializing uint64 tables only for condemned rows and survivors.
+This exhibit prices the one vectorized kernel against the scalar
+oracle on the E7b configuration (width-12 full canonical space,
+``SearchConfig.for_bits(12, 4, 300)``).  The scalar kernel is a python
+loop; short filter lengths keep a full-space scalar sweep affordable.
+The packed backend (:mod:`repro.search.packed`) carries one
+narrow-value syndrome sweep per batch and reads every screen off it.
 
 Method: screening only (:func:`~repro.search.exhaustive.screen_chunk`
--- survivor confirmation is byte-identical code on all backends),
-interleaved best-of-``reps`` (more reps on the cheap pair, whose
-~15ms batched side is otherwise at the mercy of scheduler noise) so
-background drift penalizes every variant alike.  Correctness is asserted before speed: on each space
-the two kernels must tell the same story record for record --
-survivors, per-stage kill counts, kill weights, witnesses.
+-- survivor confirmation is byte-identical code on both backends),
+interleaved best-of-``REPS`` so background drift penalizes both
+alike.  Correctness is asserted before speed: the two kernels must
+tell the same story record for record -- survivors, per-stage kill
+counts, kill weights, witnesses.
 
 Output: ``results/batched_search.json`` plus the committed
 ``BENCH_batched_search.json`` at the repo root (schema 1, like
-``BENCH_observability.json``).  Acceptance: batched >= 8x scalar on
-E7b and packed >= 5x batched on E7 (candidates/second).
+``BENCH_observability.json``).  Acceptance: packed >= 8x scalar
+(candidates/second).
 """
 
 from __future__ import annotations
@@ -43,18 +34,14 @@ from dataclasses import replace
 from conftest import once
 from repro.search.exhaustive import SearchConfig, expected_examined, screen_chunk
 
-SCALAR_CFG = SearchConfig.for_bits(12, 4, 300)
-PACKED_CFG = SearchConfig.for_bits(16, 4, 12112)
-# The E7b pair is sub-second per rep, so extra reps are cheap and the
-# best-of needs them: its batched side finishes in ~15ms, where a few
-# ms of scheduler noise moves the ratio by whole multiples.
-SCALAR_REPS = 7
-PACKED_REPS = 3
-# Floors leave headroom under the measured margins (batched lands at
-# ~9-12x scalar depending on host load; packed at ~6x batched): a
-# regression that halves a kernel trips them, scheduler noise does not.
-SCALAR_FLOOR = 8.0  # batched vs scalar on SCALAR_CFG
-PACKED_FLOOR = 5.0  # packed vs batched on PACKED_CFG
+CONFIG = SearchConfig.for_bits(12, 4, 300)
+# Each rep is sub-second, so extra reps are cheap and the best-of needs
+# them: the packed side finishes in a few ms, where scheduler noise
+# moves the ratio by whole multiples.
+REPS = 7
+# The floor leaves headroom under the measured margin: a regression
+# that halves the kernel trips it, scheduler noise does not.
+FLOOR = 8.0
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -103,30 +90,18 @@ def pair_payload(config: SearchConfig, best, results, contender, baseline):
     }
 
 
-def test_screening_kernel_ladder(benchmark, record):
-    def sweep():
-        return (
-            run_pair(SCALAR_CFG, "batched", "scalar", SCALAR_REPS),
-            run_pair(PACKED_CFG, "packed", "batched", PACKED_REPS),
-        )
-
-    (e7b_best, e7b_results), (e7_best, e7_results) = once(benchmark, sweep)
-
-    # Correctness before speed, on both spaces.
-    assert_identical(
-        e7b_results["batched"], e7b_results["scalar"], SCALAR_CFG.width
+def test_packed_vs_scalar(benchmark, record):
+    best, results = once(
+        benchmark, run_pair, CONFIG, "packed", "scalar", REPS
     )
-    assert_identical(
-        e7_results["packed"], e7_results["batched"], PACKED_CFG.width
-    )
+
+    # Correctness before speed.
+    assert_identical(results["packed"], results["scalar"], CONFIG.width)
 
     payload = {
-        "reps": {"batched_vs_scalar": SCALAR_REPS, "packed_vs_batched": PACKED_REPS},
-        "batched_vs_scalar": pair_payload(
-            SCALAR_CFG, e7b_best, e7b_results, "batched", "scalar"
-        ),
-        "packed_vs_batched": pair_payload(
-            PACKED_CFG, e7_best, e7_results, "packed", "batched"
+        "reps": REPS,
+        "packed_vs_scalar": pair_payload(
+            CONFIG, best, results, "packed", "scalar"
         ),
     }
     record("batched_search", payload)
@@ -135,21 +110,12 @@ def test_screening_kernel_ladder(benchmark, record):
         "bench": "batched_search",
         "schema": 1,
         "config": {
-            "reps": {
-                "batched_vs_scalar": SCALAR_REPS,
-                "packed_vs_batched": PACKED_REPS,
-            },
-            "batched_vs_scalar": {
-                "width": SCALAR_CFG.width,
-                "target_hd": SCALAR_CFG.target_hd,
-                "final_length": SCALAR_CFG.final_length,
-                "batch_size": SCALAR_CFG.batch_size,
-            },
-            "packed_vs_batched": {
-                "width": PACKED_CFG.width,
-                "target_hd": PACKED_CFG.target_hd,
-                "final_length": PACKED_CFG.final_length,
-                "batch_size": PACKED_CFG.batch_size,
+            "reps": REPS,
+            "packed_vs_scalar": {
+                "width": CONFIG.width,
+                "target_hd": CONFIG.target_hd,
+                "final_length": CONFIG.final_length,
+                "batch_size": CONFIG.batch_size,
             },
         },
         "metrics": payload,
@@ -161,13 +127,7 @@ def test_screening_kernel_ladder(benchmark, record):
         f.write("\n")
     os.replace(tmp, out)
 
-    batched_speedup = payload["batched_vs_scalar"]["speedup"]
-    packed_speedup = payload["packed_vs_batched"]["speedup"]
-    assert batched_speedup >= SCALAR_FLOOR, (
-        f"batched screening speedup {batched_speedup:.1f}x below "
-        f"{SCALAR_FLOOR:.0f}x floor"
-    )
-    assert packed_speedup >= PACKED_FLOOR, (
-        f"packed screening speedup {packed_speedup:.1f}x below "
-        f"{PACKED_FLOOR:.0f}x floor"
+    speedup = payload["packed_vs_scalar"]["speedup"]
+    assert speedup >= FLOOR, (
+        f"packed screening speedup {speedup:.1f}x below {FLOOR:.0f}x floor"
     )

@@ -650,10 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--target-hd", type=int, default=4)
     p.add_argument("--bits", type=int, default=100)
-    p.add_argument("--backend", choices=["batched", "packed", "scalar"],
-                   default="batched",
-                   help="screening kernel (packed: bit-plane/composite-"
-                        "key; scalar: the per-candidate oracle)")
+    p.add_argument("--backend", choices=["packed", "scalar"],
+                   default="packed",
+                   help="screening kernel (packed: the vectorized "
+                        "cascade; scalar: the per-candidate oracle)")
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("campaign", parents=[observability],
@@ -661,8 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=10)
     p.add_argument("--target-hd", type=int, default=4)
     p.add_argument("--bits", type=int, default=200)
-    p.add_argument("--backend", choices=["batched", "packed", "scalar"],
-                   default="batched",
+    p.add_argument("--backend", choices=["packed", "scalar"],
+                   default="packed",
                    help="screening kernel inherited by every worker")
     p.add_argument("--workers", type=int, default=4,
                    help="simulated in-process workers (logical clock); "
@@ -702,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=10)
     p.add_argument("--target-hd", type=int, default=4)
     p.add_argument("--bits", type=int, default=200)
-    p.add_argument("--backend", choices=["batched", "packed", "scalar"],
-                   default="batched",
+    p.add_argument("--backend", choices=["packed", "scalar"],
+                   default="packed",
                    help="screening kernel advertised to every worker "
                         "in the hello handshake")
     p.add_argument("--chunk-size", type=int, default=64)
@@ -783,8 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=sorted(CATALOG))
     p.add_argument("--hex", required=True)
     p.add_argument("--engine", default="auto",
-                   help="kernel backend (auto, bitwise, bytewise, slice4, "
-                        "slice8, wordwise; default auto)")
+                   help="kernel backend (auto, bitwise, bytewise, "
+                        "wordwise; default auto)")
     p.set_defaults(fn=cmd_crc)
 
     p = sub.add_parser("catalog", help="list known CRC algorithms")

@@ -1,8 +1,8 @@
 """CRC computation substrate.
 
 Implements parameterized CRC calculation the way real network stacks
-do -- a bit-serial reference plus per-spec *generated* table,
-slice-by-N and numpy kernels (:mod:`repro.crc.backends`) over a common
+do -- a bit-serial reference plus per-spec *generated* byte-table and
+numpy kernels (:mod:`repro.crc.backends`) over a common
 :class:`~repro.crc.spec.CRCSpec` -- plus Frame Check Sequence (FCS)
 handling and codeword membership tests.
 
@@ -17,8 +17,6 @@ from repro.crc.spec import CRCSpec
 from repro.crc.engine import (
     crc_bitwise,
     crc_table,
-    crc_slice4,
-    crc_slice8,
     make_table,
     BitSerialRegister,
 )
@@ -49,8 +47,6 @@ __all__ = [
     "CRCSpec",
     "crc_bitwise",
     "crc_table",
-    "crc_slice4",
-    "crc_slice8",
     "make_table",
     "BitSerialRegister",
     "BackendMismatch",

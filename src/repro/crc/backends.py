@@ -2,9 +2,9 @@
 
 The paper's premise is that polynomial *choice* must stay decoupled
 from implementation cost: any generator should run at line rate
-through table/slice kernels.  Hand-maintaining one inner loop per
-engine per orientation (the seed's ``crc_table`` / ``crc_slice4`` /
-``StreamingCrc.update`` triplication) is how orientation bugs breed,
+through table kernels.  Hand-maintaining one inner loop per engine
+per orientation (the seed's hand-written table, slice-by-4 and
+``StreamingCrc.update`` loops) is how orientation bugs breed,
 so this module *generates* the kernels instead -- the software analog
 of amaranth's per-spec derivation of parallel CRC update logic.
 
@@ -18,11 +18,8 @@ first use and cached per ``(width, poly, refin)``:
     Classic 256-entry byte-table kernel.  *Any* width: narrow normal
     registers (width < 8) are kept left-aligned in a byte-wide working
     register internally, so the table method no longer has a width
-    floor.
-``slice4`` / ``slice8``
-    Slice-by-N: N input bytes per iteration through N tables, for
-    *every* spec -- not just 32-bit reflected ones.  The generator is
-    unrolled with the spec's shifts and masks baked in as constants.
+    floor.  The default kernel: under CPython, slice-by-N unrolling
+    does not pay for its extra table lookups.
 ``wordwise``
     A numpy kernel (registered only when numpy is importable) that
     folds the whole buffer in ``O(log n)`` vectorized rounds: per-byte
@@ -130,8 +127,8 @@ def _aligned(width: int) -> tuple[int, int]:
 
     Narrow normal registers (width < 8) are computed left-aligned in a
     byte-wide working register over ``poly << (8 - width)`` -- the
-    standard technique that makes byte-table and slice kernels
-    width-uniform.  Reflected registers never need alignment.
+    standard technique that makes the byte-table kernel width-uniform.
+    Reflected registers never need alignment.
     """
     work = max(width, 8)
     return work, work - width
@@ -159,33 +156,6 @@ def _byte_table(width: int, poly: int, refin: bool) -> tuple[int, ...]:
                 crc = ((crc << 1) & mask) ^ (poly_w if crc & top else 0)
             table.append(crc)
     return tuple(table)
-
-
-@lru_cache(maxsize=64)
-def _slice_tables(
-    width: int, poly: int, refin: bool, nslices: int
-) -> tuple[tuple[int, ...], ...]:
-    """Tables T0..T{n-1}: T{k}[b] advances byte ``b`` through ``k``
-    additional zero bytes -- the slice-by-N construction, built over
-    the (working-width) byte table."""
-    t0 = _byte_table(width, poly, refin)
-    tables = [t0]
-    if refin:
-        for _ in range(nslices - 1):
-            prev = tables[-1]
-            tables.append(
-                tuple((c >> 8) ^ t0[c & 0xFF] for c in prev)
-            )
-    else:
-        work, _ = _aligned(width)
-        mask = (1 << work) - 1
-        shift = work - 8
-        for _ in range(nslices - 1):
-            prev = tables[-1]
-            tables.append(
-                tuple(((c << 8) & mask) ^ t0[(c >> shift) & 0xFF] for c in prev)
-            )
-    return tuple(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -266,74 +236,6 @@ def _gen_bytewise(width: int, poly: int, refin: bool) -> Kernel:
             f"    return {leave}\n"
         )
     return _compile("bytewise", source, {"_T0": table})
-
-
-def _gen_slice(width: int, poly: int, refin: bool, n: int) -> Kernel:
-    """Slice-by-``n`` kernel: ``n`` bytes per iteration through ``n``
-    tables, any width and orientation.  Correctness rests on linearity:
-    the one-byte step applied ``n`` times expands into one table term
-    per input byte plus the register's own advance, which the
-    generator unrolls with all shifts baked in."""
-    tables = _slice_tables(width, poly, refin, n)
-    names = {f"_t{k}": tables[k] for k in range(n)}
-    if refin:
-        terms = []
-        for k in range(n):
-            reg = "register" if k == 0 else f"(register >> {8 * k})"
-            terms.append(f"_t{n - 1 - k}[({reg} ^ data[i + {k}]) & 0xFF]")
-        if width > 8 * n:
-            terms.insert(0, f"(register >> {8 * n})")
-        body = (
-            f"        register = ({' ^ '.join(terms)})\n"
-        )
-        tail = (
-            "    while i < n:\n"
-            "        register = (register >> 8) ^ _t0[(register ^ data[i]) & 0xFF]\n"
-            "        i += 1\n"
-        )
-        enter = leave = None
-    else:
-        work, align = _aligned(width)
-        mask = (1 << work) - 1
-        d = work - 8 * n
-        if d > 0:
-            lead = [f"((register << {8 * n}) & {mask:#x})"]
-            v = f"(register >> {d})"
-        else:
-            lead = []
-            v = "register" if d == 0 else f"(register << {-d})"
-        terms = list(lead)
-        for k in range(n):
-            shift = 8 * (n - 1 - k)
-            vk = v if shift == 0 else f"({v} >> {shift})"
-            terms.append(f"_t{n - 1 - k}[({vk} ^ data[i + {k}]) & 0xFF]")
-        body = f"        register = ({' ^ '.join(terms)})\n"
-        if work == 8:
-            tail_step = "register = _t0[register ^ data[i]]"
-        else:
-            tail_step = (
-                f"register = ((register << 8) & {mask:#x}) "
-                f"^ _t0[((register >> {work - 8}) ^ data[i]) & 0xFF]"
-            )
-        tail = (
-            "    while i < n:\n"
-            f"        {tail_step}\n"
-            "        i += 1\n"
-        )
-        enter = f"    register <<= {align}\n" if align else None
-        leave = f"    return register >> {align}\n" if align else None
-    source = (
-        f"def _process(register, data, {', '.join(f'{k}={k}' for k in names)}):\n"
-        + (enter or "")
-        + "    n = len(data)\n"
-        "    i = 0\n"
-        f"    while i + {n} <= n:\n"
-        + body
-        + f"        i += {n}\n"
-        + tail
-        + (leave or "    return register\n")
-    )
-    return _compile(f"slice{n}", source, names)
 
 
 #: Bytes the wordwise kernel folds at a time (a power of two).  Its
@@ -506,15 +408,14 @@ def _verify(width: int, poly: int, refin: bool, kernel: Kernel, ref: dict) -> Ke
 _BUILDERS: dict[str, Callable[[int, int, bool], "Kernel | None"]] = {
     "bitwise": _gen_bitwise,
     "bytewise": _gen_bytewise,
-    "slice4": lambda w, p, r: _gen_slice(w, p, r, 4),
-    "slice8": lambda w, p, r: _gen_slice(w, p, r, 8),
     "wordwise": lambda w, p, r: _gen_wordwise(w, p, r, _gen_bytewise(w, p, r)),
 }
 
 _KERNELS: dict[tuple[int, int, bool], dict[str, Kernel]] = {}
 
-#: Table-driven default for streaming and small one-shot inputs.
-DEFAULT_BACKEND = "slice8"
+#: Table-driven default for streaming and small one-shot inputs; it
+#: serves every spec.
+DEFAULT_BACKEND = "bytewise"
 #: One-shot buffers at least this long prefer the numpy kernel.
 WORDWISE_CUTOVER = 512
 
@@ -561,7 +462,7 @@ def get_kernel(spec: CRCSpec, backend: str = "auto") -> Kernel:
     :func:`crc_compute`, which also considers the numpy kernel."""
     kernels = kernels_for(spec)
     if backend == "auto":
-        backend = DEFAULT_BACKEND if DEFAULT_BACKEND in kernels else "bytewise"
+        backend = DEFAULT_BACKEND
     try:
         return kernels[backend]
     except KeyError:
@@ -587,37 +488,6 @@ def crc_compute(spec: CRCSpec, data: bytes, backend: str = "auto") -> int:
         if len(data) >= WORDWISE_CUTOVER and "wordwise" in kernels:
             backend = "wordwise"
         else:
-            backend = DEFAULT_BACKEND if DEFAULT_BACKEND in kernels else "bytewise"
+            backend = DEFAULT_BACKEND
     kernel = get_kernel(spec, backend)
     return dress(spec, kernel.process(engine_init(spec), data))
-
-
-# ---------------------------------------------------------------------------
-# batched raw-register primitive (shared with the screening kernels)
-# ---------------------------------------------------------------------------
-
-
-def lfsr_sweep_batched(out, acc, g_arr, r: int, start: int, stop: int) -> None:
-    """Fill ``out[:, start:stop]`` from ``acc`` -- the raw MSB-first
-    LFSR recurrence ``acc = (acc << 1) ^ (top_set ? g : 0)`` run across
-    a whole batch of generators per position.
-
-    This is the registry's raw numpy register primitive: the batched
-    screening syndrome builder (:mod:`repro.hd.batched`) routes its
-    ``(B, N)`` table construction through it, so the screening path and
-    the CRC kernels share one implementation of the recurrence.  The
-    recurrence is branch-free: after the shift the only bit at or above
-    ``r`` is bit ``r`` itself, so the feedback predicate needs no mask.
-    """
-    if _np is None:  # pragma: no cover - numpy-less installs
-        raise RuntimeError("lfsr_sweep_batched requires numpy")
-    np = _np
-    r_u = np.uint64(r)
-    one = np.uint64(1)
-    tmp = np.empty_like(acc)
-    for i in range(start, stop):
-        out[:, i] = acc
-        np.left_shift(acc, one, out=acc)
-        np.right_shift(acc, r_u, out=tmp)
-        np.multiply(tmp, g_arr, out=tmp)
-        np.bitwise_xor(acc, tmp, out=acc)

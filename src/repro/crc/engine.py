@@ -6,11 +6,11 @@ The reference engine lives here; the fast engines are *generated*:
     The textbook shift-register, one bit at a time.  Slow but obviously
     correct; the reference every generated kernel is differential-tested
     against at construction (:mod:`repro.crc.backends`).
-``crc_table`` / ``crc_slice4`` / ``crc_slice8``
-    Facades over the backend registry's generated byte-table and
-    slice-by-N kernels.  Every spec -- any width, either orientation --
-    gets every kernel; there is no hand-maintained inner loop per
-    engine anymore, and no "32-bit reflected only" restriction.
+``crc_table``
+    Facade over the backend registry's generated byte-table kernel.
+    Every spec -- any width, either orientation -- gets every kernel;
+    there is no hand-maintained inner loop per engine anymore, and no
+    "32-bit reflected only" restriction.
 
 All engines produce identical results for every spec (property-tested,
 and re-checked at kernel construction); the benchmark
@@ -126,24 +126,6 @@ def crc_table(spec: CRCSpec, data: bytes) -> int:
     from repro.crc import backends
 
     return backends.crc_compute(spec, data, backend="bytewise")
-
-
-def crc_slice4(spec: CRCSpec, data: bytes) -> int:
-    """Slice-by-4 CRC via the generated ``slice4`` kernel: four input
-    bytes per iteration through four tables, the standard software
-    technique for multi-gigabit rates -- for *every* spec, not just
-    32-bit reflected ones."""
-    from repro.crc import backends
-
-    return backends.crc_compute(spec, data, backend="slice4")
-
-
-def crc_slice8(spec: CRCSpec, data: bytes) -> int:
-    """Slice-by-8 CRC via the generated ``slice8`` kernel (eight bytes
-    per iteration; the widest slicing the registry generates)."""
-    from repro.crc import backends
-
-    return backends.crc_compute(spec, data, backend="slice8")
 
 
 class BitSerialRegister:

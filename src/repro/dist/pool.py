@@ -75,6 +75,11 @@ from repro.search.records import CampaignRecord
 #: Lease owner recorded for every parent-issued lease.
 PARENT_OWNER = "pool-parent"
 
+#: Upper bound (seconds) on waiting for a broken pool's in-flight
+#: futures to settle.  The executor fails every pending future right
+#: after flagging itself broken, so the wait normally returns at once.
+_SETTLE_TIMEOUT = 5.0
+
 
 def _run_chunk(
     config: SearchConfig,
@@ -99,7 +104,7 @@ def _run_chunk(
     merge-at-chunk-completion, costing the worker one dict per chunk.
     ``collect_traces`` does the same with an unattached
     :class:`~repro.obs.trace.Tracer`: the chunk computes under a
-    ``chunk.compute`` root span (the batched screening stages open
+    ``chunk.compute`` root span (the packed screening stages open
     children) and the finished spans ride back as plain dicts in the
     same aux payload, for the parent to adopt into the event stream.
 
@@ -619,8 +624,15 @@ class ParallelCoordinator:
                             self.collect_traces,
                         )
                     except BrokenProcessPool:
+                        # The pool died under an in-flight chunk before
+                        # the wait below saw it.  This chunk never ran;
+                        # account for the ones that did exactly as the
+                        # wait path does, then rebuild.
                         self._close_chunk_spans(task.chunk_id, "pool-broken")
                         self.queue.release(task.chunk_id, PARENT_OWNER, now)
+                        done, _ = wait(set(in_flight), timeout=_SETTLE_TIMEOUT)
+                        for fut in done:
+                            self._settle(fut, in_flight.pop(fut), now)
                         executor, in_flight = self._rebuild(
                             executor, in_flight, now
                         )
@@ -646,33 +658,7 @@ class ParallelCoordinator:
                 now = time.monotonic()
                 broken = False
                 for fut in done:
-                    task = in_flight.pop(fut)
-                    exc = fut.exception()
-                    if exc is None:
-                        _, result, aux = fut.result()
-                        self._deliver(task, result, now, aux)
-                        self.tracker.observe(now - t0, self.queue.done)
-                    elif isinstance(exc, BrokenProcessPool):
-                        broken = True
-                        self.stats.crashes += 1
-                        self._close_chunk_spans(task.chunk_id, "killed")
-                        self.events.emit(
-                            "worker.crash", chunk=task.chunk_id, kind="killed"
-                        )
-                        self.queue.release(task.chunk_id, PARENT_OWNER, now)
-                    elif isinstance(exc, WorkerCrashed):
-                        # Task-level crash: the pool survives; release
-                        # the lease now (the parent *knows* the attempt
-                        # failed) so the chunk re-leases after backoff
-                        # instead of waiting out the full lease.
-                        self.stats.crashes += 1
-                        self._close_chunk_spans(task.chunk_id, "crashed")
-                        self.events.emit(
-                            "worker.crash", chunk=task.chunk_id, kind="crashed"
-                        )
-                        self.queue.release(task.chunk_id, PARENT_OWNER, now)
-                    else:
-                        raise exc
+                    broken |= self._settle(fut, in_flight.pop(fut), now)
                 if broken:
                     executor, in_flight = self._rebuild(executor, in_flight, now)
                 if now - last_renew >= renew_interval:
@@ -742,6 +728,32 @@ class ParallelCoordinator:
             self.tracker.summary(elapsed) + " | " + self.queue.progress()
         )
         return elapsed
+
+    def _settle(self, fut: Future, task: SearchTask, now: float) -> bool:
+        """Account for one finished future: deliver its result, or
+        record the crash and release its lease.  Returns True when the
+        future died with the whole pool (a killed worker)."""
+        exc = fut.exception()
+        if exc is None:
+            _, result, aux = fut.result()
+            self._deliver(task, result, now, aux)
+            self.tracker.observe(now - self._t0, self.queue.done)
+            return False
+        if isinstance(exc, BrokenProcessPool):
+            kind = "killed"
+        elif isinstance(exc, WorkerCrashed):
+            # Task-level crash: the pool survives; release the lease
+            # now (the parent *knows* the attempt failed) so the chunk
+            # re-leases after backoff instead of waiting out the full
+            # lease.
+            kind = "crashed"
+        else:
+            raise exc
+        self.stats.crashes += 1
+        self._close_chunk_spans(task.chunk_id, kind)
+        self.events.emit("worker.crash", chunk=task.chunk_id, kind=kind)
+        self.queue.release(task.chunk_id, PARENT_OWNER, now)
+        return kind == "killed"
 
     def _rebuild(
         self,

@@ -16,16 +16,14 @@ Three engines are provided:
   algorithmic substitution that lets a single 2026 CPU verify
   breakpoints (HD=6 to 16,360 bits, etc.) that took the paper's
   workstation farm days; results are bit-identical where both run.
-* :mod:`repro.hd.batched` -- vectorized screening kernels evaluating a
-  whole batch of generators as ``(B, N)`` numpy arrays (batched LFSR
-  syndrome tables, presence-map weight-2/3 screens, composite-key
-  weight-4/5 matching) -- the engine behind the search's default
-  ``backend="batched"``; record-identical to the scalar cascade.
-* :mod:`repro.hd.packed` -- bit-plane kernels one level down: syndrome
-  *bit-planes* packed 64 candidates per ``uint64`` word (one masked
-  XOR advances the whole batch one LFSR step) plus composite-key row
-  sorts for the weight-3 screen; the search's ``backend="packed"``,
-  again record-identical.
+* :mod:`repro.hd.packed` -- the vectorized screen's sweep: one
+  position-major syndrome buffer per batch of generators in the
+  narrowest dtype holding the register, plus composite-key row sorts
+  for the weight-3 screen -- the engine behind the search's default
+  ``backend="packed"``; record-identical to the scalar cascade.
+* :mod:`repro.hd.batched` -- the batch screens that run on uint64
+  copies of those tables (presence-map / sorted-key weight-3 screens,
+  composite-key weight-4/5 matching).
 
 Breakpoint extraction (:mod:`repro.hd.breakpoints`) runs on the
 :mod:`repro.hd.jump` engine: shared extend-only syndrome tables,
@@ -41,12 +39,7 @@ existence (witnesses are re-verified), never non-existence.
 """
 
 from repro.hd.syndromes import syndrome_table, syndrome_of_positions
-from repro.hd.batched import (
-    BatchKeys,
-    PositionMap,
-    extend_syndrome_tables,
-    syndrome_tables_batched,
-)
+from repro.hd.batched import BatchKeys, PositionMap
 from repro.hd.jump import (
     SpanCache,
     first_failure_jump,
@@ -59,11 +52,6 @@ from repro.hd.mitm import (
     find_witness,
     windowed_witness,
     minimal_codeword_span,
-)
-from repro.hd.packed import (
-    PlaneState,
-    composite_tables,
-    syndrome_tables_packed,
 )
 from repro.hd.weights import (
     count_weight_2,
@@ -104,8 +92,6 @@ __all__ = [
     "syndrome_of_positions",
     "BatchKeys",
     "PositionMap",
-    "extend_syndrome_tables",
-    "syndrome_tables_batched",
     "SpanCache",
     "first_failure_jump",
     "refine_span",
@@ -115,9 +101,6 @@ __all__ = [
     "find_witness",
     "windowed_witness",
     "minimal_codeword_span",
-    "PlaneState",
-    "composite_tables",
-    "syndrome_tables_packed",
     "count_weight_2",
     "count_weight_3",
     "count_weight_4",

@@ -1,27 +1,21 @@
-"""Batched (vectorized) screening kernels: B candidates per numpy op.
+"""Batch screening primitives: B candidates per numpy op.
 
 The filter cascade's cost structure is uniform across generators: every
-candidate runs the same LFSR recurrence, the same duplicate-syndrome
-check, the same low-weight matching -- only the tap constants differ.
-This module exploits that uniformity by evaluating a *batch* of B
-candidates as ``(B, N)`` uint64 arrays:
+candidate runs the same LFSR recurrence and the same low-weight
+matching -- only the tap constants differ.  The packed search driver
+(:mod:`repro.search.packed`) sweeps a batch's ``(B, N)`` syndrome
+tables once (:class:`~repro.hd.packed.ValueSweep`); this module holds
+the screens that run on uint64 copies of those tables:
 
-* :func:`syndrome_tables_batched` runs the recurrence
-  ``acc = (acc << 1) ^ (top_set ? g : 0)`` once per *position* across
-  the whole batch -- one numpy op per position instead of one Python
-  iteration per candidate x position; :func:`extend_syndrome_tables`
-  grows the tables between cascade stages so prefixes are never
-  recomputed (the batched analogue of
-  :func:`repro.hd.syndromes.extend_syndrome_table`).
-* Weight-2 and weight-3 refutation read off one row-wise sort: a
-  duplicate syndrome is an *equal* adjacent pair, and -- since the
-  weight-3 condition ``syn[p] ^ syn[q] == 1`` forces the two values to
-  be consecutive integers -- a weight-3 codeword is an adjacent pair
-  XORing to 1.  No per-candidate search at all.
-* Weight-4/5 existence uses **composite sort keys** -- candidate (row)
-  index in the high bits, syndrome in the low ``r`` bits -- so a
-  single global ``searchsorted`` over pair-XOR keys services the
-  entire batch.
+* :class:`BatchKeys` answers weight-3 existence (``syn[p] ^ syn[q] ==
+  1``) and membership queries for a whole batch, through a dense
+  presence map when ``B << r`` slots fit, sorted keys otherwise.  The
+  driver's weight-3 screen runs on it for widths above the composite
+  keys' 32-bit value half.
+* Weight-4/5 existence (:func:`weight4_exists`, :func:`weight5_exists`)
+  uses **composite keys** -- candidate (row) index in the high bits,
+  syndrome in the low ``r`` bits -- so a single gather or global
+  ``searchsorted`` over pair-XOR keys services the entire batch.
 
 Exactness contract: identical to the scalar engines.  Every existence
 answer is exact for rows that passed the lower-weight screens first
@@ -32,15 +26,13 @@ records match the scalar backend bit for bit.
 Requirements: all generators in a batch share one degree ``r`` with
 ``r <= 63`` (so ``g`` itself fits a machine word), and
 ``r + ceil(log2(B))`` must not exceed 64 so the composite keys fit
-uint64 -- the search driver (:mod:`repro.search.batched`) caps its
-batch size accordingly and falls back to the scalar path otherwise.
+uint64 -- the search driver caps its batch size accordingly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.crc.backends import lfsr_sweep_batched
 from repro.hd.cost import EnvelopeError
 
 #: Elements of pair-XOR workspace materialized at once by the
@@ -97,76 +89,6 @@ class PositionMap:
         return self._epoch
 
 
-def _as_batch(gs) -> np.ndarray:
-    """Coerce a generator batch to a uint64 array."""
-    try:
-        return np.asarray(gs, dtype=np.uint64)
-    except OverflowError:
-        raise EnvelopeError(
-            "batched kernels require generators that fit 64 bits"
-        ) from None
-
-
-def _common_degree(g_arr: np.ndarray) -> int:
-    """The shared degree of a batch (all generators must agree)."""
-    if len(g_arr) == 0:
-        raise ValueError("empty batch")
-    r = int(g_arr.max()).bit_length() - 1
-    if not ((g_arr >> np.uint64(r)) == np.uint64(1)).all():
-        raise ValueError("batched kernels require a same-degree batch")
-    if not 1 <= r <= 63:
-        raise EnvelopeError(f"batched kernels support degrees 1..63, got {r}")
-    return r
-
-
-def syndrome_tables_batched(gs, n_positions: int) -> np.ndarray:
-    """Return ``(B, n)`` uint64 array ``S`` with ``S[b, i] = x**i mod
-    gs[b]`` -- B scalar :func:`~repro.hd.syndromes.syndrome_table`
-    calls fused into one vectorized LFSR sweep.
-
-    >>> syndrome_tables_batched([0b1011, 0b1101], 4).tolist()
-    [[1, 2, 4, 3], [1, 2, 4, 5]]
-    """
-    g_arr = _as_batch(gs)
-    r = _common_degree(g_arr)
-    if n_positions < 0:
-        raise ValueError("n_positions must be non-negative")
-    out = np.empty((len(g_arr), n_positions), dtype=np.uint64)
-    acc = np.ones(len(g_arr), dtype=np.uint64)
-    _advance(out, acc, g_arr, r, 0, n_positions)
-    return out
-
-
-#: The vectorized LFSR recurrence itself lives in the backend registry
-#: (:func:`repro.crc.backends.lfsr_sweep_batched`) -- the syndrome
-#: builder and the CRC kernel codegen share one implementation of the
-#: raw MSB-first register step.
-_advance = lfsr_sweep_batched
-
-
-def extend_syndrome_tables(gs, tables: np.ndarray, new_len: int) -> np.ndarray:
-    """Grow ``(B, old)`` tables to ``(B, new_len)`` without recomputing
-    the prefix -- the cascade reuses each stage's work at the next one.
-    ``new_len <= old`` returns a (view of the) prefix, mirroring
-    :func:`repro.hd.syndromes.extend_syndrome_table`."""
-    B, old = tables.shape
-    if new_len <= old:
-        return tables[:, :new_len]
-    g_arr = _as_batch(gs)
-    r = _common_degree(g_arr)
-    out = np.empty((B, new_len), dtype=np.uint64)
-    out[:, :old] = tables
-    if old == 0:
-        acc = np.ones(B, dtype=np.uint64)
-    else:
-        # advance one step past the last stored column
-        acc = tables[:, old - 1].copy()
-        acc <<= np.uint64(1)
-        acc ^= ((acc >> np.uint64(r)) & np.uint64(1)) * g_arr
-    _advance(out, acc, g_arr, r, old, new_len)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # batch screening primitives
 # ---------------------------------------------------------------------------
@@ -188,9 +110,8 @@ class BatchKeys:
     machinery -- on the already-condemned rows only.)
 
     *Sorted keys* (fallback above :data:`BITMAP_BUDGET`): a row-wise
-    sort makes duplicates *equal* adjacent entries and weight-3
-    partners -- consecutive integers -- *adjacent* entries XORing
-    to 1; the pair screens lift rows into composite keys
+    sort makes weight-3 partners -- consecutive integers -- *adjacent*
+    entries XORing to 1; the pair screens lift rows into composite keys
     ``(row << r) | syndrome``, whose row-major flattening is globally
     sorted, so one ``searchsorted`` serves the whole batch.
     """
@@ -270,20 +191,6 @@ class BatchKeys:
 
     # -- screens -------------------------------------------------------
 
-    def duplicate_rows(self) -> np.ndarray:
-        """(B,) bool: rows containing a duplicate syndrome -- i.e.
-        ``order(x mod g) <= N - 1``, the weight-2 refutation.
-
-        Because each row is a genuine syndrome sequence starting at
-        ``syn[0] == 1``, "some syndrome repeats within the window" is
-        *equivalent* to "syndrome 1 reappears": ``syn[i] == syn[j]``
-        (``i < j``) means ``g`` divides ``x**(j-i) - 1``, so
-        ``syn[j-i] == 1``.  One elementwise compare, no map or sort.
-        """
-        if self.N < 2:
-            return np.zeros(self.B, dtype=bool)
-        return (self.tables[:, 1:] == np.uint64(1)).any(axis=1)
-
     def weight3_rows(self) -> np.ndarray:
         """(B,) bool: rows where some ``syn[p] ^ syn[q] == 1`` -- i.e.
         ``{0, p, q}`` is a weight-3 codeword (anchored form; position 0
@@ -337,17 +244,6 @@ class BatchKeys:
             tuple(sorted((0, int(pp[i]), int(b[i])))) if has[i] else None
             for i in range(m)
         ]
-
-
-def weight2_witnesses(tables: np.ndarray) -> list[tuple[int, int]]:
-    """Witness ``(0, order)`` per row of a duplicate-carrying batch:
-    the first position ``j >= 1`` with ``syn[j] == 1`` is exactly the
-    order of ``x`` (which the duplicate guarantees is ``<= N - 1``),
-    matching the scalar :func:`~repro.hd.breakpoints.refute_hd_at`."""
-    hit = tables[:, 1:] == np.uint64(1)
-    assert hit.any(axis=1).all(), "weight-2 witness requires order <= N-1"
-    orders = hit.argmax(axis=1) + 1
-    return [(0, int(j)) for j in orders]
 
 
 def weight3_witnesses(

@@ -300,7 +300,7 @@ def _refute_weights(
     ``k_min .. hd-1``, given a ready length-``N`` syndrome table.
 
     Shared between :func:`refute_hd_at` (from ``k_min=3``) and the
-    batched screening backend, whose vectorized kernels handle the
+    packed screening backend, whose vectorized kernels handle the
     weights below ``k_min`` and delegate the tail here.
     """
     for k in range(k_min, hd):

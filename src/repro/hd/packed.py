@@ -1,158 +1,55 @@
-"""Bit-packed screening kernels: 64 candidates per machine word.
+"""Packed screening kernels: one narrow-value sweep per batch.
 
-The batched kernels (:mod:`repro.hd.batched`) spend one uint64 *per
-candidate per position*.  But the quantities the cascade's cheap
-screens actually consume are single *bits* per candidate: "did
-syndrome 1 reappear?" (weight 2) and "is some ``syn[p] ^ syn[q] == 1``?"
-(weight 3).  This module flips the layout to **bit planes**: the LFSR
-register state of B candidates is stored as ``r`` words of
-``ceil(B/64)`` uint64 each -- plane ``b`` holds bit ``b`` of every
-candidate's register -- so one whole-register XOR/AND advances 64
-candidates at once and the weight-2 predicate (``register == 1``) is a
-plane-wise AND/AND-NOT word op (:class:`PlaneState`).
+The cascade's screens need one syndrome value per candidate per
+position, and under CPython the binding cost of producing them is
+per-step numpy *dispatch*, not arithmetic.  So this module carries a
+batch's LFSR register states in the **narrowest** unsigned dtype that
+holds an ``r``-bit syndrome (uint16 for ``r <= 16``, uint32 to 32,
+uint64 to :data:`PACKED_MAX_WIDTH`) as one position-major buffer
+(:class:`ValueSweep`), advanced four in-place ops per position, and
+every screen reads slices of that one buffer.
 
-Weight 3 needs syndrome *values*, not just predicates (a collision
-``syn[p] ^ syn[q] == 1`` cannot be observed plane-wise without
-cross-position comparisons), so the second kernel compresses the other
-axis instead: for widths ``r <= 16`` a syndrome is a uint16 and
-``(value << 16) | position`` packs a *composite key* into one uint32
-(:func:`composite_tables`).  One SIMD row sort then makes weight-3
-partners -- consecutive integer values -- adjacent entries whose XOR's
-high half is exactly 1, and the position payload rides along for free,
-so witness extraction never re-sorts (:func:`weight3_witnesses_packed`).
 Narrow-register sweeps exploit dtype wraparound: with ``g`` truncated
 to the value dtype, ``acc = (acc << 1) ^ (top * g)`` cancels the
 ``x**r`` term either explicitly (``r`` < dtype bits: ``g``'s top bit
 is in range) or by overflow (``r`` == dtype bits), bit-identical to
-the uint64 recurrence.
+the arbitrary-precision recurrence.
 
-Exactness contract: identical to :mod:`repro.hd.batched` -- same
-screens, same witness selection rules, same ascending-weight
-preconditions.  The packed search driver
-(:mod:`repro.search.packed`) is differentially tested against both
-other backends on full canonical spaces.
+For weight 3 (``r <= 32``) ``(value << pos_bits) | position`` packs a
+*composite key* into one uint32 or uint64 (:func:`composite_from_values`).
+One SIMD row sort then makes weight-3 partners -- consecutive integer
+values -- adjacent entries whose XOR's high half is exactly 1, and the
+position payload rides along for free, so witness extraction never
+re-sorts (:func:`weight3_witnesses_packed`).  Wider registers leave no
+room for the position beside the value; the search driver screens
+their weight 3 with :class:`~repro.hd.batched.BatchKeys` instead.
 
-Envelope: ``r <= 32`` (:data:`PACKED_MAX_WIDTH`) so values fit uint32
-composites; the search driver falls back to the batched path beyond.
+Exactness contract: identical to the scalar cascade -- same screens,
+same witness selection rules, same ascending-weight preconditions.
+The packed search driver (:mod:`repro.search.packed`) is
+differentially tested against the scalar oracle on full canonical
+spaces and on sampled index ranges up to width 63.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.hd.batched import _common_degree
 from repro.hd.cost import EnvelopeError
 
-#: Largest degree the packed kernels accept: syndrome values must fit
-#: the uint32 half of a 64-bit composite key.
-PACKED_MAX_WIDTH = 32
+#: Largest degree the packed kernels accept: the generator's full
+#: ``r + 1``-bit encoding must fit a uint64 lane.
+PACKED_MAX_WIDTH = 63
+
+#: Largest degree whose syndrome values fit the uint32 half of a
+#: 64-bit composite key (and whose GF(2) products fit a uint64 lane,
+#: which the sliced sweep's jump-start needs).
+COMPOSITE_MAX_WIDTH = 32
 
 #: Elements of composite-key workspace materialized at once by the
 #: weight-3 screen (uint32/uint64 each); the search driver sub-batches
 #: candidate rows to fit.
 COMPOSITE_BUDGET = 1 << 26
-
-
-def _pack_lanes(bits: np.ndarray) -> np.ndarray:
-    """Pack ``(rows, B)`` 0/1 uint8 into ``(rows, ceil(B/64))`` uint64
-    bit-plane words, lane ``l`` of word ``w`` holding candidate
-    ``64*w + l`` (little-endian lanes)."""
-    rows, B = bits.shape
-    W = max(1, (B + 63) // 64)
-    padded = np.zeros((rows, W * 64), dtype=np.uint8)
-    padded[:, :B] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-
-
-def _unpack_lanes(planes: np.ndarray, n_lanes: int) -> np.ndarray:
-    """Inverse of :func:`_pack_lanes`: ``(rows, W)`` uint64 back to
-    ``(rows, n_lanes)`` 0/1 uint8."""
-    return np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")[
-        :, :n_lanes
-    ]
-
-
-def _lanes_of(words: np.ndarray) -> np.ndarray:
-    """Lane indices of the set bits in a ``(W,)`` uint64 word row."""
-    return np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))
-
-
-class PlaneState:
-    """Bit-plane LFSR state for one batch of same-degree generators.
-
-    ``P[b]`` holds bit ``b`` of every candidate's register; one step is
-
-        ``P'[b] = P[b-1] ^ (t & G[b])``,   ``t = P[r-1]``
-
-    i.e. a whole-batch shift plus a feedback XOR masked by the plane of
-    generator taps ``G`` -- ``2r`` word ops advance 64 candidates per
-    word.  Along the way the state tracks, per lane, the first position
-    ``j >= 1`` whose register equals 1 (:attr:`first_one`): that
-    position *is* the order of ``x`` mod ``g``, so after
-    ``advance_to(N)`` the weight-2 screen is the compare
-    ``first_one <= N - 1`` and the witness is ``(0, first_one)`` --
-    no syndrome values ever materialized.
-
-    :meth:`compact` drops killed lanes between cascade stages (a cheap
-    unpack/repack of ``r`` bit rows), so later -- longer -- stages
-    sweep only the lanes still alive.
-    """
-
-    def __init__(self, gs: np.ndarray, r: int) -> None:
-        g_arr = np.asarray(gs, dtype=np.uint64)
-        if not 1 <= r <= 63:
-            raise EnvelopeError(f"plane kernels support degrees 1..63, got {r}")
-        self.B = len(g_arr)
-        self.r = r
-        gbits = (
-            (g_arr[None, :] >> np.arange(r, dtype=np.uint64)[:, None])
-            & np.uint64(1)
-        ).astype(np.uint8)
-        self.G = _pack_lanes(gbits)
-        self.W = self.G.shape[1]
-        init = np.zeros((r, self.B), dtype=np.uint8)
-        if self.B:
-            init[0, :] = 1  # register starts at syn[0] == 1
-        self.P = _pack_lanes(init)
-        self._P2 = np.empty_like(self.P)
-        self.first_one = np.full(self.B, -1, dtype=np.int64)
-        self._seen = np.zeros(self.W, dtype=np.uint64)
-        self._or = np.empty(self.W, dtype=np.uint64)
-        self.pos = 0  # P holds the register at this position
-
-    def advance_to(self, n_positions: int) -> None:
-        """Advance so every position ``0 .. n_positions-1`` has been
-        visited, recording first ``register == 1`` sightings."""
-        P, P2, G = self.P, self._P2, self.G
-        seen, orbuf, r = self._seen, self._or, self.r
-        for j in range(self.pos + 1, n_positions):
-            t = P[r - 1]
-            P2[1:] = P[:-1]
-            P2[0] = 0
-            P2 ^= t[None, :] & G
-            P, P2 = P2, P
-            # register == 1: plane-0 bit set, every other plane clear.
-            np.bitwise_or.reduce(P[1:], axis=0, out=orbuf)
-            ones = P[0] & ~orbuf
-            new = ones & ~seen
-            if new.any():
-                self.first_one[_lanes_of(new)] = j
-                seen |= new
-        self.P, self._P2 = P, P2
-        self.pos = max(self.pos, n_positions - 1)
-
-    def compact(self, keep: np.ndarray) -> None:
-        """Drop lanes where ``keep`` is False (bool mask over lanes)."""
-        self.P = _pack_lanes(_unpack_lanes(self.P, self.B)[:, keep])
-        self.G = _pack_lanes(_unpack_lanes(self.G, self.B)[:, keep])
-        self.first_one = self.first_one[keep]
-        self.B = int(keep.sum())
-        self.W = self.G.shape[1]
-        self._P2 = np.empty_like(self.P)
-        self._or = np.empty(self.W, dtype=np.uint64)
-        self._seen = _pack_lanes(
-            (self.first_one >= 0).astype(np.uint8)[None, :]
-        )[0]
 
 
 #: Independent position slices the carried sweep advances in lockstep.
@@ -226,19 +123,17 @@ class ValueSweep:
     incrementally as the cascade's stages ask for longer windows, with
     weight-2 detection amortized over whole segments.
 
-    This is what the packed search driver actually runs
-    (:mod:`repro.search.packed`).  Profiling the cascade under CPython
-    shows per-step *dispatch*, not arithmetic, is the binding cost: a
-    bit-plane step (:class:`PlaneState`) is ~7 small numpy calls per
-    position, a value step is 4 in-place calls on narrow rows, and
-    everything downstream -- weight-2 first-one detection, composite
-    keys, weight-4/5 tables, survivor tables -- can be sliced out of
-    the one materialized buffer instead of re-sweeping.  One sweep per
-    batch replaces three (planes, per-stage composite rebuilds, a
-    survivor-table sweep), and each segment is advanced as
+    This is what the packed search driver runs
+    (:mod:`repro.search.packed`).  A value step is 4 in-place calls on
+    narrow rows, and everything downstream -- weight-2 first-one
+    detection, composite keys, weight-4/5 tables, survivor tables --
+    is sliced out of the one materialized buffer instead of
+    re-sweeping.  For ``r <= 32`` each long segment is advanced as
     :data:`_SWEEP_SLICES` independent position ranges in lockstep --
     their start states jump-started by :func:`_x_pow_mod_vec` -- so
-    the dispatched step count drops by that factor again.
+    the dispatched step count drops by that factor again; wider
+    registers step serially, since the jump-start's GF(2) products
+    need ``2r`` bits.
 
     Weight-2 detection exploits that syndromes are never 0 (``g`` is
     odd, so ``x`` is invertible mod ``g`` and ``x^j mod g != 0``): a
@@ -256,7 +151,7 @@ class ValueSweep:
         self.B = len(g_arr)
         self.dtype = value_dtype(r)
         self._g64 = g_arr
-        # Truncation to the value dtype is exact: see _narrow_sweep.
+        # Truncation to the value dtype is exact (module docstring).
         self.g = (g_arr & np.uint64(np.iinfo(self.dtype).max)).astype(self.dtype)
         # + _SWEEP_SLICES pad rows: the lockstep slices may overhang
         # the requested fill by up to a slice-length remainder; the
@@ -276,7 +171,7 @@ class ValueSweep:
         if n_positions <= start or self.B == 0:
             return
         seg = n_positions - start
-        if seg <= _SLICE_MIN_SEGMENT:
+        if seg <= _SLICE_MIN_SEGMENT or self.r > COMPOSITE_MAX_WIDTH:
             self._advance_serial(start, n_positions)
         else:
             self._advance_sliced(start, n_positions)
@@ -395,7 +290,9 @@ def value_dtype(r: int) -> type:
         raise EnvelopeError(
             f"packed kernels support degrees 1..{PACKED_MAX_WIDTH}, got {r}"
         )
-    return np.uint16 if r <= 16 else np.uint32
+    if r <= 16:
+        return np.uint16
+    return np.uint32 if r <= 32 else np.uint64
 
 
 def composite_spec(r: int, n_positions: int) -> tuple[type, int]:
@@ -406,63 +303,25 @@ def composite_spec(r: int, n_positions: int) -> tuple[type, int]:
         return np.uint32, 16
     if n_positions > (1 << 32):
         raise EnvelopeError("composite positions exceed 32 bits")
-    value_dtype(r)  # validates r
+    if r > COMPOSITE_MAX_WIDTH:
+        raise EnvelopeError(
+            f"composite keys support degrees 1..{COMPOSITE_MAX_WIDTH}, got {r}"
+        )
     return np.uint64, 32
-
-
-def _narrow_sweep(gs: np.ndarray, r: int, n_positions: int, out: np.ndarray) -> None:
-    """Run the LFSR recurrence for all lanes into ``out`` --
-    ``(n_positions, B)``, position-major -- in the narrow value dtype.
-
-    The narrow register is exact: ``g`` truncated to the dtype keeps
-    its top term when ``r`` is below the dtype width (the feedback XOR
-    clears bit ``r`` explicitly) and loses it exactly when ``r`` equals
-    the dtype width (the left shift's wraparound clears it instead).
-    """
-    dtype = value_dtype(r)
-    g_n = (np.asarray(gs, dtype=np.uint64) & np.uint64(np.iinfo(dtype).max)).astype(
-        dtype
-    )
-    acc = np.ones(len(g_n), dtype=dtype)
-    t = np.empty(len(g_n), dtype=dtype)
-    sh = dtype(r - 1)
-    one = dtype(1)
-    # In-place ops, and in the *narrow* dtype throughout: the shift
-    # wraparound that stands in for the x**r cancellation at r == dtype
-    # width only happens at the narrow width.
-    for j in range(n_positions):
-        out[j] = acc
-        np.right_shift(acc, sh, out=t)
-        np.multiply(t, g_n, out=t)
-        np.left_shift(acc, one, out=acc)
-        np.bitwise_xor(acc, t, out=acc)
-
-
-def composite_tables(gs: np.ndarray, r: int, n_positions: int) -> tuple[np.ndarray, int]:
-    """Composite-key syndrome tables ``(keys, pos_bits)`` for a batch:
-    ``keys[b, j] = (syn_b[j] << pos_bits) | j``, rows contiguous.
-
-    Sorting a row orders by (value, position); weight-3 partners --
-    values XORing to 1 -- are then adjacent entries whose key XOR,
-    shifted down ``pos_bits``, is exactly 1, with both positions in
-    hand.  ``>>`` ``pos_bits`` recovers values, masking recovers
-    positions.
-    """
-    cdtype, pos_bits = composite_spec(r, n_positions)
-    B = len(gs)
-    buf = np.empty((n_positions, B), dtype=cdtype)
-    _narrow_sweep(gs, r, n_positions, buf)
-    buf <<= cdtype(pos_bits)
-    buf |= np.arange(n_positions, dtype=cdtype)[:, None]
-    return np.ascontiguousarray(buf.T), pos_bits
 
 
 def composite_from_values(
     values: np.ndarray, r: int, n_positions: int
 ) -> tuple[np.ndarray, int]:
     """Composite keys from an already-materialized ``(rows, n)`` narrow
-    value table (a :meth:`ValueSweep.values` slice): same layout as
-    :func:`composite_tables`, no re-sweep."""
+    value table (a :meth:`ValueSweep.values` slice):
+    ``keys[b, j] = (syn_b[j] << pos_bits) | j``, rows contiguous.
+
+    Sorting a row orders by (value, position); weight-3 partners --
+    values XORing to 1 -- are then adjacent entries whose key XOR,
+    shifted down ``pos_bits``, is exactly 1, with both positions in
+    hand.
+    """
     cdtype, pos_bits = composite_spec(r, n_positions)
     keys = values.astype(cdtype)
     keys <<= cdtype(pos_bits)
@@ -518,21 +377,3 @@ def weight3_witnesses_packed(
         None if b is None else tuple(sorted((0, best_p[i], b)))
         for i, b in enumerate(best_b)
     ]
-
-
-def syndrome_tables_packed(gs, n_positions: int) -> np.ndarray:
-    """``(B, n)`` uint64 syndrome tables via the narrow-register sweep,
-    bit-identical to :func:`repro.hd.batched.syndrome_tables_batched`
-    (used by the packed driver to hand survivors their final tables
-    without a uint64 sweep).
-
-    >>> syndrome_tables_packed([0b1011, 0b1101], 4).tolist()
-    [[1, 2, 4, 3], [1, 2, 4, 5]]
-    """
-    g_arr = np.asarray(gs, dtype=np.uint64)
-    if len(g_arr) == 0:
-        return np.empty((0, n_positions), dtype=np.uint64)
-    r = _common_degree(g_arr)
-    buf = np.empty((n_positions, len(g_arr)), dtype=value_dtype(r))
-    _narrow_sweep(g_arr, r, n_positions, buf)
-    return buf.T.astype(np.uint64)

@@ -67,9 +67,9 @@ class RunReport:
     stage_kills: dict[int, int] = field(default_factory=dict)
     #: Per-kernel screening totals folded from ``search.batch.done``
     #: events: ``{kernel: {"batches", "candidates", "seconds"}}``.
-    #: Lets a report attribute throughput to the scalar/batched/packed
-    #: backend that actually produced it (events from before the
-    #: kernel tag existed count as "batched" -- the only emitter then).
+    #: Lets a report attribute throughput to the kernel that actually
+    #: produced it (events from before the kernel tag existed count as
+    #: "batched" -- the retired driver that was the only emitter then).
     kernel_stats: dict[str, dict[str, float]] = field(default_factory=dict)
     #: Per-worker-host accounting folded from the farm coordinator's
     #: ``worker.*`` events and ``worker``-tagged completions:

@@ -38,10 +38,6 @@ from repro.obs.events import NULL_EVENTS, NullEventLog
 from repro.search.records import CampaignRecord, PolyRecord
 from repro.search.space import candidate_count, canonical_candidates
 
-#: Largest width the batched backend handles: the composite-key kernels
-#: need the full generator encoding (width+1 bits) in a machine word.
-BATCHED_MAX_WIDTH = 63
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -56,17 +52,14 @@ class SearchConfig:
     weights for all 21,292 HD=6 survivors' *detection* but left
     precise weights impractical; at scaled widths we can afford them).
 
-    ``backend`` selects the screening engine: ``"batched"`` (default)
+    ``backend`` selects the screening engine: ``"packed"`` (default)
     filters candidates in vectorized blocks of up to ``batch_size``
-    (:mod:`repro.search.batched`); ``"packed"`` screens the same
-    blocks as bit-planes and narrow composite keys
-    (:mod:`repro.search.packed`) -- the fastest path for widths
-    through :data:`~repro.hd.packed.PACKED_MAX_WIDTH`; ``"scalar"``
-    is the one-at-a-time reference path, kept as the
-    differential-test oracle.  All three produce identical records;
-    ``"packed"`` silently falls back to the batched path beyond its
-    width envelope, and both fall back to scalar beyond
-    ``BATCHED_MAX_WIDTH``.
+    over one narrow-value sweep per block (:mod:`repro.search.packed`);
+    ``"scalar"`` is the one-at-a-time reference path, kept as the
+    differential-test oracle.  Both produce identical records;
+    ``"packed"`` falls back to scalar beyond
+    :data:`~repro.hd.packed.PACKED_MAX_WIDTH` (63), where a generator
+    no longer fits a machine word.
     """
 
     width: int
@@ -76,7 +69,7 @@ class SearchConfig:
     witness_window: int = 400
     mem_elems: int = DEFAULT_MEM_ELEMS
     stream_elems: int = DEFAULT_STREAM_ELEMS
-    backend: str = "batched"
+    backend: str = "packed"
     batch_size: int = 4096
 
     def __post_init__(self) -> None:
@@ -88,10 +81,9 @@ class SearchConfig:
             self.filter_lengths
         ):
             raise ValueError("filter_lengths must be a non-empty ascending sequence")
-        if self.backend not in ("batched", "packed", "scalar"):
+        if self.backend not in ("packed", "scalar"):
             raise ValueError(
-                "backend must be 'batched', 'packed' or 'scalar', "
-                f"got {self.backend!r}"
+                f"backend must be 'packed' or 'scalar', got {self.backend!r}"
             )
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -272,23 +264,17 @@ def confirm_survivor(
 
 def effective_kernel(config: SearchConfig) -> str:
     """The screening kernel :func:`screen_chunk` will actually run
-    after width fallbacks: the packed kernels cap at
-    :data:`~repro.hd.packed.PACKED_MAX_WIDTH`, the batched ones at
-    :data:`BATCHED_MAX_WIDTH`, and everything falls back to scalar.
-    Instrumentation tags (``screen.stage`` spans, ``search.batch.*``
-    metrics, ``search.chunk.done`` events) carry this value so reports
-    attribute throughput to the kernel that produced it.
+    after the width fallback: the packed kernels cap at
+    :data:`~repro.hd.packed.PACKED_MAX_WIDTH`, beyond which everything
+    runs scalar.  Instrumentation tags (``screen.stage`` spans,
+    ``search.batch.*`` metrics, ``search.chunk.done`` events) carry
+    this value so reports attribute throughput to the kernel that
+    produced it.
     """
-    if config.backend == "packed":
-        from repro.hd.packed import PACKED_MAX_WIDTH
+    from repro.hd.packed import PACKED_MAX_WIDTH
 
-        if config.width <= PACKED_MAX_WIDTH:
-            return "packed"
-    if (
-        config.backend in ("batched", "packed")
-        and config.width <= BATCHED_MAX_WIDTH
-    ):
-        return "batched"
+    if config.backend == "packed" and config.width <= PACKED_MAX_WIDTH:
+        return "packed"
     return "scalar"
 
 
@@ -302,26 +288,18 @@ def screen_chunk(
     """Run the filter cascade (no survivor confirmation) over a dense
     index range, dispatching to the configured backend.
 
-    The batched backend screens ``config.batch_size`` candidates per
-    block of numpy ops (:mod:`repro.search.batched`); the packed
-    backend screens the same blocks as bit-planes and narrow
-    composite keys (:mod:`repro.search.packed`), falling back to the
-    batched path above :data:`~repro.hd.packed.PACKED_MAX_WIDTH`; the
-    scalar backend -- also the fallback above ``BATCHED_MAX_WIDTH``
-    -- walks candidates one at a time and serves as the differential
-    oracle.
+    The packed backend screens ``config.batch_size`` candidates per
+    block of numpy ops (:mod:`repro.search.packed`); the scalar
+    backend -- also the fallback above
+    :data:`~repro.hd.packed.PACKED_MAX_WIDTH` -- walks candidates one
+    at a time and serves as the differential oracle.
     """
-    kernel = effective_kernel(config)
-    if kernel == "packed":
+    if effective_kernel(config) == "packed":
         from repro.search.packed import screen_chunk_packed
 
         return screen_chunk_packed(
             config, start_index, end_index, events=events
         )
-    if kernel == "batched":
-        from repro.search.batched import screen_chunk_batched
-
-        return screen_chunk_batched(config, start_index, end_index, events=events)
     result = ScreenResult(config=config)
     for g in canonical_candidates(config.width, start_index, end_index):
         slot = len(result.records)
@@ -355,7 +333,7 @@ def search_chunk(
     chunk outcome -- candidates examined, filter-pass survivors, and
     kills per cascade length -- goes to ``events`` as one
     ``search.chunk.done`` record and to the process-local metrics
-    registry; the batched backend additionally emits one
+    registry; the packed backend additionally emits one
     ``search.batch.done`` record per block.  Instrumentation stays at
     chunk/batch granularity so the per-candidate hot loop is untouched.
     """

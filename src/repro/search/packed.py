@@ -1,44 +1,52 @@
-"""Packed screening driver: the bit-plane / composite-key cascade.
+"""Packed screening driver: the vectorized filter cascade.
 
-:func:`screen_chunk_packed` is the third interchangeable screening
-backend beside the scalar and batched paths, built on the kernels of
-:mod:`repro.hd.packed`:
+:func:`screen_chunk_packed` is the fast counterpart of the scalar
+screening loop in :mod:`repro.search.exhaustive`, built on the kernels
+of :mod:`repro.hd.packed` and :mod:`repro.hd.batched`.  It walks the
+chunk's candidates in blocks of up to ``config.batch_size`` and
+narrows an *alive set* stage by stage: each filter length kills its
+share of the batch, and only what's left flows into the next -- longer,
+more expensive -- stage.
 
 * **One sweep per batch.**  A :class:`~repro.hd.packed.ValueSweep`
   fills a single position-major narrow-value buffer (uint16 for
-  ``r <= 16``) incrementally as the stages ask for longer windows.
-  Everything downstream is a slice of that buffer: under CPython the
-  binding cost of the cascade is per-step numpy *dispatch*, so one
-  4-op carried sweep beats the three sweeps the first packed driver
-  ran (a bit-plane weight-2 sweep, per-stage composite rebuilds, a
-  survivor-table sweep) -- see :class:`~repro.hd.packed.PlaneState`
-  for the plane layout, which remains the better story per unit of
-  arithmetic but not per unit of interpreter overhead.
+  ``r <= 16``, uint32 to 32, uint64 beyond) incrementally as the
+  stages ask for longer windows.  Everything downstream is a slice of
+  that buffer: under CPython the binding cost of the cascade is
+  per-step numpy *dispatch*, so one 4-op carried sweep beats
+  re-sweeping per stage.
 * **Weight 2** is a compare: the sweep's per-segment min-scan records
   each lane's first ``register == 1`` position (= the order of
   ``x``), so the stage kill is ``first_one <= N - 1`` and the witness
   ``(0, order)`` is free.
 * **Weight 3** runs only on the lanes that can still die of it
   (parity-immune and already-condemned lanes are excluded first).
-  Their buffer columns are cast to ``(value << pos_bits) | position``
-  composite keys (:func:`~repro.hd.packed.composite_from_values`,
-  sub-batched to :data:`~repro.hd.packed.COMPOSITE_BUDGET`); one SIMD
-  row sort makes partners adjacent, and witness positions ride in the
-  key's low bits, so extraction re-reads the same sorted rows.
-* **Weights 4/5 and the scalar tail** (``target_hd >= 5``) reuse the
-  batched machinery verbatim on uint64 casts of the same buffer --
+  For ``r <= 32`` their buffer columns are cast to
+  ``(value << pos_bits) | position`` composite keys
+  (:func:`~repro.hd.packed.composite_from_values`, sub-batched to
+  :data:`~repro.hd.packed.COMPOSITE_BUDGET`); one SIMD row sort makes
+  partners adjacent, and witness positions ride in the key's low bits.
+  Wider registers leave no room for the position, so their weight 3
+  runs on :class:`~repro.hd.batched.BatchKeys` over uint64 tables.
+* **Weights 4/5 and the scalar tail** (``target_hd >= 5``) run the
+  :mod:`repro.hd.batched` screens on uint64 casts of the same buffer --
   these stages only run on the thin post-weight-3 remainder, so
-  exactness is shared and speed is irrelevant.
+  exactness is shared and speed is irrelevant.  Target weights >= 6
+  (rare: ``target_hd >= 7``) drop to the per-row scalar tail shared
+  with :func:`repro.hd.breakpoints.refute_hd_at`.
 
 Killed lanes stay in the buffer until a stage has condemned enough of
 the batch (a quarter or more) to make one gather of the filled rows
 cheaper than stepping the dead columns through the remaining stages;
 in between, the alive bookkeeping just stops indexing them.
 
-The output is record-for-record identical to both other backends --
+The output is record-for-record identical to the scalar backend --
 same survivors, same per-stage kill counts, same witnesses -- which
-``tests/search/test_packed.py`` asserts differentially on full
-canonical spaces and ``tools/packed_gate.py`` gates in CI.
+``tests/search/test_packed.py`` asserts differentially and
+``tools/packed_gate.py`` gates in CI.  Witness choices replicate the
+scalar sequence exactly: weight 2 reports ``(0, order_of_x)``; weights
+3-5 try the windowed extraction first and fall back to the full
+meet-in-the-middle witness search on a windowed miss.
 """
 
 from __future__ import annotations
@@ -51,8 +59,10 @@ from repro.hd import batched as hd_batched
 from repro.hd.batched import BatchKeys, weight4_exists, weight5_exists
 from repro.hd.breakpoints import _refute_weights
 from repro.hd.cost import EnvelopeError, check_envelope
+from repro.hd.mitm import find_witness, windowed_witness
 from repro.hd.packed import (
     COMPOSITE_BUDGET,
+    COMPOSITE_MAX_WIDTH,
     ValueSweep,
     composite_from_values,
     weight3_rows_packed,
@@ -61,10 +71,92 @@ from repro.hd.packed import (
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.events import NULL_EVENTS, NullEventLog
-from repro.search.batched import _witness_for, _workspace_for
 from repro.search.exhaustive import ScreenResult, SearchConfig
 from repro.search.records import PolyRecord
 from repro.search.space import canonical_mask, index_range_polys
+
+Kills = list[tuple[int, tuple[int, ...]]]
+
+
+def _witness_for(
+    g: int, N: int, k: int, syn: np.ndarray, config: SearchConfig
+) -> tuple[int, ...]:
+    """Extract a weight-``k`` witness for a row the batch screens have
+    proven killable, following the scalar path's exact sequence:
+    windowed extraction first, full MITM witness search on a miss."""
+    try:
+        witness = windowed_witness(
+            g, N, k, window=min(config.witness_window, N), syn=syn
+        )
+    except EnvelopeError:
+        witness = None
+    if witness is None:
+        witness = find_witness(
+            g,
+            N,
+            k,
+            syn=syn,
+            mem_elems=config.mem_elems,
+            stream_elems=config.stream_elems,
+        )
+    assert witness is not None, "batch screen asserted existence"
+    return witness
+
+
+def _weight3_composite(
+    sweep: ValueSweep, lanes: np.ndarray, cand: np.ndarray, N: int, window: int
+) -> Kills:
+    """Weight-3 kills among the ``cand`` rows from sorted composite
+    keys (``r <= 32``), with their scalar-identical witnesses."""
+    kills: Kills = []
+    rows_per = max(1, COMPOSITE_BUDGET // max(N, 1))
+    for c0 in range(0, len(cand), rows_per):
+        rows = cand[c0 : c0 + rows_per]
+        keys, pos_bits = composite_from_values(
+            sweep.values(lanes[rows], N), sweep.r, N
+        )
+        keys.sort(axis=1)
+        rh = weight3_rows_packed(keys, pos_bits)
+        if not rh.any():
+            continue
+        wits = weight3_witnesses_packed(keys[rh], pos_bits, window)
+        misses = [i for i, w in enumerate(wits) if w is None]
+        if misses:
+            # No witness within the window: the full-window extraction
+            # selects exactly what the scalar fallback (find_witness)
+            # would.
+            full = weight3_witnesses_packed(keys[rh][misses], pos_bits, N)
+            for i, w in zip(misses, full):
+                assert w is not None
+                wits[i] = w
+        kills.extend(zip(rows[rh].tolist(), wits))
+    return kills
+
+
+def _keyed_kills(
+    k: int,
+    keys: BatchKeys,
+    cand: np.ndarray,
+    g_alive: np.ndarray,
+    N: int,
+    config: SearchConfig,
+) -> Kills:
+    """Weight-``k`` kills among the ``cand`` rows from the uint64-table
+    screens (weight 3 above 32 bits, weights 4 and 5)."""
+    if k == 3:
+        rows = np.flatnonzero(keys.weight3_rows() & cand)
+        wits = keys.weight3_witnesses(rows, config.witness_window)
+    else:
+        screen = weight4_exists if k == 4 else weight5_exists
+        rows = np.flatnonzero(screen(keys, cand) & cand)
+        wits = [None] * len(rows)
+    kills: Kills = []
+    for row, wit in zip(rows.tolist(), wits):
+        if wit is None:
+            g = int(g_alive[row])
+            wit = _witness_for(g, N, k, keys.tables[row], config)
+        kills.append((row, wit))
+    return kills
 
 
 def _screen_batch_packed(
@@ -72,11 +164,11 @@ def _screen_batch_packed(
     g_all: np.ndarray,
     workspace: hd_batched.PositionMap | None = None,
 ) -> tuple[list[PolyRecord | None], list[tuple[int, int, np.ndarray]], dict[int, int]]:
-    """Screen one batch of same-width candidates with the packed
-    kernels.  Same contract as the batched ``_screen_batch``:
-    ``(records, survivors, stage_kills)`` with ``records`` aligned to
-    ``g_all`` and ``survivors`` holding
-    ``(local_slot, poly, final_syndrome_row)``.
+    """Screen one batch of same-width candidates.
+
+    Returns ``(records, survivors, stage_kills)`` where ``records`` is
+    aligned with ``g_all`` (``None`` at survivor slots) and
+    ``survivors`` holds ``(local_slot, poly, final_syndrome_row)``.
     """
     B = len(g_all)
     r = config.width
@@ -101,6 +193,8 @@ def _screen_batch_packed(
     for n in config.filter_lengths:
         if len(alive_slot) == 0:
             break
+        # One span per cascade stage: n is the filter length, alive the
+        # batch rows entering; killed annotated on close.
         stage_span = tracer.start(
             "screen.stage", n=n, alive=len(alive_slot), kernel="packed"
         )
@@ -126,68 +220,34 @@ def _screen_batch_packed(
         # screen below: lower even/odd weights already clean).
         tail_k_min = 6
         tables: np.ndarray | None = None
+        keys: BatchKeys | None = None
         for k in (3, 4, 5):
             if k >= hd or not eligible.any():
                 break
-            if k == 3:
-                mask = eligible & ~immune
-                cand = np.flatnonzero(mask)
-                rows_per = max(1, COMPOSITE_BUDGET // max(N, 1))
-                for c0 in range(0, len(cand), rows_per):
-                    rows = cand[c0 : c0 + rows_per]
-                    keys, pos_bits = composite_from_values(
-                        sweep.values(lanes[rows], N), r, N
-                    )
-                    keys.sort(axis=1)
-                    rh = weight3_rows_packed(keys, pos_bits)
-                    if not rh.any():
-                        continue
-                    killed_rows = rows[rh]
-                    wits = weight3_witnesses_packed(
-                        keys[rh], pos_bits, config.witness_window
-                    )
-                    misses = [i for i, w in enumerate(wits) if w is None]
-                    if misses:
-                        # No witness within the window: the full-window
-                        # extraction selects exactly what the scalar
-                        # fallback (find_witness) would.
-                        full = weight3_witnesses_packed(
-                            keys[rh][misses], pos_bits, N
-                        )
-                        for i, w in zip(misses, full):
-                            assert w is not None
-                            wits[i] = w
-                    for row, wit in zip(killed_rows.tolist(), wits):
-                        kill_weight[row] = 3
-                        witnesses[row] = wit
-                    eligible[killed_rows] = False
-            else:
-                try:
-                    check_envelope(N, k, config.mem_elems, config.stream_elems)
-                except EnvelopeError:
-                    # The scalar path would be envelope-bound here too;
-                    # delegate this weight and everything above it to
-                    # the per-row tail, which replicates it exactly.
-                    tail_k_min = k
-                    break
-                if tables is None:
-                    tables = sweep.values(lanes, N, np.uint64)
-                keys_b = BatchKeys(tables, r, workspace=workspace)
-                elig_k = eligible if k == 4 else (eligible & ~immune)
-                exists = (
-                    weight4_exists(keys_b, elig_k)
-                    if k == 4
-                    else weight5_exists(keys_b, elig_k)
+            cand = eligible if k == 4 else (eligible & ~immune)
+            if k == 3 and r <= COMPOSITE_MAX_WIDTH:
+                hits = _weight3_composite(
+                    sweep, lanes, np.flatnonzero(cand), N, config.witness_window
                 )
-                mask = exists & elig_k
-                if mask.any():
-                    for row in np.flatnonzero(mask).tolist():
-                        g = int(g_alive[row])
-                        kill_weight[row] = k
-                        witnesses[row] = _witness_for(
-                            g, N, k, tables[row], config
-                        )
-                    eligible &= ~mask
+            else:
+                if k > 3:
+                    try:
+                        check_envelope(N, k, config.mem_elems, config.stream_elems)
+                    except EnvelopeError:
+                        # The scalar path would be envelope-bound here
+                        # too; delegate this weight and everything
+                        # above it to the per-row tail, which
+                        # replicates it exactly.
+                        tail_k_min = k
+                        break
+                if keys is None:
+                    tables = sweep.values(lanes, N, np.uint64)
+                    keys = BatchKeys(tables, r, workspace=workspace)
+                hits = _keyed_kills(k, keys, cand, g_alive, N, config)
+            for row, wit in hits:
+                kill_weight[row] = k
+                witnesses[row] = wit
+                eligible[row] = False
 
         if tail_k_min < hd and eligible.any():
             if tables is None:
@@ -245,10 +305,9 @@ def _screen_batch_packed(
         stage_span.end()
 
     # Survivors get their final-length tables as slices of the sweep
-    # buffer, value-identical to the uint64 tables the batched backend
-    # carries through the cascade but kept in the narrow sweep dtype:
-    # confirm_survivor widens at the point of use, so the screen phase
-    # never pays for 4x the write traffic.
+    # buffer, kept in the narrow sweep dtype: confirm_survivor widens
+    # at the point of use, so the screen phase never pays for 4x the
+    # write traffic.
     if len(alive_slot):
         sweep.advance_to(config.final_length + r)
         final_tables = sweep.values(lanes, config.final_length + r)
@@ -261,6 +320,20 @@ def _screen_batch_packed(
     return records, survivors, kills
 
 
+#: Process-wide screening workspace, grown on demand and reused across
+#: chunks: a fresh :class:`~repro.hd.batched.PositionMap` per chunk
+#: would re-pay the page-fault cost of first-touching its pages on
+#: every call (the epoch stamps make reuse free -- see PositionMap).
+_workspace: hd_batched.PositionMap | None = None
+
+
+def _workspace_for(elems: int) -> hd_batched.PositionMap:
+    global _workspace
+    if _workspace is None or len(_workspace.array) < elems:
+        _workspace = hd_batched.PositionMap(elems)
+    return _workspace
+
+
 def screen_chunk_packed(
     config: SearchConfig,
     start_index: int,
@@ -270,19 +343,21 @@ def screen_chunk_packed(
 ) -> ScreenResult:
     """Packed screening of a dense candidate-index range.
 
-    Emits the same per-block instrumentation as the batched driver
-    (``search.batch.done`` events, ``search.batches`` /
-    ``search.batch_kill.{length}`` metrics), tagged
-    ``kernel="packed"`` so reports can attribute throughput per
-    backend.
+    Emits one ``search.batch.done`` event per block (batch size,
+    survivors, per-stage kills, seconds, ``kernel="packed"``) and bumps
+    the ``search.batches`` / ``search.batch_kill.{length}`` metrics --
+    chunk-level instrumentation stays with the caller.
     """
     polys = index_range_polys(config.width, start_index, end_index)
     polys = polys[canonical_mask(config.width, polys)]
-    # The weight-4/5 stages reuse the batched composite-key machinery,
-    # whose keys pack the row index above the r syndrome bits.
+    # The uint64-table screens' composite keys pack the row index
+    # above the r syndrome bits.
     batch_size = min(config.batch_size, 1 << (64 - config.width))
     result = ScreenResult(config=config)
     metrics = obs_metrics.active()
+    # One dense position map serves every weight-4/5 stage of every
+    # batch: each BatchKeys stamps its writes with a fresh epoch, so
+    # the array is never cleared between stages (see PositionMap).
     map_elems = min(batch_size, len(polys)) << config.width
     workspace = (
         _workspace_for(map_elems)

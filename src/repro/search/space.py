@@ -113,7 +113,9 @@ def canonical_mask(width: int, polys: np.ndarray) -> np.ndarray:
     Python-level loop.
     """
     rev = np.zeros_like(polys)
-    for byte in range((width + 8) // 8 + 1):
+    # The width + 1 encoding bits span (width + 8) // 8 bytes; going
+    # one further would shift by a negative amount at widths 56-63.
+    for byte in range((width + 8) // 8):
         chunk = (polys >> np.uint64(8 * byte)) & np.uint64(0xFF)
         rev |= _REV8[chunk.astype(np.intp)] << np.uint64(56 - 8 * byte)
     rev >>= np.uint64(64 - (width + 1))

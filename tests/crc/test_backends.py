@@ -39,7 +39,7 @@ SPEC_IDS = sorted(CATALOG)
 # Backends every environment must provide (wordwise additionally
 # appears when numpy is importable; CI has numpy, so the identity gate
 # in tools/backend_gate.py covers it there).
-CORE_BACKENDS = ("bitwise", "bytewise", "slice4", "slice8")
+CORE_BACKENDS = ("bitwise", "bytewise")
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +206,27 @@ class TestRegistry:
         ieee = CATALOG["CRC-32/IEEE-802.3"]
         twin = CRCSpec(name="twin", width=32, poly=0x04C11DB7, refin=True)
         assert ieee.kernel_key == twin.kernel_key
-        assert get_kernel(ieee, "slice8") is get_kernel(twin, "slice8")
+        assert get_kernel(ieee, "bytewise") is get_kernel(twin, "bytewise")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(KeyError, match="no 'nope' backend"):
             get_kernel(CATALOG["CRC-8/ATM-HEC"], "nope")
 
     def test_generated_source_is_kept(self):
-        kernel = get_kernel(CATALOG["CRC-32/IEEE-802.3"], "slice4")
+        kernel = get_kernel(CATALOG["CRC-32/IEEE-802.3"], "bytewise")
         assert "def _process" in kernel.source
 
     def test_auto_selects_a_table_kernel(self):
         spec = CATALOG["CRC-16/ARC"]
-        assert get_kernel(spec, "auto").name in ("slice8", "bytewise")
+        assert get_kernel(spec, "auto").name == "bytewise"
+
+    def test_available_backends_are_exactly_three(self):
+        # bitwise is the reference; bytewise the default table kernel;
+        # wordwise the numpy kernel for long one-shot buffers.
+        for name in SPEC_IDS:
+            assert available_backends(CATALOG[name]) == (
+                "bitwise", "bytewise", "wordwise"
+            )
 
     def test_bad_backend_rejected_at_construction(self):
         # A kernel that computes the wrong thing must never be served.
@@ -233,13 +241,15 @@ class TestRegistry:
             del _BUILDERS["broken"]
             _KERNELS.clear()
         # registry recovers once the bad builder is gone
-        assert "slice8" in available_backends(CATALOG["CRC-8/ATM-HEC"])
+        assert "bytewise" in available_backends(CATALOG["CRC-8/ATM-HEC"])
 
-    def test_narrow_specs_have_slice_kernels(self):
+    def test_narrow_specs_have_table_kernels(self):
         # The point of codegen: width-5 reflected and width-12 mixed
         # specs get the same fast paths as CRC-32.
         for name in ("CRC-5/USB", "CRC-12/UMTS"):
-            assert {"slice4", "slice8"} <= set(available_backends(CATALOG[name]))
+            assert {"bytewise", "wordwise"} <= set(
+                available_backends(CATALOG[name])
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +341,7 @@ class TestWordwiseBlocks:
         finally:
             tracemalloc.stop()
         assert got == want
-        assert dress(spec, got) == crc_compute(spec, buf, backend="slice8")
+        assert dress(spec, got) == crc_compute(spec, buf, backend="bytewise")
         # An unblocked fold holds 8 bytes per input byte (8 MiB here)
         # plus its halves; the blocked one about 1.5 MiB at any length.
         assert peak < 4 * 2**20, peak

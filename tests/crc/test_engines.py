@@ -1,7 +1,7 @@
 """Engine equivalence and check-value tests.
 
-The engines (bit-serial reference plus the generated table and
-slice-by-N facades) must agree bit for bit on every spec and input --
+The engines (bit-serial reference plus the generated table facade)
+must agree bit for bit on every spec and input --
 property-tested -- and match the published check values for deployed
 CRCs (independent ground truth).
 """
@@ -17,8 +17,6 @@ from repro.crc.engine import (
     BitSerialRegister,
     crc_bits,
     crc_bitwise,
-    crc_slice4,
-    crc_slice8,
     crc_table,
     make_table,
 )
@@ -37,14 +35,6 @@ class TestCheckValues:
         spec = CATALOG[name]
         assert crc_table(spec, b"123456789") == spec.check
 
-    def test_slice4(self, name):
-        spec = CATALOG[name]
-        assert crc_slice4(spec, b"123456789") == spec.check
-
-    def test_slice8(self, name):
-        spec = CATALOG[name]
-        assert crc_slice8(spec, b"123456789") == spec.check
-
 
 class TestEngineEquivalence:
     @given(st.sampled_from(SPEC_IDS), st.binary(min_size=0, max_size=200))
@@ -53,8 +43,6 @@ class TestEngineEquivalence:
         spec = CATALOG[name]
         ref = crc_bitwise(spec, data)
         assert crc_table(spec, data) == ref
-        assert crc_slice4(spec, data) == ref
-        assert crc_slice8(spec, data) == ref
 
     @given(st.binary(min_size=0, max_size=64))
     def test_bits_vs_bytes(self, data):

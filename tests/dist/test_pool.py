@@ -9,12 +9,15 @@ record is identical to a clean single-process run.
 from __future__ import annotations
 
 import pickle
+from concurrent.futures import wait
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.dist.checkpoint import CheckpointMismatch
 from repro.dist.faults import POOL_CRASH, POOL_KILL, FaultPlan
 from repro.dist.pool import ParallelCoordinator, _run_chunk
+from repro.obs.events import NullEventLog
 from repro.search.exhaustive import SearchConfig, search_all, search_chunk
 
 CFG = SearchConfig(width=8, target_hd=4, filter_lengths=(16, 40, 100),
@@ -105,12 +108,71 @@ class TestFaultTolerance:
         assert runner.stats.pool_rebuilds >= 1
         assert runner.stats.reassignments >= 1
 
+    def test_kill_seen_at_submit_is_a_crash(self, baseline):
+        """A pool that breaks between two submissions is reported by
+        ``submit`` before the coordinator's wait sees the dead future.
+        That path must record the killed chunk as a crash before the
+        rebuild, exactly as the wait path does."""
+        events = _Recorder()
+        runner = make_runner(
+            faults=FaultPlan(kill_chunks={0}), events=events
+        )
+        submits_refused: list[int] = []
+        runner._new_executor = lambda: _SubmitAfterSettling(
+            ParallelCoordinator._new_executor(runner), submits_refused
+        )
+        runner.run()
+        assert_matches_baseline(runner, baseline)
+        assert submits_refused, "the submit-time path never ran"
+        assert runner.stats.crashes == 1
+        assert runner.stats.pool_rebuilds == 1
+        names = [name for name, _ in events.records]
+        crash = names.index("worker.crash")
+        assert events.records[crash][1] == {"chunk": 0, "kind": "killed"}
+        assert crash < names.index("pool.rebuild")
+
     def test_duplicate_delivery_deduped(self, baseline):
         plan = FaultPlan(duplicate_completions={POOL_CRASH: 5})
         runner = make_runner(faults=plan)
         runner.run()
         assert_matches_baseline(runner, baseline)
         assert runner.stats.duplicate_deliveries == 1
+
+
+class _Recorder(NullEventLog):
+    """Event sink that keeps ``(event, fields)`` pairs in order."""
+
+    def __init__(self) -> None:
+        self.records: list[tuple[str, dict]] = []
+
+    def emit(self, event, **fields):
+        self.records.append((event, fields))
+
+
+class _SubmitAfterSettling:
+    """Executor wrapper whose ``submit`` first waits for every future
+    it has already handed out.  A worker killed under one of them has
+    then broken the pool, so the next ``submit`` raises
+    ``BrokenProcessPool`` -- the submit-time detection path, made
+    deterministic.  Refused submissions are noted in ``refused``."""
+
+    def __init__(self, inner, refused: list[int]) -> None:
+        self.inner = inner
+        self.refused = refused
+        self.handed_out = []
+
+    def submit(self, fn, *args):
+        wait(self.handed_out)
+        try:
+            fut = self.inner.submit(fn, *args)
+        except BrokenProcessPool:
+            self.refused.append(args[3])  # the chunk id
+            raise
+        self.handed_out.append(fut)
+        return fut
+
+    def shutdown(self, **kwargs):
+        self.inner.shutdown(**kwargs)
 
 
 class TestKillAndResume:

@@ -1,10 +1,11 @@
-"""Differential tests: the packed (bit-plane / composite-key) backend
-against the batched backend and the scalar oracle.
+"""Differential tests: the packed screening backend against the scalar
+oracle.
 
-Same contract as ``test_batched.py`` one level up the stack: the
-packed backend must be *record-for-record identical* -- survivors,
-per-stage kill counts, kill weights, witnesses -- on full canonical
-spaces and on hypothesis-drawn widths, target HDs, and chunkings.
+The packed backend's contract is *record-for-record identity* with the
+scalar path -- same survivors, same per-stage kill counts, same kill
+weights and witnesses -- asserted here on full canonical spaces at
+validation widths, on index ranges up to width 63, and on
+hypothesis-drawn widths, target HDs, and chunkings.
 """
 
 from __future__ import annotations
@@ -16,18 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hd.packed import (
-    PlaneState,
-    composite_tables,
-    syndrome_tables_packed,
-    weight3_rows_packed,
-)
-from repro.hd.syndromes import syndrome_table
 from repro.gf2.order import order_of_x
+from repro.hd.packed import ValueSweep, composite_from_values, weight3_rows_packed
+from repro.hd.syndromes import syndrome_of_positions, syndrome_table
 from repro.search.exhaustive import (
     SearchConfig,
+    campaign_from_results,
     effective_kernel,
     search_chunk,
+)
+
+gen_polys = st.integers(min_value=0b101, max_value=(1 << 17) - 1).filter(
+    lambda p: p & 1 and p.bit_length() >= 2
 )
 
 
@@ -35,6 +36,14 @@ def run_backend(config: SearchConfig, backend: str, start=0, end=None):
     if end is None:
         end = 1 << (config.width - 1)
     return search_chunk(replace(config, backend=backend), start, end)
+
+
+def both_backends(config: SearchConfig, start=0, end=None) -> tuple:
+    """Run the same index range through the packed and scalar backends."""
+    return (
+        run_backend(config, "packed", start, end),
+        run_backend(config, "scalar", start, end),
+    )
 
 
 def assert_identical(a, b) -> None:
@@ -46,47 +55,71 @@ def assert_identical(a, b) -> None:
 
 
 class TestFullSpaceIdentity:
-    @pytest.mark.parametrize("width", [8, 10, 12])
+    @pytest.mark.parametrize("width", [8, 9, 10, 11, 12])
     def test_hd4_screening_identical(self, width):
         cfg = SearchConfig.for_bits(width, 4, 120)
-        assert_identical(
-            run_backend(cfg, "packed"), run_backend(cfg, "scalar")
-        )
+        assert_identical(*both_backends(cfg))
 
     @pytest.mark.parametrize("target_hd", [5, 6])
     def test_deep_cascade_identical(self, target_hd):
-        # HD >= 5 routes the packed backend through the batched
-        # weight-4/5 machinery on materialized uint64 tables; HD >= 6
-        # adds parity immunity on odd weights.
+        # HD >= 5 runs the weight-4 pair screen on materialized uint64
+        # tables; HD >= 6 adds the weight-5 split screen and parity
+        # immunity on odd weights.
         cfg = SearchConfig(
             width=9, target_hd=target_hd, filter_lengths=(12, 24, 48),
             confirm_weights=False,
         )
-        assert_identical(
-            run_backend(cfg, "packed"), run_backend(cfg, "batched")
-        )
+        assert_identical(*both_backends(cfg))
 
     def test_scalar_tail_identical(self):
+        # HD >= 7 pushes weight 6 through the per-row scalar tail.
         cfg = SearchConfig(
             width=10, target_hd=7, filter_lengths=(8, 16),
             confirm_weights=False,
         )
-        assert_identical(
-            run_backend(cfg, "packed"), run_backend(cfg, "scalar")
-        )
+        assert_identical(*both_backends(cfg))
 
     def test_tiny_batches_identical(self):
         # Lane compaction and batch boundaries must not change records.
         cfg = SearchConfig.for_bits(10, 4, 100, batch_size=7)
-        assert_identical(
-            run_backend(cfg, "packed"), run_backend(cfg, "batched")
-        )
+        assert_identical(*both_backends(cfg))
+
+    def test_merged_campaigns_identical(self):
+        cfg = SearchConfig.for_bits(9, 4, 100)
+        bounds = [(lo, min(lo + 50, 256)) for lo in range(0, 256, 50)]
+        merged = {}
+        for backend in ("packed", "scalar"):
+            chunks = {
+                i: run_backend(cfg, backend, lo, hi)
+                for i, (lo, hi) in enumerate(bounds)
+            }
+            merged[backend] = campaign_from_results(
+                replace(cfg, backend=backend), chunks
+            )
+        packed, scalar = merged["packed"], merged["scalar"]
+        assert packed.candidates_examined == scalar.candidates_examined
+        assert {r.poly for r in packed.survivors} == {
+            r.poly for r in scalar.survivors
+        }
+        assert packed.results == scalar.results
+
+    @pytest.mark.parametrize("width", [33, 40, 63])
+    @pytest.mark.parametrize("target_hd, bits", [(4, 48), (6, 32)])
+    def test_wide_index_ranges_identical(self, width, target_hd, bits):
+        # Above 32 bits the sweep runs uint64 and serially, and weight 3
+        # runs on BatchKeys; the low indices hold sparse generators
+        # that die at weights 2-5, a third of the way in they survive.
+        cfg = SearchConfig.for_bits(width, target_hd, bits)
+        third = (1 << (width - 1)) // 3
+        for start in (0, third):
+            assert_identical(*both_backends(cfg, start, start + 24))
 
     def test_width_above_packed_cap_falls_back(self):
-        # backend="packed" beyond PACKED_MAX_WIDTH must dispatch to the
-        # batched path rather than fail.
-        cfg = SearchConfig.for_bits(33, 4, 80)
-        assert effective_kernel(replace(cfg, backend="packed")) == "batched"
+        # A generator wider than 63 bits no longer fits a uint64 lane:
+        # backend="packed" must dispatch to the scalar path, not fail.
+        cfg = SearchConfig.for_bits(64, 4, 80)
+        assert effective_kernel(cfg) == "scalar"
+        assert effective_kernel(replace(cfg, width=63)) == "packed"
 
 
 @st.composite
@@ -98,7 +131,8 @@ def packed_configs(draw):
     batch_size = draw(st.sampled_from([3, 17, 64, 4096]))
     space = 1 << (width - 1)
     start = draw(st.integers(min_value=0, max_value=max(space - 2, 0)))
-    end = draw(st.integers(min_value=start + 1, max_value=space))
+    # Bounded so the scalar oracle stays quick on every example.
+    end = draw(st.integers(min_value=start + 1, max_value=min(space, start + 128)))
     cfg = SearchConfig.for_bits(
         width, target_hd, bits, batch_size=batch_size
     )
@@ -108,17 +142,15 @@ def packed_configs(draw):
 class TestHypothesisDifferential:
     @given(packed_configs())
     @settings(max_examples=25, deadline=None)
-    def test_three_backends_agree(self, case):
+    def test_packed_and_scalar_agree(self, case):
         cfg, start, end = case
-        packed = run_backend(cfg, "packed", start, end)
-        batched = run_backend(cfg, "batched", start, end)
-        assert_identical(packed, batched)
-        if end - start <= 64:  # scalar is slow; spot-check small chunks
-            assert_identical(packed, run_backend(cfg, "scalar", start, end))
+        assert_identical(*both_backends(cfg, start, end))
 
 
 @st.composite
 def same_degree_batches(draw, max_width=16, max_size=8):
+    """Batches sharing one degree, as the kernels require: the x**w and
+    +1 terms are fixed, the interior bits drawn freely."""
     w = draw(st.integers(min_value=2, max_value=max_width))
     interiors = draw(
         st.lists(
@@ -130,39 +162,86 @@ def same_degree_batches(draw, max_width=16, max_size=8):
     return [(1 << w) | (i << 1) | 1 for i in interiors]
 
 
+def sweep_tables(gs, n: int, steps=()) -> np.ndarray:
+    """``(B, n)`` uint64 tables from a :class:`ValueSweep`, advanced
+    through the intermediate depths ``steps`` first."""
+    r = gs[0].bit_length() - 1
+    sweep = ValueSweep(np.array(gs, dtype=np.uint64), r, n)
+    for depth in (*steps, n):
+        sweep.advance_to(depth)
+    return sweep.values(np.arange(len(gs)), n, np.uint64)
+
+
 class TestPackedKernels:
-    @given(same_degree_batches(), st.integers(min_value=1, max_value=120))
+    @given(
+        same_degree_batches(max_width=63),
+        st.integers(min_value=1, max_value=700),
+    )
     @settings(max_examples=60, deadline=None)
     def test_packed_tables_match_scalar(self, gs, n):
-        tables = syndrome_tables_packed(
-            np.array(gs, dtype=np.uint64), n
-        )
+        # Up to 700 positions reaches the sliced advance (segments over
+        # 256 rows at r <= 32) and the serial uint64 one (r > 32).
+        tables = sweep_tables(gs, n)
         assert tables.shape == (len(gs), n)
         for row, g in zip(tables, gs):
             np.testing.assert_array_equal(row, syndrome_table(g, n))
 
-    @given(same_degree_batches(max_size=70), st.integers(min_value=2, max_value=200))
+    @given(
+        same_degree_batches(max_width=63, max_size=6),
+        st.integers(min_value=1, max_value=600),
+        st.integers(min_value=1, max_value=600),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_incremental_advance_matches_fresh_sweep(self, gs, n1, n2):
+        # The cascade grows one sweep stage by stage; growing it in two
+        # steps must fill exactly what one step fills.
+        lo, hi = sorted((n1, n2))
+        np.testing.assert_array_equal(
+            sweep_tables(gs, hi, steps=(lo,)), sweep_tables(gs, hi)
+        )
+
+    @given(
+        gen_polys,
+        st.sets(st.integers(min_value=0, max_value=80), min_size=1, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_agree_with_position_syndromes(self, g, positions):
+        # Each table row XOR-composes exactly like syndrome_of_positions.
+        n = max(positions) + 1
+        tables = sweep_tables([g], n)
+        acc = np.uint64(0)
+        for p in positions:
+            acc ^= tables[0, p]
+        assert int(acc) == syndrome_of_positions(g, sorted(positions))
+
+    @given(
+        same_degree_batches(max_width=63, max_size=70),
+        st.integers(min_value=2, max_value=600),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_plane_first_one_is_order(self, gs, n):
-        # The plane sweep's first "register == 1" position is the order
-        # of x -- across word boundaries (batches wider than 64 lanes).
-        g_arr = np.array(gs, dtype=np.uint64)
+    def test_sweep_first_one_is_order(self, gs, n):
+        # The sweep's first "register == 1" position is the order of
+        # x -- the weight-2 screen -- across detection blocks and
+        # batches of many lanes.
         r = gs[0].bit_length() - 1
-        plane = PlaneState(g_arr, r)
-        plane.advance_to(n)
+        sweep = ValueSweep(np.array(gs, dtype=np.uint64), r, n)
+        sweep.advance_to(n)
         for lane, g in enumerate(gs):
             order = order_of_x(g)
             expect = order if order <= n - 1 else -1
-            assert plane.first_one[lane] == expect
+            assert sweep.first_one[lane] == expect
 
     @given(same_degree_batches(max_width=16), st.integers(min_value=4, max_value=300))
     @settings(max_examples=40, deadline=None)
     def test_weight3_rows_match_table_scan(self, gs, n):
         # Composite-key adjacency finds exactly the rows whose syndrome
         # table contains a pair differing by 1 (a weight-3 codeword).
-        g_arr = np.array(gs, dtype=np.uint64)
         r = gs[0].bit_length() - 1
-        keys, pos_bits = composite_tables(g_arr, r, n)
+        sweep = ValueSweep(np.array(gs, dtype=np.uint64), r, n)
+        sweep.advance_to(n)
+        keys, pos_bits = composite_from_values(
+            sweep.values(np.arange(len(gs)), n), r, n
+        )
         keys.sort(axis=1)
         hits = weight3_rows_packed(keys, pos_bits)
         for row, g in zip(hits, gs):

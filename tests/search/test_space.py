@@ -12,6 +12,8 @@ from repro.search.space import (
     candidate_polys,
     canonical,
     canonical_candidates,
+    canonical_mask,
+    index_range_polys,
     index_to_poly,
     is_canonical,
     poly_to_index,
@@ -64,6 +66,19 @@ class TestCanonicalization:
         for p in candidate_polys(8):
             r = reciprocal(p)
             assert r >> 8 == 1 and r & 1
+
+
+class TestCanonicalMask:
+    @pytest.mark.parametrize("width", range(5, 64))
+    def test_matches_scalar_is_canonical(self, width):
+        # Small index ranges at the bottom, middle and top of the space:
+        # the vectorized reversal must agree with the scalar test at
+        # every width the packed screen runs, 56-63 included.
+        space = 1 << (width - 1)
+        for start in {0, max(space // 2 - 16, 0), max(space - 32, 0)}:
+            polys = index_range_polys(width, start, min(start + 32, space))
+            expect = [is_canonical(int(p)) for p in polys]
+            assert canonical_mask(width, polys).tolist() == expect
 
 
 class TestCounts:

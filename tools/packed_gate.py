@@ -1,14 +1,17 @@
 #!/usr/bin/env python
-"""Packed-kernel identity gate: bit-plane census vs the scalar oracle.
+"""Packed-kernel identity gate: the vectorized screen vs the scalar oracle.
 
 The CI-sized sibling of ``benchmarks/bench_batched_search.py``: run the
 width-10 full canonical space (256 candidates) through the packed
-(bit-plane / composite-key) backend and through the scalar cascade,
-and assert the census is *bit-identical* -- every record's kill
-weight, kill stage and witness, every survivor, every per-stage kill
-count.  A second sweep at HD 5 routes the packed backend through the
-batched weight-4/5 machinery on materialized tables, and a batch-size-7
-pass exercises lane compaction across word boundaries.
+backend and through the scalar cascade, and assert the census is
+*bit-identical* -- every record's kill weight, kill stage and witness,
+every survivor, every per-stage kill count.  A second sweep at HD 5
+routes the packed backend through the weight-4/5 screens on
+materialized uint64 tables, a batch-size-7 pass exercises lane
+compaction and batch boundaries, and a 120-bit pass also compares the
+screening phase's survivor slots and final syndrome tables.  Index-range
+sweeps at widths 40 and 63 cover the uint64 sweep, the serial advance
+and the weight-3 screen above 32 bits.
 
 Two independent spot-check oracles ride along:
 
@@ -31,9 +34,12 @@ from repro.gf2.matpow import ladder_for
 from repro.gf2.notation import koopman_to_full
 from repro.gf2.poly import x_pow_mod
 from repro.hd.breakpoints import first_failure_length, max_length_for_hd
+import numpy as np
+
 from repro.search.exhaustive import (
     SearchConfig,
     expected_examined,
+    screen_chunk,
     search_chunk,
 )
 
@@ -43,12 +49,42 @@ SWEEPS = (
     ("width-10 hd4 batch7", SearchConfig.for_bits(10, 4, 160, batch_size=7)),
 )
 
+#: Index-range sweeps beyond the uint32 sweep: (label, config, ranges).
+#: The low indices hold sparse generators that die at weights 2-5; a
+#: third of the way in, most candidates survive to confirmation.
+WIDE_SWEEPS = tuple(
+    (
+        f"width-{w} hd{hd}",
+        SearchConfig.for_bits(w, hd, bits),
+        [(lo, lo + 48) for lo in (0, (1 << (w - 1)) // 3)],
+    )
+    for w in (40, 63)
+    for hd, bits in ((4, 64), (6, 40))
+)
 
-def census(config: SearchConfig, backend: str):
-    end = 1 << (config.width - 1)
+
+def census(config: SearchConfig, backend: str, start=0, end=None):
+    if end is None:
+        end = 1 << (config.width - 1)
     t0 = time.perf_counter()
-    result = search_chunk(replace(config, backend=backend), 0, end)
+    result = search_chunk(replace(config, backend=backend), start, end)
     return time.perf_counter() - t0, result
+
+
+def diff_screens(label, config, failures):
+    """Screening-phase identity: survivor slots, polys and final
+    syndrome tables, besides the kill records."""
+    end = 1 << (config.width - 1)
+    packed = screen_chunk(config, 0, end)
+    scalar = screen_chunk(replace(config, backend="scalar"), 0, end)
+    if packed.records != scalar.records:
+        failures.append(f"{label}: screen records differ")
+    if [s[:2] for s in packed.survivors] != [s[:2] for s in scalar.survivors]:
+        failures.append(f"{label}: screen survivors differ")
+    for (_, g, tp), (_, _, ts) in zip(packed.survivors, scalar.survivors):
+        if not np.array_equal(tp.astype(np.uint64), ts):
+            failures.append(f"{label}: final syndrome table differs at {g:#x}")
+            return
 
 
 def diff_census(label, packed, scalar, failures):
@@ -87,6 +123,20 @@ def main() -> int:
             f"{label:22s} {packed.examined} candidates, "
             f"{survivors} survive, packed {tp:.3f}s / scalar {ts:.3f}s"
         )
+    diff_screens(
+        "width-10 hd4 120b screen", SearchConfig.for_bits(10, 4, 120), failures
+    )
+    print("width-10 hd4 120b screen: survivors and final tables compared")
+
+    for label, cfg, ranges in WIDE_SWEEPS:
+        examined = survivors = 0
+        for start, end in ranges:
+            _, packed = census(cfg, "packed", start, end)
+            _, scalar = census(cfg, "scalar", start, end)
+            diff_census(f"{label} [{start}, {end})", packed, scalar, failures)
+            examined += packed.examined
+            survivors += sum(r.survived for r in packed.records)
+        print(f"{label:22s} {examined} candidates, {survivors} survive")
 
     # Independent oracle 1: matrix ladder vs big-int exponentiation.
     g = koopman_to_full(0x82608EDB)  # CRC-32
