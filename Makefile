@@ -15,8 +15,10 @@ test-all:
 
 # What CI runs: the tier-1 suite, a ~30s smoke parallel campaign
 # (width 8, 2 subprocesses, checkpoint + resume) so the real
-# subprocess path is exercised on every PR, and the docs-check that
-# executes every fenced python block in README.md and docs/*.md.
+# subprocess path is exercised on every PR, a resume of the pool's
+# checkpoint by the simulated backend (both executors read one
+# format), and the docs-check that executes every fenced python block
+# in README.md and docs/*.md.
 verify:
 	PYTHONPATH=src $(PY) -m pytest -x -q tests/
 	rm -f /tmp/repro-smoke-campaign.json /tmp/repro-smoke-campaign.json.prev
@@ -25,6 +27,10 @@ verify:
 	    --checkpoint /tmp/repro-smoke-campaign.json
 	PYTHONPATH=src $(PY) -m repro campaign --width 8 --target-hd 4 \
 	    --bits 100 --parallel 2 --chunk-size 8 \
+	    --checkpoint /tmp/repro-smoke-campaign.json --resume \
+	    | grep -q "0 chunks computed"
+	PYTHONPATH=src $(PY) -m repro campaign --width 8 --target-hd 4 \
+	    --bits 100 --chunk-size 8 \
 	    --checkpoint /tmp/repro-smoke-campaign.json --resume \
 	    | grep -q "0 chunks computed"
 	rm -f /tmp/repro-smoke-campaign.json /tmp/repro-smoke-campaign.json.prev

@@ -53,12 +53,12 @@ def test_live_campaign_with_faults(benchmark, record):
     assert {r.poly: r.survived for r in coord.campaign.results.values()} == truth
     record("farm", {"live_width8_campaign": {
         "chunks": len(coord.queue),
-        "reassignments": coord.reassignments,
-        "duplicate_deliveries": coord.duplicate_deliveries,
+        "reassignments": coord.stats.reassignments,
+        "duplicate_deliveries": coord.stats.duplicate_deliveries,
         "survivors": len(coord.campaign.survivors),
     }})
-    assert coord.reassignments >= 1
-    assert coord.duplicate_deliveries >= 1
+    assert coord.stats.reassignments >= 1
+    assert coord.stats.duplicate_deliveries >= 1
 
 
 def test_local_filtering_rate(benchmark, record):

@@ -80,8 +80,8 @@ def part2_live_campaign() -> None:
     ]
     coord.run(workers)
     print(f"  distributed run: {coord.queue.progress()}")
-    print(f"    lease reassignments after crash: {coord.reassignments}")
-    print(f"    duplicate deliveries absorbed:   {coord.duplicate_deliveries}")
+    print(f"    lease reassignments after crash: {coord.stats.reassignments}")
+    print(f"    duplicate deliveries absorbed:   {coord.stats.duplicate_deliveries}")
 
     same = {r.poly for r in coord.campaign.survivors} == {
         r.poly for r in clean.survivors

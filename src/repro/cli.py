@@ -208,7 +208,11 @@ EXIT_QUARANTINE = 3
 EXIT_INTERRUPTED = 4
 
 
-def cmd_campaign(args: argparse.Namespace) -> int:
+def _run_campaign_command(args: argparse.Namespace, run) -> int:
+    """The front shared by ``campaign`` and ``serve``: build the
+    search config, check ``--resume`` names a checkpoint, run, and map
+    every checkpoint error to exit code 2 with an operator-facing
+    message."""
     from repro.dist.checkpoint import (
         CheckpointCorrupt,
         CheckpointMismatch,
@@ -221,13 +225,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("--resume requires --checkpoint PATH", file=sys.stderr)
         return 2
-    if args.parallel < 0:
-        print("--parallel must be a positive process count", file=sys.stderr)
-        return 2
     try:
-        if args.parallel:
-            return _run_parallel_campaign(args, cfg)
-        return _run_simulated_campaign(args, cfg)
+        return run(args, cfg)
     except CheckpointMissing as exc:
         print(f"cannot resume: {exc}", file=sys.stderr)
         return 2
@@ -242,6 +241,25 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except CheckpointMismatch as exc:
         print(str(exc), file=sys.stderr)
         return 2
+
+
+def _resume(coordinator, args: argparse.Namespace) -> None:
+    """Apply ``--resume`` / ``--retry-quarantined`` to any executor."""
+    if args.resume:
+        skipped = coordinator.resume(
+            args.checkpoint, retry_quarantined=args.retry_quarantined
+        )
+        print(f"resumed from {args.checkpoint}: {skipped} chunks skipped")
+
+
+def cmd_campaign(args: argparse.Namespace) -> int:
+    if args.parallel < 0:
+        print("--parallel must be a positive process count", file=sys.stderr)
+        return 2
+    return _run_campaign_command(
+        args,
+        _run_parallel_campaign if args.parallel else _run_simulated_campaign,
+    )
 
 
 def _finish_campaign(quarantined_ids: list[int], interrupted: str | None) -> int:
@@ -283,9 +301,7 @@ def _run_parallel_campaign(args: argparse.Namespace, cfg: SearchConfig) -> int:
             max_attempts=args.max_attempts,
             drain_grace=args.drain_grace,
         )
-        if args.resume:
-            skipped = runner.resume(retry_quarantined=args.retry_quarantined)
-            print(f"resumed from {args.checkpoint}: {skipped} chunks skipped")
+        _resume(runner, args)
         elapsed = runner.run()
     print(runner.queue.progress())
     print(
@@ -314,9 +330,7 @@ def _run_simulated_campaign(args: argparse.Namespace, cfg: SearchConfig) -> int:
             coord = Coordinator(
                 config=cfg, chunk_size=args.chunk_size, events=events
             )
-            if args.resume:
-                skipped = coord.load_checkpoint(args.checkpoint)
-                print(f"resumed from {args.checkpoint}: {skipped} chunks skipped")
+            _resume(coord, args)
             workers = [ChunkWorker(f"w{i}", cfg) for i in range(args.workers)]
             coord.run(workers)
             if registry is not None:
@@ -327,7 +341,11 @@ def _run_simulated_campaign(args: argparse.Namespace, cfg: SearchConfig) -> int:
         if registry is not None:
             obs_metrics.uninstall()
     print(coord.queue.progress())
-    print(f"{len(coord.campaign.survivors)} survivors")
+    print(
+        f"{len(coord.campaign.survivors)} survivors; "
+        f"{coord.stats.completions} chunks computed by {args.workers} "
+        "simulated workers"
+    )
     if args.checkpoint:
         print(f"campaign record written to {args.checkpoint}")
     if registry is not None:
@@ -337,22 +355,15 @@ def _run_simulated_campaign(args: argparse.Namespace, cfg: SearchConfig) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    return _run_campaign_command(args, _run_farm_server)
+
+
+def _run_farm_server(args: argparse.Namespace, cfg: SearchConfig) -> int:
     import asyncio
 
-    from repro.dist.checkpoint import (
-        CheckpointCorrupt,
-        CheckpointMismatch,
-        CheckpointMissing,
-    )
     from repro.dist.net import WorkServer
     from repro.dist.transport import TcpTransport
 
-    cfg = SearchConfig.for_bits(
-        args.width, args.target_hd, args.bits, backend=args.backend
-    )
-    if args.resume and not args.checkpoint:
-        print("--resume requires --checkpoint PATH", file=sys.stderr)
-        return 2
     with _open_events(args.events) as events:
         server = WorkServer(
             cfg,
@@ -369,29 +380,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             collect_metrics=args.metrics,
             log=print,
         )
-        try:
-            if args.resume:
-                skipped = server.resume(
-                    retry_quarantined=args.retry_quarantined
-                )
-                print(
-                    f"resumed from {args.checkpoint}: {skipped} chunks skipped"
-                )
-            asyncio.run(server.serve())
-        except CheckpointMissing as exc:
-            print(f"cannot resume: {exc}", file=sys.stderr)
-            return 2
-        except CheckpointCorrupt as exc:
-            print(
-                f"cannot resume: {exc}\n"
-                "every checkpoint generation failed verification; start a "
-                "fresh run (without --resume) to recompute",
-                file=sys.stderr,
-            )
-            return 2
-        except CheckpointMismatch as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        _resume(server, args)
+        asyncio.run(server.serve())
     print(server.queue.progress())
     print(
         f"{len(server.campaign.survivors)} survivors; "
@@ -688,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retry-quarantined", action="store_true",
                    help="on --resume, grant checkpointed quarantined "
                         "chunks a fresh retry budget instead of "
-                        "keeping them benched (--parallel only)")
+                        "keeping them benched")
     p.add_argument("--drain-grace", type=float, default=5.0,
                    help="seconds a SIGTERM/SIGINT drain waits for "
                         "in-flight chunks before forfeiting them "

@@ -12,9 +12,15 @@ This package reproduces that system:
 * :mod:`repro.dist.tasks` / :mod:`repro.dist.queue` -- leased work
   units over dense candidate-index ranges, with at-least-once delivery
   and idempotent completion.
+* :mod:`repro.dist.campaign` -- the one campaign engine:
+  :class:`~repro.dist.campaign.CampaignCore` owns the queue and its
+  hooks, the idempotently-mergeable
+  :class:`~repro.search.records.CampaignRecord`, checkpoint/resume,
+  signal drain, per-chunk spans and the run's books for every
+  executor below.
 * :mod:`repro.dist.worker` / :mod:`repro.dist.coordinator` -- the
-  executing and orchestrating halves; the coordinator checkpoints an
-  idempotently-mergeable :class:`~repro.search.records.CampaignRecord`.
+  executing half and the simulated executor, which round-robins
+  workers under a logical clock.
 * :mod:`repro.dist.faults` -- deterministic fault injection (crashes,
   duplicate deliveries, stragglers) used by the test suite to verify
   no work is lost or double-counted.
@@ -22,14 +28,17 @@ This package reproduces that system:
   of the 2001 fleet, reproducing the campaign-scale arithmetic (why
   2**30 polynomials at ~2/s/CPU takes a summer, and why Castagnoli's
   special-purpose hardware would have needed 3600+ years).
-* :mod:`repro.dist.pool` -- the wall-clock backend: the same queue and
-  record driven by real subprocesses (``ProcessPoolExecutor``), with
-  lease renewal against actual time, crash recovery through lease
-  expiry, and periodic checkpoints via :mod:`repro.dist.checkpoint`.
+* :mod:`repro.dist.pool` -- the wall-clock executor: the same engine
+  driving real subprocesses (``ProcessPoolExecutor``), with lease
+  renewal against actual time and broken-pool rebuilds.
+* :mod:`repro.dist.net` -- the multi-host executor: the same engine
+  behind the ``repro-work/1`` protocol (``repro serve`` /
+  ``repro work``), with per-worker books.
 """
 
 from repro.dist.tasks import SearchTask, TaskStatus
 from repro.dist.queue import TaskQueue
+from repro.dist.campaign import CampaignCore, CampaignStats
 from repro.dist.worker import ChunkWorker
 from repro.dist.coordinator import Coordinator
 from repro.dist.checkpoint import CheckpointMismatch
@@ -41,6 +50,8 @@ __all__ = [
     "SearchTask",
     "TaskStatus",
     "TaskQueue",
+    "CampaignCore",
+    "CampaignStats",
     "ChunkWorker",
     "Coordinator",
     "CheckpointMismatch",

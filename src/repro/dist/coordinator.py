@@ -1,38 +1,40 @@
-"""Campaign coordinator: partition, schedule, merge, checkpoint.
+"""The simulated campaign executor: round-robin under a logical clock.
 
-The coordinator owns the task queue and the campaign record.  It
-interleaves any number of workers round-robin (deterministically), so
-the same logic drives unit tests, the fault-injection suite and the
-virtual-time farm.  Results merge idempotently (chunk id is the
-idempotency key), and the whole campaign state round-trips through
-JSON -- the checkpoint that let a 2001-style months-long run survive
-coordinator restarts.
+The queue, the campaign record, checkpoint/resume and the merge are
+the shared :class:`~repro.dist.campaign.CampaignCore`.  This
+coordinator interleaves any number of in-process workers round-robin
+(deterministically), so the same engine drives unit tests, the
+fault-injection suite and the virtual-time farm.  Results merge
+idempotently (chunk id is the idempotency key), and the whole campaign
+state round-trips through the format-3 checkpoint -- the one every
+executor reads and writes, and the one that let a 2001-style
+months-long run survive coordinator restarts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dist import checkpoint as checkpoint_io
-from repro.dist.checkpoint import CheckpointMismatch
+from repro.dist.campaign import CampaignCore, CampaignStats
 from repro.dist.faults import WorkerCrashed
-from repro.dist.queue import TaskQueue
-from repro.dist.tasks import SearchTask, partition_space
 from repro.dist.worker import ChunkWorker
 from repro.obs.events import NULL_EVENTS, NullEventLog
-from repro.search.exhaustive import SearchConfig, SearchResult
-from repro.search.records import CampaignRecord
+from repro.search.exhaustive import SearchConfig
 
 
 @dataclass
-class Coordinator:
+class Coordinator(CampaignCore):
     """Drives a fleet of :class:`ChunkWorker` over a shared queue.
 
-    ``events`` (default: the shared no-op sink) receives the same
-    vocabulary the wall-clock pool emits -- ``campaign.start``,
-    ``chunk.done``, ``lease.expire``, ``worker.crash``,
-    ``checkpoint.write`` -- with the *logical* clock's ``now`` in the
-    payload, so ``repro report`` reads both backends' logs.
+    The queue, the record, checkpoint save and :meth:`resume`, and the
+    merge of every delivery are the shared
+    :class:`~repro.dist.campaign.CampaignCore`; this class adds only
+    the round-robin logical clock.  ``events`` (default: the shared
+    no-op sink) receives the same vocabulary the wall-clock pool emits
+    -- ``campaign.start``, ``chunk.done``, ``lease.expire``,
+    ``worker.crash``, ``checkpoint.write`` -- with the *logical*
+    clock's ``now`` in the payload, so ``repro report`` reads both
+    backends' logs.
     """
 
     config: SearchConfig
@@ -43,55 +45,11 @@ class Coordinator:
     #: behaviour) retries forever, a positive value quarantines a
     #: chunk whose budget is spent instead of re-leasing it.
     max_attempts: int = 0
-    queue: TaskQueue = field(init=False)
-    campaign: CampaignRecord = field(init=False)
-    duplicate_deliveries: int = 0
-    reassignments: int = 0
-    quarantined: int = 0
+    stats: CampaignStats = field(init=False, default_factory=CampaignStats)
 
     def __post_init__(self) -> None:
-        tasks = partition_space(self.config.width, self.chunk_size)
-        self.queue = TaskQueue(
-            tasks,
-            lease_duration=self.lease_duration,
-            max_attempts=self.max_attempts,
-        )
-        self.queue.on_expire = lambda task, now: self.events.emit(
-            "lease.expire",
-            chunk=task.chunk_id,
-            owner=task.owner,
-            attempt=task.attempts,
-        )
-        self.queue.on_quarantine = self._on_quarantine
-        self.campaign = CampaignRecord(
-            width=self.config.width,
-            data_word_bits=self.config.final_length,
-            target_hd=self.config.target_hd,
-        )
-
-    def _on_quarantine(self, task: SearchTask, now: float) -> None:
-        self.quarantined += 1
-        self.events.emit(
-            "chunk.quarantine", chunk=task.chunk_id, attempts=task.attempts
-        )
-
-    def deliver(self, task: SearchTask, result: SearchResult, worker_id: str) -> None:
-        """Accept one (possibly duplicate) completion delivery."""
-        merged = self.campaign.merge_chunk(
-            task.chunk_id, result.records, result.examined
-        )
-        if not merged:
-            self.duplicate_deliveries += 1
-        self.events.emit(
-            "chunk.done",
-            chunk=task.chunk_id,
-            attempt=task.attempts,
-            worker=worker_id,
-            examined=result.examined,
-            survivors=len(result.survivors),
-            seconds=round(result.elapsed_seconds, 6),
-            stage_kills=result.stage_kills,
-            duplicate=not merged,
+        self._init_core(
+            lease_duration=self.lease_duration, max_attempts=self.max_attempts
         )
 
     def run(self, workers: list[ChunkWorker], *, time_per_chunk: float = 1.0) -> float:
@@ -105,16 +63,7 @@ class Coordinator:
         """
         now = 0.0
         idle_rounds = 0
-        self.events.emit(
-            "campaign.start",
-            backend="simulated",
-            width=self.config.width,
-            target_hd=self.config.target_hd,
-            final_length=self.config.final_length,
-            chunk_size=self.chunk_size,
-            chunks=len(self.queue),
-            workers=len(workers),
-        )
+        self._begin_run(now, "simulated", workers=len(workers))
         while not self.queue.finished:
             live = [w for w in workers if w.alive]
             if not live:
@@ -132,12 +81,15 @@ class Coordinator:
                 if outcome is None:
                     continue
                 task, result = outcome
-                if task.attempts > 1:
-                    self.reassignments += 1
                 now += time_per_chunk / max(len(live), 1)
-                for _ in range(worker.deliveries_for(worker.last_chunk_number)):
-                    self.queue.complete(task.chunk_id, worker.worker_id, now)
-                    self.deliver(task, result, worker.worker_id)
+                self.deliver(
+                    task,
+                    result,
+                    worker.worker_id,
+                    now,
+                    deliveries=worker.deliveries_for(worker.last_chunk_number),
+                    worker=worker.worker_id,
+                )
                 made_progress = True
             if not made_progress:
                 # Everything pending is leased by dead workers; advance
@@ -148,81 +100,5 @@ class Coordinator:
                     raise RuntimeError(
                         "campaign stalled: " + self.queue.progress()
                     )
-        self.events.emit(
-            "campaign.end",
-            elapsed=round(now, 6),
-            completions=len(self.campaign.chunks_done),
-            examined=self.campaign.candidates_examined,
-            survivors=len(self.campaign.survivors),
-            quarantined=self.queue.quarantined,
-        )
+        self._finish_run(now)
         return now
-
-    # -- checkpointing -------------------------------------------------
-
-    def save_checkpoint(self, path: str) -> None:
-        """Durably persist the campaign record plus the campaign
-        identity (width/target_hd/final_length/chunk_size) and the
-        quarantine set, in the CRC-self-checksummed format 3."""
-        checkpoint_io.save(
-            path,
-            self.campaign,
-            self.config,
-            self.chunk_size,
-            self.queue.quarantined_ids,
-        )
-        self.events.emit(
-            "checkpoint.write",
-            path=path,
-            chunks_done=len(self.campaign.chunks_done),
-            quarantined=self.queue.quarantined,
-        )
-
-    def load_checkpoint(self, path: str) -> int:
-        """Restore a campaign record; marks its completed chunks done
-        (and its quarantined chunks quarantined) in the queue.
-        Returns the number of chunks skipped.  Falls back to the
-        rotated ``.prev`` generation when the current file is corrupt.
-        Raises :class:`CheckpointMismatch` if the checkpoint was
-        written by a campaign with a different width, target HD, final
-        length or chunk size."""
-        loaded = checkpoint_io.load(path, self.config, self.chunk_size)
-        if loaded.fell_back:
-            self.events.emit(
-                "checkpoint.corrupt",
-                path=path,
-                fallback=loaded.source,
-                error=str(loaded.corrupt_error),
-            )
-        campaign = loaded.campaign
-        foreign = [
-            c
-            for c in sorted(campaign.chunks_done | loaded.quarantined)
-            if c not in self.queue
-        ]
-        if foreign:
-            raise CheckpointMismatch(
-                f"checkpoint {loaded.source} references chunks {foreign}, "
-                f"outside this campaign's {len(self.queue)}-chunk partition "
-                "(chunk_size mismatch?)"
-            )
-        skipped = 0
-        for chunk_id in campaign.chunks_done:
-            if self.queue.complete(chunk_id, "checkpoint", 0.0):
-                skipped += 1
-        restored = 0
-        for chunk_id in sorted(loaded.quarantined):
-            if self.queue.mark_quarantined(chunk_id):
-                restored += 1
-                self.quarantined += 1
-                self.events.emit(
-                    "chunk.quarantine", chunk=chunk_id, attempts=0, restored=True
-                )
-        self.campaign = campaign
-        self.events.emit(
-            "campaign.resume",
-            path=loaded.source,
-            skipped=skipped,
-            quarantined=restored,
-        )
-        return skipped

@@ -53,27 +53,27 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import random
-import signal as signal_module
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.dist import checkpoint as checkpoint_io
-from repro.dist.checkpoint import CheckpointMismatch
-from repro.dist.faults import FaultPlan, corrupt_file
-from repro.dist.progress import ProgressTracker
-from repro.dist.queue import LeaseLost, TaskQueue
-from repro.dist.tasks import SearchTask, partition_space
+from repro.dist.campaign import (
+    CampaignCore,
+    CampaignStats,
+    compute_chunk,
+    install_drain_handlers,
+    restore_handlers,
+)
+from repro.dist.faults import FaultPlan
+from repro.dist.queue import LeaseLost
+from repro.dist.tasks import SearchTask
 from repro.dist.transport import Connection, ConnectionLost, Transport
 from repro.net_common import FrameError
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.obs.events import NULL_EVENTS, NullEventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACE, Tracer
-from repro.search.exhaustive import SearchConfig, SearchResult, search_chunk
-from repro.search.records import CampaignRecord, PolyRecord
+from repro.search.exhaustive import SearchConfig, SearchResult
+from repro.search.records import PolyRecord
 
 #: Protocol identifier exchanged in ``hello``; bump on wire changes.
 PROTOCOL = "repro-work/1"
@@ -174,28 +174,25 @@ class WorkerBook:
 
 
 @dataclass
-class FarmStats:
-    """Counters the tests and the CLI summary line report."""
+class FarmStats(CampaignStats):
+    """The shared counters plus the farm's frame, protocol and
+    connection counters."""
 
-    completions: int = 0
-    duplicate_deliveries: int = 0
-    checkpoints_written: int = 0
-    skipped_from_checkpoint: int = 0
-    lease_expiries: int = 0
-    quarantined: int = 0
-    retry_backoffs: int = 0
     frame_errors: int = 0
     protocol_errors: int = 0
     connections: int = 0
 
 
-class WorkServer:
+class WorkServer(CampaignCore):
     """The asyncio campaign coordinator behind ``repro serve``.
 
-    Owns the queue, the campaign record, the checkpoint cadence and
-    the lease reaper; serves the ``repro-work/1`` verbs over whatever
-    :class:`~repro.dist.transport.Transport` it is given.  One event
-    loop, no locks: every dispatch mutates state between awaits.
+    The queue, the record, checkpoint/resume, signals and the merge of
+    every completion are the shared
+    :class:`~repro.dist.campaign.CampaignCore`; this class adds the
+    ``repro-work/1`` verbs over whatever
+    :class:`~repro.dist.transport.Transport` it is given, the
+    per-worker books, and the lease reaper.  One event loop, no locks:
+    every dispatch mutates state between awaits.
     """
 
     def __init__(
@@ -238,214 +235,38 @@ class WorkServer:
         self.handle_signals = handle_signals
         self.log = log
         self.clock = clock
-        self.queue = TaskQueue(
-            partition_space(config.width, chunk_size),
+        self.metrics = MetricsRegistry()
+        self.stats = FarmStats()
+        self.workers: dict[str, WorkerBook] = {}
+        self.address: str | None = None
+        self._open_connections = 0
+        self._init_core(
             lease_duration=lease_duration,
             max_attempts=max_attempts,
             backoff_base=retry_backoff,
             backoff_cap=backoff_cap,
+            collect_traces=collect_traces,
         )
-        self.queue.on_expire = self._on_lease_expire
-        self.queue.on_quarantine = self._on_quarantine
-        self.queue.on_backoff = self._on_backoff
-        self.campaign = CampaignRecord(
-            width=config.width,
-            data_word_bits=config.final_length,
-            target_hd=config.target_hd,
-        )
-        self.metrics = MetricsRegistry()
-        if collect_traces is None:
-            collect_traces = events.enabled
-        self.tracer = Tracer(events=events) if collect_traces else NULL_TRACE
-        self.stats = FarmStats()
-        self.workers: dict[str, WorkerBook] = {}
-        self.tracker = ProgressTracker(total_chunks=len(self.queue))
-        self.address: str | None = None
-        self.interrupted: str | None = None
-        self._chunk_spans: dict[int, tuple] = {}
-        self._open_connections = 0
-        self._completions_since_checkpoint = 0
-        self._dirty_since_checkpoint = False
-        self._shutdown_signal: str | None = None
-        self._signals_installed = False
-        self._t0: float | None = None
-
-    # -- queue observers (same event vocabulary as the pool) -----------
 
     def _on_lease_expire(self, task: SearchTask, now: float) -> None:
-        self.stats.lease_expiries += 1
-        self.events.emit(
-            "lease.expire",
-            chunk=task.chunk_id,
-            owner=task.owner,
-            attempt=task.attempts,
-        )
+        """The shared expiry hook, plus the owner's fault books: a
+        worker whose leases keep expiring is benched."""
+        super()._on_lease_expire(task, now)
         book = self.workers.get(task.owner or "")
-        if book is not None:
-            book.expiries += 1
-            book.faults += 1
-            if (
-                self.worker_fault_budget
-                and not book.benched
-                and book.faults >= self.worker_fault_budget
-            ):
-                book.benched = True
-                self.events.emit(
-                    "worker.benched", worker=book.worker, faults=book.faults
-                )
-                self._say(
-                    f"worker {book.worker} benched after {book.faults} faults"
-                )
-        self._close_chunk_spans(task.chunk_id, "expired")
-
-    def _on_quarantine(self, task: SearchTask, now: float) -> None:
-        self.stats.quarantined += 1
-        self._dirty_since_checkpoint = True
-        self.events.emit(
-            "chunk.quarantine", chunk=task.chunk_id, attempts=task.attempts
-        )
-        self._say(
-            f"chunk {task.chunk_id} quarantined after {task.attempts} "
-            "failed attempts"
-        )
-
-    def _on_backoff(self, task: SearchTask, delay: float) -> None:
-        self.stats.retry_backoffs += 1
-        self.events.emit(
-            "lease.backoff",
-            chunk=task.chunk_id,
-            attempt=task.attempts,
-            delay=round(delay, 6),
-        )
-
-    # -- checkpoint / resume (format 3, shared with the pool) ----------
-
-    def save_checkpoint(self, path: str | None = None) -> None:
-        target = path or self.checkpoint_path
-        if target is None:
-            raise ValueError("no checkpoint path configured")
-        checkpoint_io.save(
-            target,
-            self.campaign,
-            self.config,
-            self.chunk_size,
-            self.queue.quarantined_ids,
-        )
-        self.stats.checkpoints_written += 1
-        self._dirty_since_checkpoint = False
-        self.events.emit(
-            "checkpoint.write",
-            path=target,
-            chunks_done=len(self.campaign.chunks_done),
-            quarantined=self.queue.quarantined,
-        )
+        if book is None:
+            return
+        book.expiries += 1
+        book.faults += 1
         if (
-            self.faults is not None
-            and self.faults.corrupt_checkpoint_after is not None
-            and self.stats.checkpoints_written
-            == self.faults.corrupt_checkpoint_after
+            self.worker_fault_budget
+            and not book.benched
+            and book.faults >= self.worker_fault_budget
         ):
-            corrupt_file(target, seed=self.stats.checkpoints_written)
-
-    def resume(
-        self, path: str | None = None, *, retry_quarantined: bool = False
-    ) -> int:
-        """Load a compatible checkpoint and mark its chunks done /
-        quarantined; returns the number skipped.  Same semantics and
-        exceptions as the pool coordinator's resume."""
-        target = path or self.checkpoint_path
-        if target is None:
-            raise ValueError("no checkpoint path configured")
-        loaded = checkpoint_io.load(target, self.config, self.chunk_size)
-        if loaded.fell_back:
+            book.benched = True
             self.events.emit(
-                "checkpoint.corrupt",
-                path=target,
-                fallback=loaded.source,
-                error=str(loaded.corrupt_error),
+                "worker.benched", worker=book.worker, faults=book.faults
             )
-            self._say(
-                f"checkpoint {target} unusable ({loaded.corrupt_error}); "
-                f"recovered from previous generation {loaded.source}"
-            )
-        campaign = loaded.campaign
-        foreign = [
-            c
-            for c in sorted(campaign.chunks_done | loaded.quarantined)
-            if c not in self.queue
-        ]
-        if foreign:
-            raise CheckpointMismatch(
-                f"checkpoint {loaded.source} references chunks {foreign}, "
-                f"outside this campaign's {len(self.queue)}-chunk partition "
-                "(chunk_size mismatch?)"
-            )
-        skipped = 0
-        for chunk_id in campaign.chunks_done:
-            if self.queue.complete(chunk_id, "checkpoint", 0.0):
-                skipped += 1
-        restored = 0
-        if not retry_quarantined:
-            for chunk_id in sorted(loaded.quarantined):
-                if self.queue.mark_quarantined(chunk_id):
-                    restored += 1
-                    self.stats.quarantined += 1
-                    self.events.emit(
-                        "chunk.quarantine",
-                        chunk=chunk_id,
-                        attempts=0,
-                        restored=True,
-                    )
-        self.campaign = campaign
-        self.stats.skipped_from_checkpoint = skipped
-        self.events.emit(
-            "campaign.resume",
-            path=loaded.source,
-            skipped=skipped,
-            quarantined=restored,
-        )
-        return skipped
-
-    # -- signals / drain ----------------------------------------------
-
-    def _begin_drain(self, signame: str) -> None:
-        if self._shutdown_signal is None:
-            self._shutdown_signal = signame
-
-    def _install_signal_handlers(self) -> dict[int, object]:
-        if not self.handle_signals:
-            return {}
-        previous: dict[int, object] = {}
-        for sig in (signal_module.SIGTERM, signal_module.SIGINT):
-            try:
-                previous[sig] = signal_module.signal(
-                    sig,
-                    lambda signum, frame: self._begin_drain(
-                        signal_module.Signals(signum).name
-                    ),
-                )
-            except ValueError:  # not the main thread
-                return previous
-        self._signals_installed = True
-        return previous
-
-    def _restore_signal_handlers(self, previous: dict[int, object]) -> None:
-        for sig, handler in previous.items():
-            signal_module.signal(sig, handler)
-        self._signals_installed = False
-
-    def _say(self, message: str) -> None:
-        if self.log is not None:
-            self.log(message)
-
-    def _close_chunk_spans(self, chunk_id: int, outcome: str) -> None:
-        root, remote = self._chunk_spans.pop(
-            chunk_id, (obs_trace.NULL_SPAN, obs_trace.NULL_SPAN)
-        )
-        remote.annotate(outcome=outcome)
-        remote.end()
-        root.annotate(outcome=outcome)
-        root.end()
+            self._say(f"worker {book.worker} benched after {book.faults} faults")
 
     # -- protocol dispatch --------------------------------------------
 
@@ -599,15 +420,7 @@ class WorkServer:
             # coordinator stops listening, whatever the lease length.
             reply.update(idle=True, retry_in=round(min(retry_in, 1.0), 4))
             return reply
-        root = self.tracer.start(
-            "chunk", chunk=task.chunk_id, attempt=task.attempts,
-            worker=book.worker,
-        )
-        remote = self.tracer.start(
-            "chunk.remote", parent=root.id, chunk=task.chunk_id,
-            worker=book.worker,
-        )
-        self._chunk_spans[task.chunk_id] = (root, remote)
+        self._open_chunk_spans(task, "chunk.remote", worker=book.worker)
         self.events.emit(
             "lease.grant",
             chunk=task.chunk_id,
@@ -653,63 +466,17 @@ class WorkServer:
         if chunk not in self.queue:
             raise WorkProtocolError("bad-field", f"unknown chunk {chunk}")
         result = result_from_wire(req.get("result"), self.config)
-        now = self.clock()
-        task = self.queue.task(chunk)
-        attempt = task.attempts
-        self.queue.complete(chunk, book.worker, now)
-        merged = self.campaign.merge_chunk(chunk, result.records, result.examined)
-        obs = req.get("obs") if isinstance(req.get("obs"), dict) else {}
+        obs = req.get("obs") if isinstance(req.get("obs"), dict) else None
+        merged = self.deliver(
+            self.queue.task(chunk), result, book.worker, self.clock(), obs,
+            worker=book.worker,
+        )
         if merged:
-            root, remote = self._chunk_spans.pop(
-                chunk, (obs_trace.NULL_SPAN, obs_trace.NULL_SPAN)
-            )
-            remote.annotate(worker=book.worker)
-            remote.end()
-            self.tracer.adopt(obs.get("spans"), parent=remote.id)
-            merge_span = self.tracer.start(
-                "chunk.merge", parent=root.id, chunk=chunk
-            )
-            merge_span.end()
-            root.annotate(attempt=attempt)
-            root.end()
-            self.metrics.merge(obs.get("metrics"))
-            self.metrics.observe_hist("chunk.seconds", result.elapsed_seconds)
-            self.stats.completions += 1
             book.chunks += 1
             book.examined += result.examined
             book.seconds += result.elapsed_seconds
-            self._completions_since_checkpoint += 1
-            self._dirty_since_checkpoint = True
-            if self._t0 is not None:
-                self.tracker.observe(now - self._t0, self.queue.done)
         else:
-            self.stats.duplicate_deliveries += 1
             self.metrics.inc("work.duplicate_completion")
-        self.events.emit(
-            "chunk.done",
-            chunk=chunk,
-            attempt=attempt,
-            examined=result.examined,
-            survivors=len(result.survivors),
-            seconds=round(result.elapsed_seconds, 6),
-            stage_kills=result.stage_kills,
-            duplicate=not merged,
-            worker=book.worker,
-        )
-        if (
-            merged
-            and self.checkpoint_path is not None
-            and self._completions_since_checkpoint >= self.checkpoint_every
-        ):
-            self.save_checkpoint()
-            self._completions_since_checkpoint = 0
-        if (
-            merged
-            and self.faults is not None
-            and self.faults.kill_signal_after is not None
-            and self.stats.completions == self.faults.kill_signal_after
-        ):
-            self._begin_drain("SIGTERM")
         reply = self._base_reply(req, "complete")
         reply.update(merged=merged, done=self.queue.finished)
         return reply
@@ -770,24 +537,14 @@ class WorkServer:
         ``queue.quarantined_ids`` for the campaign verdict (the CLI
         maps them to exit codes)."""
         t0 = self.clock()
-        self._t0 = t0
-        self.interrupted = None
-        self._shutdown_signal = None
-        self.tracker = ProgressTracker(total_chunks=len(self.queue))
-        self.tracker.observe(0.0, self.queue.done)
         self.address = await self.transport.listen(self._handle_connection)
-        previous = self._install_signal_handlers()
-        self.events.emit(
-            "campaign.start",
-            backend="net",
-            width=self.config.width,
-            target_hd=self.config.target_hd,
-            final_length=self.config.final_length,
-            chunk_size=self.chunk_size,
-            chunks=len(self.queue),
+        self._begin_run(
+            t0,
+            "net",
             transport=type(self.transport).__name__,
             address=self.address,
         )
+        previous = self._install_signal_handlers()
         self._say(f"work server listening on {self.address}")
         tick = min(max(self.lease_duration / 4.0, 0.01), 0.25)
         last_summary = t0
@@ -796,20 +553,12 @@ class WorkServer:
                 if self._shutdown_signal is not None:
                     break
                 now = self.clock()
-                if self.max_seconds is not None and now - t0 > self.max_seconds:
-                    raise RuntimeError(
-                        f"campaign exceeded {self.max_seconds}s: "
-                        + self.queue.progress()
-                    )
+                self._check_deadline(now)
                 # The reaper: a vanished host's leases expire here even
                 # while every live worker is busy computing.
                 self.queue.reclaim(now)
                 if now - last_summary >= self.progress_interval:
-                    self._say(
-                        self.tracker.summary(now - t0)
-                        + " | "
-                        + self.queue.progress()
-                    )
+                    self._say(self._summary(now - t0))
                     last_summary = now
                 await asyncio.sleep(tick)
             if self._shutdown_signal is not None:
@@ -818,37 +567,9 @@ class WorkServer:
                 # Give connected workers a beat to hear "done" and bye.
                 await self._quiesce(min(self.drain_grace, 2.0))
         finally:
-            self._restore_signal_handlers(previous)
-            for chunk_id in list(self._chunk_spans):
-                self._close_chunk_spans(chunk_id, "stopped")
+            self._end_session(previous)
             await self.transport.close()
-        elapsed = self.clock() - t0
-        if self.checkpoint_path is not None and self._dirty_since_checkpoint:
-            self.save_checkpoint()
-            self._completions_since_checkpoint = 0
-        if self.collect_metrics:
-            self.events.emit("metrics.snapshot", metrics=self.metrics.snapshot())
-        if self._shutdown_signal is not None:
-            self.interrupted = self._shutdown_signal
-            self.events.emit(
-                "campaign.interrupted",
-                signal=self._shutdown_signal,
-                elapsed=round(elapsed, 6),
-                completions=self.stats.completions,
-                examined=self.campaign.candidates_examined,
-            )
-        else:
-            self.events.emit(
-                "campaign.end",
-                elapsed=round(elapsed, 6),
-                completions=self.stats.completions,
-                examined=self.campaign.candidates_examined,
-                survivors=len(self.campaign.survivors),
-                quarantined=self.queue.quarantined,
-            )
-        self._say(
-            self.tracker.summary(elapsed) + " | " + self.queue.progress()
-        )
+        self._finish_run(self.clock() - t0)
         return 0
 
     async def _quiesce(self, grace: float) -> None:
@@ -970,24 +691,8 @@ class WorkClient:
         rng = random.Random(f"{self.worker_id}#{attempt}")
         return delay * (0.5 + rng.random())
 
-    def _install_signal_handlers(self) -> dict[int, object]:
-        if not self.handle_signals:
-            return {}
-        previous: dict[int, object] = {}
-
-        def drain(signum: int, frame: object) -> None:
-            self._draining = True
-
-        for sig in (signal_module.SIGTERM, signal_module.SIGINT):
-            try:
-                previous[sig] = signal_module.signal(sig, drain)
-            except ValueError:
-                return previous
-        return previous
-
-    def _restore_signal_handlers(self, previous: dict[int, object]) -> None:
-        for sig, handler in previous.items():
-            signal_module.signal(sig, handler)
+    def _begin_drain(self, signame: str) -> None:
+        self._draining = True
 
     # -- request/ack --------------------------------------------------
 
@@ -1047,35 +752,13 @@ class WorkClient:
 
     def _compute(
         self, start: int, end: int, chunk_id: int, attempt: int
-    ) -> tuple[SearchResult, dict]:
-        """Runs on an executor thread; installs per-chunk obs exactly
-        like the pool's subprocess entry point, so the coordinator's
-        waterfall and metrics merge see the same shapes."""
-        registry = MetricsRegistry() if self.collect_obs else None
-        tracer = Tracer() if self.collect_obs else None
-        previous_metrics = obs_metrics.install(registry) if registry else None
-        previous_trace = obs_trace.install(tracer) if tracer else None
-        try:
-            if tracer is not None:
-                with tracer.span(
-                    "chunk.compute",
-                    chunk=chunk_id,
-                    attempt=attempt,
-                    worker=self.worker_id,
-                ):
-                    result = search_chunk(self.config, start, end)
-            else:
-                result = search_chunk(self.config, start, end)
-        finally:
-            if registry is not None:
-                obs_metrics.install(previous_metrics)
-            if tracer is not None:
-                obs_trace.install(previous_trace)
-        obs = {
-            "metrics": registry.snapshot() if registry else None,
-            "spans": tracer.snapshot() if tracer else None,
-        }
-        return result, obs
+    ) -> tuple[SearchResult, dict | None]:
+        """Runs on an executor thread, under the same per-chunk obs as
+        the pool's subprocess entry point."""
+        return compute_chunk(
+            self.config, start, end, chunk_id, attempt,
+            self.collect_obs, self.collect_obs, worker=self.worker_id,
+        )
 
     async def _compute_with_heartbeat(
         self, conn: Connection, chunk: int, start: int, end: int,
@@ -1194,7 +877,11 @@ class WorkClient:
         """Work until the campaign is done (0), the coordinator
         drains (0), the server is unreachable past the reconnect
         budget (1), or the protocol is incompatible (2)."""
-        previous = self._install_signal_handlers()
+        previous = (
+            install_drain_handlers(self._begin_drain)
+            if self.handle_signals
+            else {}
+        )
         self.outcome = None
         connect_failures = 0
         try:
@@ -1256,4 +943,4 @@ class WorkClient:
                 )
                 return 0
         finally:
-            self._restore_signal_handlers(previous)
+            restore_handlers(previous)

@@ -9,13 +9,14 @@ throughput.  This module is the real thing: subprocess workers from a
 :class:`~repro.search.exhaustive.SearchConfig` index ranges while the
 parent process leases, renews and reaps against actual elapsed time.
 
-The distributed semantics are *exactly* the ones the simulated stack
-already enforces, driven through the same objects:
+The lifecycle -- the :class:`~repro.dist.queue.TaskQueue` and its
+hooks, format-3 checkpoint/resume, signal handling, the idempotent
+merge into the :class:`~repro.search.records.CampaignRecord` and the
+run's start/end events -- is the shared
+:class:`~repro.dist.campaign.CampaignCore`, the same one the simulated
+coordinator and the network farm run.  What this module adds is the
+process pool and its failure handling:
 
-* chunks come from the same :func:`~repro.dist.tasks.partition_space`
-  tiling and flow through the same :class:`~repro.dist.queue.TaskQueue`
-  lease/complete protocol -- at-least-once execution with idempotent
-  completion;
 * a crashed (``WorkerCrashed``) or hard-killed (``os._exit``)
   subprocess forfeits its chunk: the parent releases the lease the
   moment the future fails (or lets it expire if the parent itself
@@ -34,12 +35,6 @@ already enforces, driven through the same objects:
   completed, forfeit the rest, write a final checkpoint, emit
   ``shutdown.drain`` + ``campaign.interrupted``, and return -- so
   ``--resume`` picks up with nothing lost;
-* results merge into the same idempotent
-  :class:`~repro.search.records.CampaignRecord`, checkpointed every N
-  completions through :mod:`repro.dist.checkpoint` (format 3: CRC-32
-  self-checksum, fsync'd atomic publication, rotated ``.prev``
-  generation) so a killed campaign restarts with ``resume`` instead of
-  recomputing -- even when the live checkpoint was corrupted on disk;
 * fault injection reuses :class:`~repro.dist.faults.FaultPlan` under
   the pool conventions (chunk-id keyed crash/kill/poison sets, plus
   coordinator-side checkpoint-corruption and kill-signal schedules),
@@ -51,26 +46,19 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import signal as signal_module
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.dist import checkpoint as checkpoint_io
-from repro.dist.checkpoint import CheckpointMismatch
-from repro.dist.faults import FaultPlan, WorkerCrashed, corrupt_file
-from repro.dist.progress import ProgressTracker
-from repro.dist.queue import LeaseLost, TaskQueue
-from repro.dist.tasks import SearchTask, partition_space
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
+from repro.dist.campaign import CampaignCore, CampaignStats, compute_chunk
+from repro.dist.faults import FaultPlan, WorkerCrashed
+from repro.dist.queue import LeaseLost
+from repro.dist.tasks import SearchTask
 from repro.obs.events import NULL_EVENTS, NullEventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACE, Tracer
-from repro.search.exhaustive import SearchConfig, SearchResult, search_chunk
-from repro.search.records import CampaignRecord
+from repro.search.exhaustive import SearchConfig, SearchResult
 
 #: Lease owner recorded for every parent-issued lease.
 PARENT_OWNER = "pool-parent"
@@ -96,17 +84,8 @@ def _run_chunk(
     Must stay a module-level function (it is pickled by name), and its
     return value must stay picklable -- ``SearchResult`` holds only
     plain dataclasses, which ``tests/dist/test_pool.py`` pins down.
-
-    When ``collect_metrics`` is set, a fresh per-chunk
-    :class:`~repro.obs.metrics.MetricsRegistry` is installed for the
-    duration of the chunk and its plain-dict snapshot rides back with
-    the result for the parent to merge -- per-process aggregation with
-    merge-at-chunk-completion, costing the worker one dict per chunk.
-    ``collect_traces`` does the same with an unattached
-    :class:`~repro.obs.trace.Tracer`: the chunk computes under a
-    ``chunk.compute`` root span (the packed screening stages open
-    children) and the finished spans ride back as plain dicts in the
-    same aux payload, for the parent to adopt into the event stream.
+    The chunk runs under :func:`~repro.dist.campaign.compute_chunk`,
+    whose per-chunk metrics and spans ride back in the aux payload.
 
     Injected crash/kill faults fire on the *first* attempt only (the
     reassigned retry models a healthy machine picking up the forfeited
@@ -121,48 +100,23 @@ def _run_chunk(
         slowdown = faults.slowdown("pool")
         if slowdown > 1.0:
             time.sleep(min(slowdown - 1.0, 5.0))
-    if not (collect_metrics or collect_traces):
-        return chunk_id, search_chunk(config, start_index, end_index), None
-    registry = MetricsRegistry() if collect_metrics else None
-    tracer = Tracer() if collect_traces else None
-    previous_metrics = obs_metrics.install(registry) if registry else None
-    previous_trace = obs_trace.install(tracer) if tracer else None
-    try:
-        if tracer is not None:
-            with tracer.span("chunk.compute", chunk=chunk_id, attempt=attempt):
-                result = search_chunk(config, start_index, end_index)
-        else:
-            result = search_chunk(config, start_index, end_index)
-    finally:
-        if registry is not None:
-            obs_metrics.install(previous_metrics)
-        if tracer is not None:
-            obs_trace.install(previous_trace)
-    aux = {
-        "metrics": registry.snapshot() if registry else None,
-        "spans": tracer.snapshot() if tracer else None,
-    }
+    result, aux = compute_chunk(
+        config, start_index, end_index, chunk_id, attempt,
+        collect_metrics, collect_traces,
+    )
     return chunk_id, result, aux
 
 
 @dataclass
-class PoolStats:
-    """Counters the tests and the CLI summary line report."""
+class PoolStats(CampaignStats):
+    """The shared counters plus the pool's own failure counters."""
 
-    completions: int = 0
-    duplicate_deliveries: int = 0
-    reassignments: int = 0
     crashes: int = 0
     pool_rebuilds: int = 0
-    checkpoints_written: int = 0
-    skipped_from_checkpoint: int = 0
-    lease_expiries: int = 0
-    quarantined: int = 0
-    retry_backoffs: int = 0
 
 
 @dataclass
-class ParallelCoordinator:
+class ParallelCoordinator(CampaignCore):
     """Drive a campaign over real subprocesses on the wall clock.
 
     The parent is the only lease holder (``PARENT_OWNER``): it leases a
@@ -172,7 +126,8 @@ class ParallelCoordinator:
     a failed future (and the wall clock expires it if the parent itself
     is gone), so the chunk goes to the next submission -- the same
     recovery path the 2001 campaign relied on, at subprocess
-    granularity, now with a bounded retry budget per chunk.
+    granularity, now with a bounded retry budget per chunk.  The
+    lifecycle around that loop is :class:`~repro.dist.campaign.CampaignCore`.
     """
 
     config: SearchConfig
@@ -206,214 +161,33 @@ class ParallelCoordinator:
     #: (auto-skipped off the main thread).
     handle_signals: bool = True
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    queue: TaskQueue = field(init=False)
-    campaign: CampaignRecord = field(init=False)
-    tracker: ProgressTracker = field(init=False)
     stats: PoolStats = field(init=False, default_factory=PoolStats)
-    #: Signal name ("SIGTERM"/"SIGINT") when the last :meth:`run` was
-    #: interrupted and drained; None after a run that finished.
-    interrupted: str | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.processes < 1:
             raise ValueError("processes must be positive")
-        tasks = partition_space(self.config.width, self.chunk_size)
-        self.queue = TaskQueue(
-            tasks,
+        self._init_core(
             lease_duration=self.lease_duration,
             max_attempts=self.max_attempts,
             backoff_base=self.retry_backoff,
             backoff_cap=self.backoff_cap,
+            collect_traces=self.collect_traces,
         )
-        self.queue.on_expire = self._on_lease_expire
-        self.queue.on_quarantine = self._on_quarantine
-        self.queue.on_backoff = self._on_backoff
-        self.campaign = CampaignRecord(
-            width=self.config.width,
-            data_word_bits=self.config.final_length,
-            target_hd=self.config.target_hd,
-        )
-        self.tracker = ProgressTracker(total_chunks=len(self.queue))
-        if self.collect_traces is None:
-            self.collect_traces = self.events.enabled
-        self.tracer = (
-            Tracer(events=self.events) if self.collect_traces else NULL_TRACE
-        )
-        #: Open (root, dispatch) span handles per in-flight chunk id.
-        self._chunk_spans: dict[int, tuple] = {}
-        self._completions_since_checkpoint = 0
-        self._dirty_since_checkpoint = False
-        self._shutdown_signal: str | None = None
-        self._signals_installed = False
         self._rebuild_streak = 0
-        self._t0: float | None = None
 
-    # -- queue observers -----------------------------------------------
+    # -- delivery and graceful shutdown --------------------------------
 
-    def _on_lease_expire(self, task: SearchTask, now: float) -> None:
-        """Queue observer: a worker forfeited its chunk (silent expiry
-        or explicit release after a crashed future)."""
-        self.stats.lease_expiries += 1
-        self.events.emit(
-            "lease.expire",
-            chunk=task.chunk_id,
-            owner=task.owner,
-            attempt=task.attempts,
+    def _deliver_future(self, fut: Future, task: SearchTask, now: float) -> None:
+        """Merge a finished future's result (twice under an injected
+        duplicate delivery)."""
+        _, result, aux = fut.result()
+        duplicate = self.faults is not None and self.faults.duplicates_on(
+            "pool", task.chunk_id
         )
-
-    def _on_quarantine(self, task: SearchTask, now: float) -> None:
-        """Queue observer: a poison chunk exhausted its retry budget."""
-        self.stats.quarantined += 1
-        self._dirty_since_checkpoint = True
-        self.events.emit(
-            "chunk.quarantine", chunk=task.chunk_id, attempts=task.attempts
+        self.deliver(
+            task, result, PARENT_OWNER, now, aux, deliveries=2 if duplicate else 1
         )
-        self._say(
-            f"chunk {task.chunk_id} quarantined after {task.attempts} "
-            "failed attempts"
-        )
-
-    def _on_backoff(self, task: SearchTask, delay: float) -> None:
-        self.stats.retry_backoffs += 1
-        self.events.emit(
-            "lease.backoff",
-            chunk=task.chunk_id,
-            attempt=task.attempts,
-            delay=round(delay, 6),
-        )
-
-    # -- checkpoint / resume -------------------------------------------
-
-    def save_checkpoint(self, path: str | None = None) -> None:
-        """Durably persist progress (defaults to the configured path):
-        format 3 with CRC self-checksum, fsync'd rename, rotated
-        ``.prev`` generation, and the current quarantine set."""
-        target = path or self.checkpoint_path
-        if target is None:
-            raise ValueError("no checkpoint path configured")
-        checkpoint_io.save(
-            target,
-            self.campaign,
-            self.config,
-            self.chunk_size,
-            self.queue.quarantined_ids,
-        )
-        self.stats.checkpoints_written += 1
-        self._dirty_since_checkpoint = False
-        self.events.emit(
-            "checkpoint.write",
-            path=target,
-            chunks_done=len(self.campaign.chunks_done),
-            quarantined=self.queue.quarantined,
-        )
-        if (
-            self.faults is not None
-            and self.faults.corrupt_checkpoint_after is not None
-            and self.stats.checkpoints_written
-            == self.faults.corrupt_checkpoint_after
-        ):
-            # Injected silent bit rot: no event -- real disks don't
-            # announce corruption either.  Detection is load's job.
-            corrupt_file(target, seed=self.stats.checkpoints_written)
-
-    def resume(
-        self, path: str | None = None, *, retry_quarantined: bool = False
-    ) -> int:
-        """Load a checkpoint written by a compatible campaign and mark
-        its chunks done (and its quarantined chunks quarantined,
-        unless ``retry_quarantined`` grants them a fresh budget).
-
-        Falls back to the rotated previous generation when the current
-        file is corrupt, emitting ``checkpoint.corrupt``.  Returns the
-        number of chunks skipped; raises
-        :class:`~repro.dist.checkpoint.CheckpointMissing` when no
-        generation exists, :class:`~repro.dist.checkpoint.CheckpointCorrupt`
-        when none verifies, and :class:`CheckpointMismatch` on a
-        foreign checkpoint.
-        """
-        target = path or self.checkpoint_path
-        if target is None:
-            raise ValueError("no checkpoint path configured")
-        loaded = checkpoint_io.load(target, self.config, self.chunk_size)
-        if loaded.fell_back:
-            self.events.emit(
-                "checkpoint.corrupt",
-                path=target,
-                fallback=loaded.source,
-                error=str(loaded.corrupt_error),
-            )
-            self._say(
-                f"checkpoint {target} unusable ({loaded.corrupt_error}); "
-                f"recovered from previous generation {loaded.source}"
-            )
-        campaign = loaded.campaign
-        foreign = [
-            c
-            for c in sorted(campaign.chunks_done | loaded.quarantined)
-            if c not in self.queue
-        ]
-        if foreign:
-            raise CheckpointMismatch(
-                f"checkpoint {loaded.source} references chunks {foreign}, "
-                f"outside this campaign's {len(self.queue)}-chunk partition "
-                "(chunk_size mismatch?)"
-            )
-        skipped = 0
-        for chunk_id in campaign.chunks_done:
-            if self.queue.complete(chunk_id, "checkpoint", 0.0):
-                skipped += 1
-        restored = 0
-        if not retry_quarantined:
-            for chunk_id in sorted(loaded.quarantined):
-                if self.queue.mark_quarantined(chunk_id):
-                    restored += 1
-                    self.stats.quarantined += 1
-                    self.events.emit(
-                        "chunk.quarantine",
-                        chunk=chunk_id,
-                        attempts=0,
-                        restored=True,
-                    )
-        self.campaign = campaign
-        self.stats.skipped_from_checkpoint = skipped
-        self.events.emit(
-            "campaign.resume",
-            path=loaded.source,
-            skipped=skipped,
-            quarantined=restored,
-        )
-        return skipped
-
-    # -- graceful shutdown ---------------------------------------------
-
-    def _handle_signal(self, signum: int, frame: object) -> None:
-        self._shutdown_signal = signal_module.Signals(signum).name
-
-    def _install_signal_handlers(self) -> dict[int, object]:
-        if not self.handle_signals:
-            return {}
-        previous: dict[int, object] = {}
-        for sig in (signal_module.SIGTERM, signal_module.SIGINT):
-            try:
-                previous[sig] = signal_module.signal(sig, self._handle_signal)
-            except ValueError:
-                # Not the main thread: signals cannot be hooked here;
-                # injected kill signals fall back to setting the flag.
-                return previous
-        self._signals_installed = True
-        return previous
-
-    def _restore_signal_handlers(self, previous: dict[int, object]) -> None:
-        for sig, handler in previous.items():
-            signal_module.signal(sig, handler)
-        self._signals_installed = False
-
-    def _inject_kill_signal(self) -> None:
-        """Deliver the fault plan's scheduled SIGTERM to ourselves."""
-        if self._signals_installed:
-            os.kill(os.getpid(), signal_module.SIGTERM)
-        else:
-            self._shutdown_signal = "SIGTERM"
+        self._rebuild_streak = 0  # real progress: the pool is healthy
 
     def _drain(self, in_flight: dict[Future, SearchTask]) -> None:
         """Stop-the-world on SIGTERM/SIGINT: give in-flight futures
@@ -427,8 +201,7 @@ class ParallelCoordinator:
         for fut in done:
             task = in_flight.pop(fut)
             if fut.exception() is None:
-                _, result, aux = fut.result()
-                self._deliver(task, result, now, aux)
+                self._deliver_future(fut, task, now)
                 delivered += 1
             else:
                 self.stats.crashes += 1
@@ -463,88 +236,6 @@ class ParallelCoordinator:
         )
         return ProcessPoolExecutor(max_workers=self.processes, mp_context=ctx)
 
-    def _say(self, message: str) -> None:
-        if self.log is not None:
-            self.log(message)
-
-    def _close_chunk_spans(self, chunk_id: int, outcome: str) -> None:
-        """End an in-flight chunk's open spans on a non-delivery exit
-        (crash, kill, rebuild release, drain forfeit)."""
-        root, dispatch = self._chunk_spans.pop(
-            chunk_id, (obs_trace.NULL_SPAN, obs_trace.NULL_SPAN)
-        )
-        dispatch.annotate(outcome=outcome)
-        dispatch.end()
-        root.annotate(outcome=outcome)
-        root.end()
-
-    def _deliver(
-        self,
-        task: SearchTask,
-        result: SearchResult,
-        now: float,
-        aux: dict | None = None,
-    ) -> None:
-        aux = aux or {}
-        root, dispatch = self._chunk_spans.pop(
-            task.chunk_id, (obs_trace.NULL_SPAN, obs_trace.NULL_SPAN)
-        )
-        dispatch.end()
-        # The worker's compute spans slot in under the dispatch span,
-        # so the waterfall reads lease -> dispatch -> compute -> merge.
-        self.tracer.adopt(aux.get("spans"), parent=dispatch.id)
-        merge_span = self.tracer.start(
-            "chunk.merge", parent=root.id, chunk=task.chunk_id
-        )
-        if task.attempts > 1:
-            self.stats.reassignments += 1
-        deliveries = 1
-        if self.faults is not None and self.faults.duplicates_on(
-            "pool", task.chunk_id
-        ):
-            deliveries = 2
-        for _ in range(deliveries):
-            self.queue.complete(task.chunk_id, PARENT_OWNER, now)
-            merged = self.campaign.merge_chunk(
-                task.chunk_id, result.records, result.examined
-            )
-            if not merged:
-                self.stats.duplicate_deliveries += 1
-            self.events.emit(
-                "chunk.done",
-                chunk=task.chunk_id,
-                attempt=task.attempts,
-                examined=result.examined,
-                survivors=len(result.survivors),
-                seconds=round(result.elapsed_seconds, 6),
-                stage_kills=result.stage_kills,
-                duplicate=not merged,
-            )
-        # Worker metrics merge exactly once per computed chunk -- the
-        # duplicate-delivery replay above re-merges no numbers, same as
-        # the campaign record.
-        self.metrics.merge(aux.get("metrics"))
-        self.metrics.observe_hist("chunk.seconds", result.elapsed_seconds)
-        merge_span.end()
-        root.annotate(attempt=task.attempts)
-        root.end()
-        self.stats.completions += 1
-        self._completions_since_checkpoint += 1
-        self._dirty_since_checkpoint = True
-        self._rebuild_streak = 0  # real progress: the pool is healthy
-        if (
-            self.checkpoint_path is not None
-            and self._completions_since_checkpoint >= self.checkpoint_every
-        ):
-            self.save_checkpoint()
-            self._completions_since_checkpoint = 0
-        if (
-            self.faults is not None
-            and self.faults.kill_signal_after is not None
-            and self.stats.completions == self.faults.kill_signal_after
-        ):
-            self._inject_kill_signal()
-
     def run(self, stop_after: int | None = None) -> float:
         """Run until the queue drains (every chunk DONE or
         QUARANTINED), ``stop_after`` new completions arrive (a test
@@ -553,24 +244,8 @@ class ParallelCoordinator:
         :attr:`interrupted` and ``queue.quarantined_ids`` afterwards.
         """
         t0 = time.monotonic()
-        self._t0 = t0
-        self.interrupted = None
-        self._shutdown_signal = None
         self._rebuild_streak = 0
-        # Fresh tracker per run: a resumed/second run starts its own
-        # wall clock, and observe() forbids time regressing.
-        self.tracker = ProgressTracker(total_chunks=len(self.queue))
-        self.tracker.observe(0.0, self.queue.done)
-        self.events.emit(
-            "campaign.start",
-            backend="pool",
-            width=self.config.width,
-            target_hd=self.config.target_hd,
-            final_length=self.config.final_length,
-            chunk_size=self.chunk_size,
-            chunks=len(self.queue),
-            processes=self.processes,
-        )
+        self._begin_run(t0, "pool", processes=self.processes)
         previous_handlers = self._install_signal_handlers()
         executor = self._new_executor()
         in_flight: dict[Future, SearchTask] = {}
@@ -587,11 +262,7 @@ class ParallelCoordinator:
                 if self._shutdown_signal is not None:
                     break
                 now = time.monotonic()
-                if self.max_seconds is not None and now - t0 > self.max_seconds:
-                    raise RuntimeError(
-                        f"campaign exceeded {self.max_seconds}s: "
-                        + self.queue.progress()
-                    )
+                self._check_deadline(now)
                 if stop_after is not None and self.stats.completions >= stop_after:
                     break
                 # Keep the pool saturated: one in-flight chunk per slot.
@@ -604,13 +275,7 @@ class ParallelCoordinator:
                         break
                     # Root "chunk" span opens at lease time; the gap
                     # before dispatch starts is lease/queue overhead.
-                    root = self.tracer.start(
-                        "chunk", chunk=task.chunk_id, attempt=task.attempts
-                    )
-                    dispatch = self.tracer.start(
-                        "chunk.dispatch", parent=root.id, chunk=task.chunk_id
-                    )
-                    self._chunk_spans[task.chunk_id] = (root, dispatch)
+                    self._open_chunk_spans(task, "chunk.dispatch")
                     try:
                         fut = executor.submit(
                             _run_chunk,
@@ -682,51 +347,15 @@ class ParallelCoordinator:
                         self.events.emit("lease.renew", chunks=renewed)
                     last_renew = now
                 if now - last_summary >= self.progress_interval:
-                    self._say(
-                        self.tracker.summary(now - t0)
-                        + " | "
-                        + self.queue.progress()
-                    )
+                    self._say(self._summary(now - t0))
                     last_summary = now
             if self._shutdown_signal is not None:
                 self._drain(in_flight)
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
-            self._restore_signal_handlers(previous_handlers)
-            # Any spans still open belong to attempts this session is
-            # abandoning (stop_after exit, or an error unwinding the
-            # loop); the drain path has already closed its own.  Close
-            # them now so every opened span reaches the log with an
-            # outcome instead of leaking.
-            for chunk_id in list(self._chunk_spans):
-                self._close_chunk_spans(chunk_id, "stopped")
+            self._end_session(previous_handlers)
         elapsed = time.monotonic() - t0
-        if self.checkpoint_path is not None and self._dirty_since_checkpoint:
-            self.save_checkpoint()
-            self._completions_since_checkpoint = 0
-        if self.collect_metrics:
-            self.events.emit("metrics.snapshot", metrics=self.metrics.snapshot())
-        if self._shutdown_signal is not None:
-            self.interrupted = self._shutdown_signal
-            self.events.emit(
-                "campaign.interrupted",
-                signal=self._shutdown_signal,
-                elapsed=round(elapsed, 6),
-                completions=self.stats.completions,
-                examined=self.campaign.candidates_examined,
-            )
-        else:
-            self.events.emit(
-                "campaign.end",
-                elapsed=round(elapsed, 6),
-                completions=self.stats.completions,
-                examined=self.campaign.candidates_examined,
-                survivors=len(self.campaign.survivors),
-                quarantined=self.queue.quarantined,
-            )
-        self._say(
-            self.tracker.summary(elapsed) + " | " + self.queue.progress()
-        )
+        self._finish_run(elapsed)
         return elapsed
 
     def _settle(self, fut: Future, task: SearchTask, now: float) -> bool:
@@ -735,9 +364,7 @@ class ParallelCoordinator:
         future died with the whole pool (a killed worker)."""
         exc = fut.exception()
         if exc is None:
-            _, result, aux = fut.result()
-            self._deliver(task, result, now, aux)
-            self.tracker.observe(now - self._t0, self.queue.done)
+            self._deliver_future(fut, task, now)
             return False
         if isinstance(exc, BrokenProcessPool):
             kind = "killed"

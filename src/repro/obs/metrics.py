@@ -136,6 +136,9 @@ class NullMetrics:
     def snapshot(self) -> dict[str, Any] | None:
         return None
 
+    def merge(self, snapshot: Any) -> None:  # noqa: ARG002
+        return None
+
 
 #: Shared no-op registry; the process-wide default.
 NULL_METRICS = NullMetrics()
@@ -268,7 +271,7 @@ class MetricsRegistry(NullMetrics):
 # Hot paths fetch the active registry through active() at call time
 # (never cached at import time), so install() takes effect everywhere
 # at once -- including in forked worker processes, which re-install
-# their own registry on entry (repro.dist.pool._run_chunk).
+# their own registry on entry (repro.dist.campaign.compute_chunk).
 
 _active: NullMetrics = NULL_METRICS
 

@@ -27,7 +27,7 @@ def write_checkpoint(tmp_path, config=CFG, chunk_size=8):
 def test_same_campaign_round_trips(tmp_path):
     path = write_checkpoint(tmp_path)
     coord = Coordinator(config=CFG, chunk_size=8)
-    assert coord.load_checkpoint(path) == 0  # nothing done yet, no error
+    assert coord.resume(path) == 0  # nothing done yet, no error
 
 
 def test_identity_recorded_in_envelope(tmp_path):
@@ -54,14 +54,14 @@ def test_config_mismatch_raises(tmp_path, other, label):
     params.update(other)
     coord = Coordinator(config=SearchConfig(**params), chunk_size=8)
     with pytest.raises(CheckpointMismatch, match=label):
-        coord.load_checkpoint(path)
+        coord.resume(path)
 
 
 def test_chunk_size_mismatch_raises(tmp_path):
     path = write_checkpoint(tmp_path, chunk_size=8)
     coord = Coordinator(config=CFG, chunk_size=64)
     with pytest.raises(CheckpointMismatch, match="chunk_size"):
-        coord.load_checkpoint(path)
+        coord.resume(path)
 
 
 def test_seed_bug_scenario_now_raises(tmp_path):
@@ -72,7 +72,7 @@ def test_seed_bug_scenario_now_raises(tmp_path):
                          confirm_weights=False)
     coord = Coordinator(config=other, chunk_size=64)
     with pytest.raises(CheckpointMismatch):
-        coord.load_checkpoint(path)
+        coord.resume(path)
 
 
 def test_legacy_bare_record_still_loads(tmp_path):
@@ -82,12 +82,12 @@ def test_legacy_bare_record_still_loads(tmp_path):
     path = str(tmp_path / "legacy.json")
     with open(path, "w") as f:
         f.write(coord.campaign.to_json())
-    assert Coordinator(config=CFG, chunk_size=8).load_checkpoint(path) == 0
+    assert Coordinator(config=CFG, chunk_size=8).resume(path) == 0
 
     other = SearchConfig(width=9, target_hd=4, filter_lengths=(16, 40),
                          confirm_weights=False)
     with pytest.raises(CheckpointMismatch, match="width"):
-        Coordinator(config=other, chunk_size=8).load_checkpoint(path)
+        Coordinator(config=other, chunk_size=8).resume(path)
 
 
 def test_out_of_partition_chunk_ids_raise(tmp_path):
@@ -99,4 +99,4 @@ def test_out_of_partition_chunk_ids_raise(tmp_path):
     src.save_checkpoint(path)
     coord = Coordinator(config=CFG, chunk_size=8)
     with pytest.raises(CheckpointMismatch, match="999"):
-        coord.load_checkpoint(path)
+        coord.resume(path)

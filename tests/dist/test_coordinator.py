@@ -38,7 +38,7 @@ class TestCleanRun:
         coord = run_campaign(FaultPlan())
         assert coord.campaign.candidates_examined == examined
         assert {r.poly: r.survived for r in coord.campaign.results.values()} == truth
-        assert coord.duplicate_deliveries == 0
+        assert coord.stats.duplicate_deliveries == 0
 
 
 class TestFaultTolerance:
@@ -47,13 +47,13 @@ class TestFaultTolerance:
         coord = run_campaign(FaultPlan(crash_points={"w0": 0, "w1": 2}))
         assert coord.campaign.candidates_examined == examined
         assert {r.poly: r.survived for r in coord.campaign.results.values()} == truth
-        assert coord.reassignments >= 1
+        assert coord.stats.reassignments >= 1
 
     def test_duplicate_deliveries_deduped(self, clean_baseline):
         truth, examined = clean_baseline
         coord = run_campaign(FaultPlan(duplicate_completions={"w0": 0, "w2": 1}))
         assert coord.campaign.candidates_examined == examined
-        assert coord.duplicate_deliveries >= 1
+        assert coord.stats.duplicate_deliveries >= 1
         assert {r.poly: r.survived for r in coord.campaign.results.values()} == truth
 
     def test_all_workers_dead_raises(self):
@@ -93,7 +93,7 @@ class TestCheckpoint:
         coord.save_checkpoint(path)
 
         resumed = Coordinator(config=CFG, chunk_size=4, lease_duration=2.0)
-        skipped = resumed.load_checkpoint(path)
+        skipped = resumed.resume(path)
         assert skipped == 3
         resumed.run([ChunkWorker("w1", CFG)])
         assert resumed.campaign.candidates_examined == examined

@@ -181,6 +181,29 @@ class TestCommands:
             assert "no checkpoint found" in err
             assert "--checkpoint" in err
 
+    def test_campaign_simulated_retry_quarantined(self, tmp_path, capsys):
+        """--retry-quarantined without --parallel: the simulated
+        backend grants the checkpoint's quarantined chunks a fresh
+        budget (it used to drop the flag, exit 3 and advise rerunning
+        with that same flag)."""
+        from repro.dist import checkpoint
+        from repro.search.exhaustive import SearchConfig
+        from repro.search.records import CampaignRecord
+
+        cfg = SearchConfig.for_bits(8, 4, 100)
+        ckpt = str(tmp_path / "q.ckpt")
+        record = CampaignRecord(
+            width=8, data_word_bits=cfg.final_length, target_hd=4
+        )
+        checkpoint.save(ckpt, record, cfg, 8, quarantined=[0, 1])
+        rc = main(["campaign", "--width", "8", "--target-hd", "4",
+                   "--bits", "100", "--chunk-size", "8",
+                   "--checkpoint", ckpt, "--resume", "--retry-quarantined"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "16/16 chunks done" in out
+        assert "16 chunks computed" in out
+
     def test_crc(self, capsys):
         assert main(["crc", "CRC-32/IEEE-802.3",
                      "--hex", "313233343536373839"]) == 0
@@ -240,6 +263,30 @@ class TestFarmCli:
             "--checkpoint", str(tmp_path / "nope.ckpt"), "--resume",
         ])
         assert rc == 2
+
+    def test_serve_resume_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
+        from repro.dist import checkpoint
+        from repro.dist.faults import corrupt_file
+        from repro.search.exhaustive import SearchConfig
+        from repro.search.records import CampaignRecord
+
+        cfg = SearchConfig.for_bits(8, 4, 200)
+        ckpt = str(tmp_path / "rot.ckpt")
+        checkpoint.save(
+            ckpt,
+            CampaignRecord(width=8, data_word_bits=200, target_hd=4),
+            cfg,
+            64,
+        )
+        corrupt_file(ckpt, seed=1)
+        rc = main([
+            "serve", "--width", "8", "--target-hd", "4",
+            "--checkpoint", ckpt, "--resume",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cannot resume" in err
+        assert "every checkpoint generation failed verification" in err
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--width", "8"])
