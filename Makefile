@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-all verify docs-check chaos-smoke farm-smoke farm-chaos bench bench-e2e backend-gate packed-gate service-smoke dash-smoke bench-full repro examples clean
+.PHONY: install test test-all verify docs-check bench bench-e2e backend-gate service-smoke dash-smoke bench-full repro examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -13,12 +13,15 @@ test:
 test-all:
 	RUN_SLOW=1 $(PY) -m pytest tests/
 
-# What CI runs: the tier-1 suite, a ~30s smoke parallel campaign
-# (width 8, 2 subprocesses, checkpoint + resume) so the real
-# subprocess path is exercised on every PR, a resume of the pool's
-# checkpoint by the simulated backend (both executors read one
-# format), and the docs-check that executes every fenced python block
-# in README.md and docs/*.md.
+# What CI runs: the tier-1 suite -- which carries the identity matrix
+# (tests/dist/test_identity_matrix.py: scalar and packed kernels on the
+# simulated, pool and farm executors, fault-free and under seeded
+# chaos, every record byte-equal to the scalar reference) and the
+# packed-vs-scalar census -- then a smoke parallel campaign through
+# the CLI (width 8, 2 subprocesses, checkpoint + resume), a resume of
+# the pool's checkpoint by the simulated backend (every executor reads
+# one format), and the docs-check that executes every fenced python
+# block in README.md and docs/*.md.
 verify:
 	PYTHONPATH=src $(PY) -m pytest -x -q tests/
 	rm -f /tmp/repro-smoke-campaign.json /tmp/repro-smoke-campaign.json.prev
@@ -39,28 +42,6 @@ verify:
 docs-check:
 	$(PY) tools/check_docs.py
 
-# The survival-kit gauntlet (~1s of campaign work, seeded): worker
-# crashes + a hard kill + a SIGTERM drain + a corrupted checkpoint +
-# resume must still produce a record bit-identical to a fault-free
-# run, and a poison chunk must end quarantined.  docs/RESILIENCE.md.
-chaos-smoke:
-	$(PY) tools/chaos_campaign.py --seed 2002
-
-# Multi-host farm gate, fault-free: a real WorkServer coordinator and
-# three WorkClient workers over the loopback transport must finish a
-# campaign bit-identical to the direct single-process merge, with the
-# per-worker books balancing.  docs/FARM.md.
-farm-smoke:
-	$(PY) tools/farm_smoke.py
-
-# Multi-host farm gauntlet: the same farm under a seeded network
-# disaster -- severed connection, dropped + duplicated completions, a
-# worker killed while holding a lease, and a coordinator SIGTERM +
-# checkpoint restart -- must still produce a bit-identical record,
-# with the event log proving every fault fired.  docs/FARM.md.
-farm-chaos:
-	$(PY) tools/chaos_farm.py --seed 2002
-
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
@@ -75,13 +56,6 @@ bench-e2e:
 # catalog spec must agree with the bit-serial reference, end to end.
 backend-gate:
 	PYTHONPATH=src $(PY) tools/backend_gate.py
-
-# Packed-kernel identity gate: the screening census over the width-10
-# full space, and index-range sweeps at widths 40 and 63, must be
-# bit-identical to the scalar oracle, and the matpow / jump engines
-# must hit their independent oracles.
-packed-gate:
-	PYTHONPATH=src $(PY) tools/packed_gate.py
 
 # Serving-layer gate: spawn `repro serve-crc` on a loopback port,
 # run a scripted NDJSON session (every op + error paths), SIGTERM it,

@@ -59,12 +59,15 @@ class Coordinator(CampaignCore):
         ``time_per_chunk / len(live_workers)`` per executed chunk --
         a simple but adequate interleaving model.  Lease expiry (and
         hence reassignment after crashes) falls out of the clock
-        passing ``lease_duration``.  Returns the final logical time.
+        passing ``lease_duration``.  A drain (the fault plan's
+        scheduled SIGTERM) stops leasing, as in the pool and the farm:
+        the run ends with work left, checkpointed and reported as
+        ``campaign.interrupted``.  Returns the final logical time.
         """
         now = 0.0
         idle_rounds = 0
         self._begin_run(now, "simulated", workers=len(workers))
-        while not self.queue.finished:
+        while not self.queue.finished and self._shutdown_signal is None:
             live = [w for w in workers if w.alive]
             if not live:
                 raise RuntimeError(
@@ -73,6 +76,8 @@ class Coordinator(CampaignCore):
                 )
             made_progress = False
             for worker in live:
+                if self._shutdown_signal is not None:
+                    break
                 try:
                     outcome = worker.run_one(self.queue, now)
                 except WorkerCrashed:

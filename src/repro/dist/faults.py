@@ -8,11 +8,12 @@ a flaky disk flips bits in the checkpoint; the cluster operator sends
 the coordinator SIGTERM at 2 a.m.
 
 :class:`FaultPlan` scripts these deterministically (seeded) so the
-test suite and the chaos harness (``tools/chaos_campaign.py``) can
-assert the exact recovery behaviour: every chunk ends DONE exactly
-once in the campaign record, regardless of the plan -- or, for a
-*poison* chunk that crashes its worker on every attempt, ends
-QUARANTINED after its retry budget instead of wedging the pool.
+test suite and the identity matrix
+(``tests/dist/test_identity_matrix.py``) can assert the exact
+recovery behaviour: every chunk ends DONE exactly once in the campaign
+record, regardless of the plan -- or, for a *poison* chunk that
+crashes its worker on every attempt, ends QUARANTINED after its retry
+budget instead of wedging the pool.
 """
 
 from __future__ import annotations

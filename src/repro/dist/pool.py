@@ -38,8 +38,9 @@ process pool and its failure handling:
 * fault injection reuses :class:`~repro.dist.faults.FaultPlan` under
   the pool conventions (chunk-id keyed crash/kill/poison sets, plus
   coordinator-side checkpoint-corruption and kill-signal schedules),
-  so the test suite and ``tools/chaos_campaign.py`` script subprocess
-  failure deterministically.
+  so the test suite and the identity matrix
+  (``tests/dist/test_identity_matrix.py``) script subprocess failure
+  deterministically.
 """
 
 from __future__ import annotations

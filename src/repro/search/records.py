@@ -127,7 +127,7 @@ class CampaignRecord:
         # Results are serialized in polynomial order, not insertion
         # (= chunk completion) order: two campaigns that merged the
         # same chunks in different interleavings produce bit-identical
-        # JSON, which the chaos harness asserts and the checkpoint
+        # JSON, which the identity matrix asserts and the checkpoint
         # CRC-32 self-checksum depends on.
         return {
             "width": self.width,

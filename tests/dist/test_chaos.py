@@ -5,8 +5,8 @@ The property the survival kit rests on: a seeded fault schedule is a
 *value*, not a dice roll.  Two campaigns under the same plan make the
 same scheduling decisions, emit the same event sequence (modulo
 timestamps), and converge on the same record -- which is what lets
-``tools/chaos_campaign.py`` assert bit-identical output after a kill,
-a corruption, and a resume.
+``test_identity_matrix.py`` assert byte-identical records after a
+kill, a corruption, and a resume.
 """
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ from repro.dist.faults import FaultPlan, corrupt_file
 from repro.dist.pool import ParallelCoordinator
 from repro.dist.worker import ChunkWorker
 from repro.obs.events import EventLog, read_events
-from repro.search.exhaustive import SearchConfig, search_all
 
-SIM_CFG = SearchConfig(width=6, target_hd=4, filter_lengths=(8, 20),
-                       confirm_weights=False)
-POOL_CFG = SearchConfig(width=8, target_hd=4, filter_lengths=(16, 40, 100),
-                        confirm_weights=False)
-MAX_SECONDS = 120.0
+from tests.dist.conftest import CFG, CHUNK_SIZE, MAX_SECONDS
 
 #: Fields whose values depend on the wall clock or the process, not on
 #: the campaign's logical behaviour.
@@ -39,8 +34,8 @@ _TIMESTAMP_KEYS = ("t", "wall", "pid", "seconds", "elapsed")
 
 
 def make_pool_runner(**kwargs) -> ParallelCoordinator:
-    kwargs.setdefault("config", POOL_CFG)
-    kwargs.setdefault("chunk_size", 8)
+    kwargs.setdefault("config", CFG)
+    kwargs.setdefault("chunk_size", CHUNK_SIZE)
     kwargs.setdefault("processes", 2)
     kwargs.setdefault("lease_duration", 2.0)
     kwargs.setdefault("max_seconds", MAX_SECONDS)
@@ -100,10 +95,10 @@ class TestSameSeedCampaignsAreIdentical:
             log = str(tmp_path / f"{tag}.jsonl")
             with EventLog(log) as events:
                 coord = Coordinator(
-                    config=SIM_CFG, chunk_size=4, lease_duration=2.0,
+                    config=CFG, chunk_size=CHUNK_SIZE, lease_duration=2.0,
                     events=events,
                 )
-                coord.run([ChunkWorker(w, SIM_CFG, faults=plan) for w in ids])
+                coord.run([ChunkWorker(w, CFG, faults=plan) for w in ids])
             return log, coord.campaign.to_json()
 
         log_a, record_a = run("a")
@@ -158,7 +153,7 @@ class TestPoisonQuarantine:
 
 
 class TestGracefulShutdown:
-    def test_sigterm_drains_checkpoints_and_resumes(self, tmp_path, baseline):
+    def test_sigterm_drains_checkpoints_and_resumes(self, tmp_path, reference):
         ckpt = str(tmp_path / "drain.ckpt")
         plan = FaultPlan(kill_signal_after=4)
         first = make_pool_runner(
@@ -178,9 +173,9 @@ class TestGracefulShutdown:
         assert skipped >= 4  # everything delivered before + during drain
         second.run()
         assert second.interrupted is None
-        assert_matches_baseline(second, baseline)
+        assert second.campaign.to_json() == reference
 
-    def test_corrupt_checkpoint_resume_falls_back(self, tmp_path, baseline):
+    def test_corrupt_checkpoint_resume_falls_back(self, tmp_path, reference):
         ckpt = str(tmp_path / "rot.ckpt")
         first = make_pool_runner(checkpoint_path=ckpt, checkpoint_every=2)
         first.run(stop_after=6)
@@ -195,24 +190,7 @@ class TestGracefulShutdown:
             second.run()
         names = [rec["event"] for rec in read_events(log)]
         assert "checkpoint.corrupt" in names
-        assert_matches_baseline(second, baseline)
-
-
-# Reuse the pool suite's ground truth so the chaos tests assert the
-# same governing invariant against the same baseline.
-@pytest.fixture(scope="module")
-def baseline():
-    res = search_all(POOL_CFG)
-    return {r.poly: r.survived for r in res.records}, res.examined
-
-
-def assert_matches_baseline(runner, baseline):
-    truth, examined = baseline
-    assert runner.queue.all_done
-    assert runner.campaign.candidates_examined == examined
-    assert {
-        r.poly: r.survived for r in runner.campaign.results.values()
-    } == truth
+        assert second.campaign.to_json() == reference
 
 
 class TestRebuildBackoff:

@@ -19,11 +19,9 @@ from hypothesis import strategies as st
 
 from repro.dist.net import PROTOCOL, WorkServer, result_to_wire
 from repro.dist.transport import LoopbackTransport
-from repro.search.exhaustive import SearchConfig, search_chunk
+from repro.search.exhaustive import search_chunk
 
-CFG = SearchConfig(width=8, target_hd=4, filter_lengths=(16, 40, 100),
-                   confirm_weights=False)
-CHUNK_SIZE = 16
+from tests.dist.conftest import CFG, CHUNK_SIZE
 
 
 def make_server(**kwargs) -> WorkServer:

@@ -17,28 +17,12 @@ import pytest
 
 from repro.dist.faults import FaultPlan
 from repro.dist.net import WorkClient, WorkServer, WorkerKilled
-from repro.dist.tasks import partition_space
 from repro.dist.transport import FaultyTransport, LoopbackTransport
 from repro.obs.events import EventLog, read_events
 from repro.obs.report import RunReport
-from repro.search.exhaustive import SearchConfig, search_chunk
 from repro.search.records import CampaignRecord
 
-CFG = SearchConfig(width=8, target_hd=4, filter_lengths=(16, 40, 100),
-                   confirm_weights=False)
-CHUNK_SIZE = 16  # 8 chunks
-MAX_SECONDS = 60.0
-
-
-def reference_record() -> CampaignRecord:
-    ref = CampaignRecord(
-        width=CFG.width, data_word_bits=CFG.final_length,
-        target_hd=CFG.target_hd,
-    )
-    for task in partition_space(CFG.width, CHUNK_SIZE):
-        res = search_chunk(CFG, task.start_index, task.end_index)
-        ref.merge_chunk(task.chunk_id, res.records, res.examined)
-    return ref
+from tests.dist.conftest import CFG, CHUNK_SIZE, MAX_SECONDS
 
 
 def make_server(transport, **kwargs) -> WorkServer:
@@ -74,14 +58,14 @@ async def run_farm(server, clients):
 
 
 class TestFaultFreeFarm:
-    def test_three_workers_complete_the_campaign(self):
+    def test_three_workers_complete_the_campaign(self, reference):
         transport = LoopbackTransport()
         server = make_server(transport)
         clients = [make_client(transport, f"w{i}") for i in range(3)]
         rcs = asyncio.run(run_farm(server, clients))
         assert rcs == [0, 0, 0, 0]
         assert server.queue.all_done
-        assert server.campaign.to_json() == reference_record().to_json()
+        assert server.campaign.to_json() == reference
         assert server.stats.completions == len(server.queue)
         assert server.stats.duplicate_deliveries == 0
         # Every worker connected exactly once and the books balance.
@@ -90,13 +74,13 @@ class TestFaultFreeFarm:
         )
         assert all(b.connections == 1 for b in server.workers.values())
 
-    def test_single_worker_farm(self):
+    def test_single_worker_farm(self, reference):
         transport = LoopbackTransport()
         server = make_server(transport)
         client = make_client(transport, "solo")
         rcs = asyncio.run(run_farm(server, [client]))
         assert rcs == [0, 0]
-        assert server.campaign.to_json() == reference_record().to_json()
+        assert server.campaign.to_json() == reference
         assert client.stats.chunks == len(server.queue)
 
     def test_events_feed_run_report_per_worker_accounting(self, tmp_path):
@@ -126,7 +110,7 @@ class TestFaultFreeFarm:
 
 
 class TestFaultRecovery:
-    def test_dropped_complete_is_resent_after_reconnect(self):
+    def test_dropped_complete_is_resent_after_reconnect(self, reference):
         plan = FaultPlan(net_drop_complete={"w0": {0}})
         transport = FaultyTransport(LoopbackTransport(), plan)
         server = make_server(transport)
@@ -134,12 +118,12 @@ class TestFaultRecovery:
                    for i in range(2)]
         rcs = asyncio.run(run_farm(server, clients))
         assert rcs == [0, 0, 0]
-        assert server.campaign.to_json() == reference_record().to_json()
+        assert server.campaign.to_json() == reference
         assert clients[0].stats.reconnects >= 1
         assert clients[0].stats.resent_completes >= 1
         assert server.workers["w0"].connections >= 2
 
-    def test_duplicated_complete_merges_once(self):
+    def test_duplicated_complete_merges_once(self, reference):
         plan = FaultPlan(net_duplicate_complete={"w0": {0}})
         transport = FaultyTransport(LoopbackTransport(), plan)
         server = make_server(transport)
@@ -147,11 +131,11 @@ class TestFaultRecovery:
                    for i in range(2)]
         rcs = asyncio.run(run_farm(server, clients))
         assert rcs == [0, 0, 0]
-        assert server.campaign.to_json() == reference_record().to_json()
+        assert server.campaign.to_json() == reference
         assert server.stats.duplicate_deliveries == 1
         assert server.stats.completions == len(server.queue)
 
-    def test_severed_connection_reconnects_and_finishes(self):
+    def test_severed_connection_reconnects_and_finishes(self, reference):
         plan = FaultPlan(net_sever_after={"w0": 3})
         transport = FaultyTransport(LoopbackTransport(), plan)
         server = make_server(transport)
@@ -159,10 +143,10 @@ class TestFaultRecovery:
                    for i in range(2)]
         rcs = asyncio.run(run_farm(server, clients))
         assert rcs == [0, 0, 0]
-        assert server.campaign.to_json() == reference_record().to_json()
+        assert server.campaign.to_json() == reference
         assert server.workers["w0"].connections == 2
 
-    def test_killed_worker_strands_a_lease_the_reaper_reclaims(self):
+    def test_killed_worker_strands_a_lease_the_reaper_reclaims(self, reference):
         plan = FaultPlan(net_kill_after={"w0": 1})
         transport = FaultyTransport(LoopbackTransport(), plan)
         server = make_server(transport)
@@ -170,13 +154,13 @@ class TestFaultRecovery:
                    for i in range(2)]
         rcs = asyncio.run(run_farm(server, clients))
         assert rcs == [0, "killed", 0]
-        assert server.campaign.to_json() == reference_record().to_json()
+        assert server.campaign.to_json() == reference
         # w0 died holding a lease; the reaper expired it and w1
         # computed the chunk.
         assert server.stats.lease_expiries >= 1
         assert server.workers["w0"].expiries >= 1
 
-    def test_fault_budget_benches_a_flaky_worker(self):
+    def test_fault_budget_benches_a_flaky_worker(self, reference):
         plan = FaultPlan(net_kill_after={"w0": 0})  # dies on first lease
         transport = FaultyTransport(LoopbackTransport(), plan)
         server = make_server(transport, worker_fault_budget=1)
@@ -184,14 +168,14 @@ class TestFaultRecovery:
                    for i in range(2)]
         rcs = asyncio.run(run_farm(server, clients))
         assert rcs == [0, "killed", 0]
-        assert server.campaign.to_json() == reference_record().to_json()
+        assert server.campaign.to_json() == reference
         assert server.workers["w0"].benched
         assert server.workers["w0"].chunks == 0
         assert server.workers["w1"].chunks == len(server.queue)
 
 
 class TestDrainAndResume:
-    def test_drain_checkpoints_and_resume_completes(self, tmp_path):
+    def test_drain_checkpoints_and_resume_completes(self, tmp_path, reference):
         ckpt = str(tmp_path / "farm.ckpt")
         plan = FaultPlan(kill_signal_after=3)
         transport = LoopbackTransport()
@@ -211,7 +195,7 @@ class TestDrainAndResume:
         clients2 = [make_client(transport2, f"x{i}") for i in range(2)]
         rcs = asyncio.run(run_farm(server2, clients2))
         assert rcs == [0, 0, 0]
-        assert server2.campaign.to_json() == reference_record().to_json()
+        assert server2.campaign.to_json() == reference
         assert server2.stats.skipped_from_checkpoint == skipped
 
     def test_draining_server_turns_workers_away(self):

@@ -3,7 +3,8 @@
 Governing invariant (same as the simulated coordinator's): whatever
 happens to the subprocesses -- crashes, hard kills, duplicate
 deliveries, mid-flight shutdown plus resume -- the finished campaign
-record is identical to a clean single-process run.
+record is byte-identical to the reference.  The clean run and the
+seeded chaos run are cells of ``test_identity_matrix.py``.
 """
 
 from __future__ import annotations
@@ -17,36 +18,23 @@ import pytest
 from repro.dist.checkpoint import CheckpointMismatch
 from repro.dist.faults import POOL_CRASH, POOL_KILL, FaultPlan
 from repro.dist.pool import ParallelCoordinator, _run_chunk
-from repro.obs.events import NullEventLog
-from repro.search.exhaustive import SearchConfig, search_all, search_chunk
+from repro.search.exhaustive import SearchConfig, search_chunk
 
-CFG = SearchConfig(width=8, target_hd=4, filter_lengths=(16, 40, 100),
-                   confirm_weights=False)
-MAX_SECONDS = 120.0  # far above normal; guards CI against a wedged pool
-
-
-@pytest.fixture(scope="module")
-def baseline():
-    res = search_all(CFG)
-    return {r.poly: r.survived for r in res.records}, res.examined
+from tests.dist.conftest import CFG, CHUNK_SIZE, MAX_SECONDS, Recorder
 
 
 def make_runner(**kwargs):
     kwargs.setdefault("config", CFG)
-    kwargs.setdefault("chunk_size", 8)
+    kwargs.setdefault("chunk_size", CHUNK_SIZE)
     kwargs.setdefault("processes", 2)
     kwargs.setdefault("lease_duration", 0.5)
     kwargs.setdefault("max_seconds", MAX_SECONDS)
     return ParallelCoordinator(**kwargs)
 
 
-def assert_matches_baseline(runner, baseline):
-    truth, examined = baseline
+def assert_matches_reference(runner, reference):
     assert runner.queue.all_done
-    assert runner.campaign.candidates_examined == examined
-    assert {
-        r.poly: r.survived for r in runner.campaign.results.values()
-    } == truth
+    assert runner.campaign.to_json() == reference
 
 
 class TestPicklability:
@@ -67,23 +55,13 @@ class TestPicklability:
 
 
 class TestCleanRun:
-    def test_matches_direct_search(self, baseline):
-        runner = make_runner()
-        runner.run()
-        assert_matches_baseline(runner, baseline)
-        assert runner.stats.duplicate_deliveries == 0
-        assert runner.stats.crashes == 0
-
-    def test_single_process_matches_four(self, baseline):
+    def test_single_process_matches_four(self, reference):
         one = make_runner(processes=1)
         one.run()
         four = make_runner(processes=4)
         four.run()
-        assert_matches_baseline(one, baseline)
-        assert_matches_baseline(four, baseline)
-        # Full record equality, not just survivor sets: same chunks,
-        # same counts, same per-poly outcomes.
-        assert one.campaign == four.campaign
+        assert_matches_reference(one, reference)
+        assert_matches_reference(four, reference)
 
     def test_rejects_zero_processes(self):
         with pytest.raises(ValueError, match="processes"):
@@ -91,29 +69,29 @@ class TestCleanRun:
 
 
 class TestFaultTolerance:
-    def test_soft_crash_reassigned_after_lease_expiry(self, baseline):
+    def test_soft_crash_reassigned_after_lease_expiry(self, reference):
         plan = FaultPlan(crash_points={POOL_CRASH: 3})
         runner = make_runner(faults=plan)
         runner.run()
-        assert_matches_baseline(runner, baseline)
+        assert_matches_reference(runner, reference)
         assert runner.stats.crashes == 1
         assert runner.stats.reassignments >= 1
         assert runner.queue.task(3).attempts == 2
 
-    def test_hard_kill_rebuilds_pool(self, baseline):
+    def test_hard_kill_rebuilds_pool(self, reference):
         plan = FaultPlan(crash_points={POOL_KILL: 2})
         runner = make_runner(faults=plan)
         runner.run()
-        assert_matches_baseline(runner, baseline)
+        assert_matches_reference(runner, reference)
         assert runner.stats.pool_rebuilds >= 1
         assert runner.stats.reassignments >= 1
 
-    def test_kill_seen_at_submit_is_a_crash(self, baseline):
+    def test_kill_seen_at_submit_is_a_crash(self, reference):
         """A pool that breaks between two submissions is reported by
         ``submit`` before the coordinator's wait sees the dead future.
         That path must record the killed chunk as a crash before the
         rebuild, exactly as the wait path does."""
-        events = _Recorder()
+        events = Recorder()
         runner = make_runner(
             faults=FaultPlan(kill_chunks={0}), events=events
         )
@@ -122,7 +100,7 @@ class TestFaultTolerance:
             ParallelCoordinator._new_executor(runner), submits_refused
         )
         runner.run()
-        assert_matches_baseline(runner, baseline)
+        assert_matches_reference(runner, reference)
         assert submits_refused, "the submit-time path never ran"
         assert runner.stats.crashes == 1
         assert runner.stats.pool_rebuilds == 1
@@ -131,22 +109,12 @@ class TestFaultTolerance:
         assert events.records[crash][1] == {"chunk": 0, "kind": "killed"}
         assert crash < names.index("pool.rebuild")
 
-    def test_duplicate_delivery_deduped(self, baseline):
+    def test_duplicate_delivery_deduped(self, reference):
         plan = FaultPlan(duplicate_completions={POOL_CRASH: 5})
         runner = make_runner(faults=plan)
         runner.run()
-        assert_matches_baseline(runner, baseline)
+        assert_matches_reference(runner, reference)
         assert runner.stats.duplicate_deliveries == 1
-
-
-class _Recorder(NullEventLog):
-    """Event sink that keeps ``(event, fields)`` pairs in order."""
-
-    def __init__(self) -> None:
-        self.records: list[tuple[str, dict]] = []
-
-    def emit(self, event, **fields):
-        self.records.append((event, fields))
 
 
 class _SubmitAfterSettling:
@@ -176,7 +144,7 @@ class _SubmitAfterSettling:
 
 
 class TestKillAndResume:
-    def test_kill_checkpoint_resume_equals_clean_run(self, tmp_path, baseline):
+    def test_kill_checkpoint_resume_equals_clean_run(self, tmp_path, reference):
         """The acceptance scenario end to end: a campaign survives a
         killed worker process, checkpoints mid-flight, is torn down,
         and a fresh resumed runner finishes to the identical record
@@ -195,23 +163,19 @@ class TestKillAndResume:
         assert skipped >= first.stats.completions - 1  # last ckpt may lag by <every
         assert skipped > 0
         resumed.run()
-        assert_matches_baseline(resumed, baseline)
+        assert_matches_reference(resumed, reference)
 
-        clean = make_runner(processes=1)
-        clean.run()
-        assert resumed.campaign == clean.campaign
-
-    def test_resume_skips_without_recompute(self, tmp_path, baseline):
+    def test_resume_skips_without_recompute(self, tmp_path, reference):
         path = str(tmp_path / "campaign.json")
         full = make_runner(checkpoint_path=path, checkpoint_every=1)
         full.run()
-        assert_matches_baseline(full, baseline)
+        assert_matches_reference(full, reference)
 
         resumed = make_runner(checkpoint_path=path)
         assert resumed.resume() == len(resumed.queue)
         resumed.run()
         assert resumed.stats.completions == 0  # nothing recomputed
-        assert_matches_baseline(resumed, baseline)
+        assert_matches_reference(resumed, reference)
 
     def test_resume_rejects_foreign_checkpoint(self, tmp_path):
         path = str(tmp_path / "campaign.json")
@@ -234,7 +198,7 @@ class TestKillAndResume:
 
 
 class TestProgress:
-    def test_summary_lines_emitted(self, baseline):
+    def test_summary_lines_emitted(self):
         lines: list[str] = []
         runner = make_runner(log=lines.append, progress_interval=0.0)
         runner.run()

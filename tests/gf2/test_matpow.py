@@ -87,6 +87,13 @@ class TestPowerLadder:
         ladder = ladder_for(g)
         assert ladder.jump(ladder.syndrome_at(a), b) == ladder.syndrome_at(a + b)
 
+    def test_crc32_jumps_match_oracle_up_to_1e15(self, g_8023):
+        # The CRC-32 generator at fixed lengths: word boundaries, the
+        # paper's 12,112-bit MTU, and jumps far past any table.
+        ladder = ladder_for(g_8023)
+        for n in (1, 63, 64, 4096, 12_112, 10**9, 10**15):
+            assert ladder.syndrome_at(n) == x_pow_mod(n, g_8023), n
+
     def test_ladder_cache_returns_same_object(self):
         assert ladder_for(0x104C11DB7) is ladder_for(0x104C11DB7)
 

@@ -14,11 +14,8 @@ from repro.dist.coordinator import Coordinator
 from repro.dist.worker import ChunkWorker
 from repro.obs.events import EventLog, read_events
 from repro.obs.report import RunReport
-from repro.search.exhaustive import SearchConfig
 
-CFG = SearchConfig(width=8, target_hd=4, filter_lengths=(16, 40, 100),
-                   confirm_weights=False)
-MAX_SECONDS = 120.0
+from tests.dist.conftest import CFG, MAX_SECONDS
 
 
 def make_runner(events, **kwargs):

@@ -28,7 +28,8 @@ from repro.obs.trace import (
     span_tree,
     spans_from_events,
 )
-from repro.search.exhaustive import SearchConfig
+
+from tests.dist.conftest import CFG
 
 
 class FakeClock:
@@ -167,10 +168,6 @@ class TestTreeHelpers:
         assert [(d, s["name"]) for d, s in rows] == [
             (0, "root"), (1, "child"), (0, "orphan"),
         ]
-
-
-CFG = SearchConfig(width=8, target_hd=4, filter_lengths=(16, 40, 100),
-                   confirm_weights=False)
 
 
 class TestKillAndResumeIntegrity:

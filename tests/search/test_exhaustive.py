@@ -9,6 +9,7 @@ from repro.hd.hamming import hamming_distance
 from repro.search.exhaustive import (
     SearchConfig,
     campaign_from_results,
+    confirm_survivor,
     expected_examined,
     search_all,
     search_chunk,
@@ -97,3 +98,26 @@ class TestChunkedEquivalence:
         res = search_all(cfg)
         for rec in res.survivors:
             assert rec.hd == hamming_distance(rec.poly, 16, exploit_parity=False)
+
+
+class TestConfirmAtMtu:
+    """Confirming the paper's headline polynomial, 0xBA0DC66B, at its
+    12,112-bit MTU.  The screen already proved weights 2-5 absent, so
+    confirmation only looks for the weight-6 witness."""
+
+    CFG = SearchConfig.for_bits(32, 6, 12112)
+    BA0D_FULL = 0x1741B8CD7  # 0xBA0DC66B in full notation
+    BA0D_INDEX = 973981291  # its dense canonical index at width 32
+
+    def test_headline_polynomial_confirms_hd6(self):
+        rec = confirm_survivor(self.BA0D_FULL, self.CFG)
+        assert rec.hd == 6
+        assert rec.survived
+        assert rec.data_word_bits == 12112
+
+    @pytest.mark.slow
+    def test_headline_single_index_chunk_completes(self):
+        res = search_chunk(self.CFG, self.BA0D_INDEX, self.BA0D_INDEX + 1)
+        (rec,) = res.records
+        assert rec.poly == self.BA0D_FULL
+        assert rec.hd == 6 and rec.survived

@@ -24,6 +24,8 @@ from repro.search.exhaustive import (
     SearchConfig,
     campaign_from_results,
     effective_kernel,
+    expected_examined,
+    screen_chunk,
     search_chunk,
 )
 
@@ -58,7 +60,36 @@ class TestFullSpaceIdentity:
     @pytest.mark.parametrize("width", [8, 9, 10, 11, 12])
     def test_hd4_screening_identical(self, width):
         cfg = SearchConfig.for_bits(width, 4, 120)
-        assert_identical(*both_backends(cfg))
+        packed, scalar = both_backends(cfg)
+        assert_identical(packed, scalar)
+        # The census covers the whole canonical space.
+        assert packed.examined == expected_examined(width)
+
+    def test_hd5_weight4_screen_identical(self):
+        # At HD 5 the packed backend routes weight 4 through the pair
+        # screen on materialized uint64 tables, over a full space.
+        cfg = SearchConfig.for_bits(10, 5, 120)
+        packed, scalar = both_backends(cfg)
+        assert_identical(packed, scalar)
+        assert packed.examined == expected_examined(10)
+
+    def test_screen_survivors_and_tables_identical(self):
+        # The screening phase itself, before confirmation: the same kill
+        # records, the same survivor slots and polys, and the same
+        # final-length syndrome table handed to confirmation.
+        cfg = SearchConfig.for_bits(10, 4, 120)
+        end = 1 << (cfg.width - 1)
+        packed = screen_chunk(cfg, 0, end)
+        scalar = screen_chunk(replace(cfg, backend="scalar"), 0, end)
+        assert packed.records == scalar.records
+        assert [s[:2] for s in packed.survivors] == [
+            s[:2] for s in scalar.survivors
+        ]
+        assert packed.survivors
+        for (_, g, tp), (_, _, ts) in zip(packed.survivors, scalar.survivors):
+            np.testing.assert_array_equal(
+                tp.astype(np.uint64), ts, err_msg=f"{g:#x}"
+            )
 
     @pytest.mark.parametrize("target_hd", [5, 6])
     def test_deep_cascade_identical(self, target_hd):
@@ -84,6 +115,17 @@ class TestFullSpaceIdentity:
         cfg = SearchConfig.for_bits(10, 4, 100, batch_size=7)
         assert_identical(*both_backends(cfg))
 
+    @pytest.mark.parametrize(
+        "batch", [{}, {"batch_size": 7}], ids=["default", "batch7"]
+    )
+    def test_160_bit_cascade_identical(self, batch):
+        # The (20, 80, 160) cascade over the width-10 space, at the
+        # default batch size and at one that forces lane compaction.
+        cfg = SearchConfig.for_bits(10, 4, 160, **batch)
+        packed, scalar = both_backends(cfg)
+        assert_identical(packed, scalar)
+        assert packed.examined == expected_examined(10)
+
     def test_merged_campaigns_identical(self):
         cfg = SearchConfig.for_bits(9, 4, 100)
         bounds = [(lo, min(lo + 50, 256)) for lo in range(0, 256, 50)]
@@ -104,15 +146,23 @@ class TestFullSpaceIdentity:
         assert packed.results == scalar.results
 
     @pytest.mark.parametrize("width", [33, 40, 63])
-    @pytest.mark.parametrize("target_hd, bits", [(4, 48), (6, 32)])
-    def test_wide_index_ranges_identical(self, width, target_hd, bits):
+    @pytest.mark.parametrize(
+        "target_hd, bits, span",
+        [
+            pytest.param(4, 48, 24, id="4-48"),
+            pytest.param(4, 64, 48, id="4-64"),
+            pytest.param(6, 32, 24, id="6-32"),
+            pytest.param(6, 40, 48, id="6-40"),
+        ],
+    )
+    def test_wide_index_ranges_identical(self, width, target_hd, bits, span):
         # Above 32 bits the sweep runs uint64 and serially, and weight 3
         # runs on BatchKeys; the low indices hold sparse generators
         # that die at weights 2-5, a third of the way in they survive.
         cfg = SearchConfig.for_bits(width, target_hd, bits)
         third = (1 << (width - 1)) // 3
         for start in (0, third):
-            assert_identical(*both_backends(cfg, start, start + 24))
+            assert_identical(*both_backends(cfg, start, start + span))
 
     def test_width_above_packed_cap_falls_back(self):
         # A generator wider than 63 bits no longer fits a uint64 lane:
