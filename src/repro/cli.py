@@ -303,18 +303,40 @@ def _run_parallel_campaign(args: argparse.Namespace, cfg: SearchConfig) -> int:
         )
         _resume(runner, args)
         elapsed = runner.run()
-    print(runner.queue.progress())
-    print(
-        f"{len(runner.campaign.survivors)} survivors; "
-        f"{runner.stats.completions} chunks computed in {elapsed:.1f}s wall "
-        f"across {args.parallel} processes"
+    return _summarize_campaign(
+        runner, args,
+        f"in {elapsed:.1f}s wall across {args.parallel} processes",
     )
+
+
+def _summarize_campaign(coord, args: argparse.Namespace, how: str) -> int:
+    """The end-of-run summary of a pool or farm campaign, with each
+    worker's books, mapped to the exit code."""
+    print(coord.queue.progress())
+    print(
+        f"{len(coord.campaign.survivors)} survivors; "
+        f"{coord.stats.completions} chunks computed {how}"
+    )
+    for name in sorted(coord.workers):
+        book = coord.workers[name]
+        line = (
+            f"  {name}: {book.chunks} chunks, {book.examined} candidates, "
+            f"{book.connections} connection(s)"
+        )
+        if book.lease_losses or book.expiries:
+            line += (
+                f", {book.expiries} expirie(s), "
+                f"{book.lease_losses} lease loss(es)"
+            )
+        if book.benched:
+            line += " [benched]"
+        print(line)
     if args.checkpoint:
         print(f"campaign record written to {args.checkpoint}")
     if args.metrics:
         print("worker metrics (merged):")
-        print(runner.metrics.render())
-    return _finish_campaign(runner.queue.quarantined_ids, runner.interrupted)
+        print(coord.metrics.render())
+    return _finish_campaign(coord.queue.quarantined_ids, coord.interrupted)
 
 
 def _run_simulated_campaign(args: argparse.Namespace, cfg: SearchConfig) -> int:
@@ -382,32 +404,9 @@ def _run_farm_server(args: argparse.Namespace, cfg: SearchConfig) -> int:
         )
         _resume(server, args)
         asyncio.run(server.serve())
-    print(server.queue.progress())
-    print(
-        f"{len(server.campaign.survivors)} survivors; "
-        f"{server.stats.completions} chunks computed by "
-        f"{len(server.workers)} worker(s)"
+    return _summarize_campaign(
+        server, args, f"by {len(server.workers)} worker(s)"
     )
-    for name in sorted(server.workers):
-        book = server.workers[name]
-        line = (
-            f"  {name}: {book.chunks} chunks, {book.examined} candidates, "
-            f"{book.connections} connection(s)"
-        )
-        if book.lease_losses or book.expiries:
-            line += (
-                f", {book.expiries} expirie(s), "
-                f"{book.lease_losses} lease loss(es)"
-            )
-        if book.benched:
-            line += " [benched]"
-        print(line)
-    if args.checkpoint:
-        print(f"campaign record written to {args.checkpoint}")
-    if args.metrics:
-        print("worker metrics (merged):")
-        print(server.metrics.render())
-    return _finish_campaign(server.queue.quarantined_ids, server.interrupted)
 
 
 def cmd_work(args: argparse.Namespace) -> int:

@@ -22,18 +22,20 @@ This package reproduces that system:
   executing half and the simulated executor, which round-robins
   workers under a logical clock.
 * :mod:`repro.dist.faults` -- deterministic fault injection (crashes,
-  duplicate deliveries, stragglers) used by the test suite to verify
-  no work is lost or double-counted.
+  duplicate deliveries, stragglers, severed and lossy wires, poison
+  chunks) used by the test suite to verify no work is lost or
+  double-counted.
 * :mod:`repro.dist.farm` -- a virtual-time discrete-event simulation
   of the 2001 fleet, reproducing the campaign-scale arithmetic (why
   2**30 polynomials at ~2/s/CPU takes a summer, and why Castagnoli's
   special-purpose hardware would have needed 3600+ years).
-* :mod:`repro.dist.pool` -- the wall-clock executor: the same engine
-  driving real subprocesses (``ProcessPoolExecutor``), with lease
-  renewal against actual time and broken-pool rebuilds.
-* :mod:`repro.dist.net` -- the multi-host executor: the same engine
+* :mod:`repro.dist.net` -- the wall-clock executor: the same engine
   behind the ``repro-work/1`` protocol (``repro serve`` /
-  ``repro work``), with per-worker books.
+  ``repro work``), with worker-held leases, a reaper,
+  reconnect-and-resend and per-worker books.
+* :mod:`repro.dist.pool` -- that executor on one host: a loopback
+  ``WorkServer`` plus forked ``WorkClient`` children, whose deaths
+  forfeit their leases at once and are respawned.
 """
 
 from repro.dist.tasks import SearchTask, TaskStatus
@@ -44,7 +46,7 @@ from repro.dist.coordinator import Coordinator
 from repro.dist.checkpoint import CheckpointMismatch
 from repro.dist.faults import FaultPlan
 from repro.dist.farm import FarmSpec, MachineSpec, simulate_campaign, CampaignEstimate
-from repro.dist.pool import ParallelCoordinator, PoolStats
+from repro.dist.pool import ParallelCoordinator
 
 __all__ = [
     "SearchTask",
@@ -61,5 +63,4 @@ __all__ = [
     "simulate_campaign",
     "CampaignEstimate",
     "ParallelCoordinator",
-    "PoolStats",
 ]

@@ -2,12 +2,12 @@
 
 The paper's campaign ran for over three months on ~80 workstations and
 finished because one coordinator leased work, merged results
-idempotently and checkpointed its progress.  Three executors drive
+idempotently and checkpointed its progress.  Two executors drive
 that lifecycle here -- the simulated round-robin
-:class:`~repro.dist.coordinator.Coordinator`, the process pool
-:class:`~repro.dist.pool.ParallelCoordinator` and the network farm's
-:class:`~repro.dist.net.WorkServer` -- and :class:`CampaignCore` is
-the one implementation of it they build on:
+:class:`~repro.dist.coordinator.Coordinator` and the network farm's
+:class:`~repro.dist.net.WorkServer`, which the process pool
+:class:`~repro.dist.pool.ParallelCoordinator` runs on one host -- and
+:class:`CampaignCore` is the one implementation of it they build on:
 
 * the :class:`~repro.dist.queue.TaskQueue` and its expiry, quarantine
   and backoff hooks;
@@ -21,10 +21,10 @@ the one implementation of it they build on:
 * the ``campaign.start`` and ``campaign.end`` /
   ``campaign.interrupted`` bookkeeping.
 
-An executor adds only how chunks reach workers and come back: a
-``ProcessPoolExecutor``, the ``repro-work/1`` protocol, or a logical
-clock.  :func:`compute_chunk` is the worker side both real executors
-share: one chunk computed under per-chunk metrics and tracing.
+An executor adds only how chunks reach workers and come back: the
+``repro-work/1`` protocol, or a logical clock.  :func:`compute_chunk`
+is the side every real worker runs: one chunk computed under
+per-chunk metrics and tracing.
 """
 
 from __future__ import annotations
@@ -391,7 +391,7 @@ class CampaignCore:
 
     def _close_chunk_spans(self, chunk_id: int, outcome: str) -> None:
         """End an in-flight chunk's open spans on a non-delivery exit
-        (crash, kill, expiry, rebuild release, drain forfeit, stop)."""
+        (a dead worker's release, expiry, drain forfeit, stop)."""
         root, child = self._chunk_spans.pop(chunk_id, (NULL_SPAN, NULL_SPAN))
         child.annotate(outcome=outcome)
         child.end()

@@ -12,30 +12,28 @@ test suite and the identity matrix
 (``tests/dist/test_identity_matrix.py``) can assert the exact
 recovery behaviour: every chunk ends DONE exactly once in the campaign
 record, regardless of the plan -- or, for a *poison* chunk that
-crashes its worker on every attempt, ends QUARANTINED after its retry
-budget instead of wedging the pool.
+kills its worker on every attempt, ends QUARANTINED after its retry
+budget instead of wedging the campaign.
+
+Two dialects, one per kind of worker:
+
+* the simulated :class:`~repro.dist.coordinator.Coordinator`'s
+  workers are keyed by worker id and how many chunks they started;
+* real workers -- the farm's :class:`~repro.dist.net.WorkClient`
+  hosts and the process pool's children, which are the same client
+  labelled ``pool-0``, ``pool-1``, ... -- are keyed by connection
+  label (the ``net_*`` fields) or by chunk (``poison_chunks``).  A
+  respawned pool child takes a fresh label, so a label-keyed fault
+  fires once.
+
+The coordinator-side faults (checkpoint corruption, a SIGTERM after
+the n-th completion) apply to every executor.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-
-#: FaultPlan conventions for the process-pool backend
-#: (:mod:`repro.dist.pool`).  Pool processes are interchangeable, so
-#: faults are keyed by *chunk id* instead of a per-worker chunk count:
-#: ``crash_points[POOL_CRASH] = chunk_id`` raises
-#: :class:`WorkerCrashed` inside the subprocess executing that chunk
-#: (first attempt only), ``crash_points[POOL_KILL] = chunk_id`` hard-
-#: kills the subprocess with ``os._exit`` (first attempt only), and
-#: ``duplicate_completions[POOL_CRASH] = chunk_id`` delivers that
-#: chunk's completion twice.  ``straggle[POOL_CRASH] = f`` makes every
-#: chunk sleep ``f - 1`` seconds before computing (lease pressure).
-#: The set-valued fields (``crash_chunks``/``kill_chunks``/
-#: ``poison_chunks``) are the multi-fault generalization the chaos
-#: harness uses.
-POOL_CRASH = "pool"
-POOL_KILL = "pool-kill"
 
 
 @dataclass
@@ -55,17 +53,6 @@ class FaultPlan:
     ``straggle[w] = factor`` -- worker ``w`` takes ``factor`` times
     the nominal duration per chunk (lease-expiry pressure).
 
-    Pool-backend fields (keyed by chunk id):
-
-    ``crash_chunks`` -- chunks whose first attempt raises
-    :class:`WorkerCrashed` in the subprocess.
-
-    ``kill_chunks`` -- chunks whose first attempt hard-kills the
-    subprocess (``os._exit``), breaking the whole executor.
-
-    ``poison_chunks`` -- chunks that crash their worker on *every*
-    attempt: the retry budget must quarantine them.
-
     Coordinator-side chaos:
 
     ``corrupt_checkpoint_after = n`` -- silently scribble over the
@@ -76,8 +63,9 @@ class FaultPlan:
     process after its n-th chunk completion, exercising the graceful
     drain + final checkpoint path.
 
-    Network fields (keyed by the worker's connection *label*; consumed
-    by :class:`repro.dist.transport.FaultyTransport` and
+    Real-worker fields (farm hosts and pool children, keyed by the
+    worker's connection *label* or by chunk; consumed by
+    :class:`repro.dist.transport.FaultyTransport` and
     :class:`repro.dist.net.WorkClient`):
 
     ``net_sever_after[w] = n`` -- worker ``w``'s *first* connection is
@@ -100,13 +88,16 @@ class FaultPlan:
     ``net_kill_after[w] = n`` -- worker ``w`` dies abruptly (no
     ``bye``, connection dropped) after its n-th successful completion
     (1-based): its leases must expire server-side and be reclaimed.
+
+    ``poison_chunks`` -- chunks that kill the worker leasing them on
+    *every* attempt (:class:`repro.dist.net.WorkClient` raises
+    :class:`~repro.dist.net.WorkerKilled`): the retry budget must
+    quarantine them.
     """
 
     crash_points: dict[str, int] = field(default_factory=dict)
     duplicate_completions: dict[str, int] = field(default_factory=dict)
     straggle: dict[str, float] = field(default_factory=dict)
-    crash_chunks: set[int] = field(default_factory=set)
-    kill_chunks: set[int] = field(default_factory=set)
     poison_chunks: set[int] = field(default_factory=set)
     corrupt_checkpoint_after: int | None = None
     kill_signal_after: int | None = None
@@ -126,28 +117,6 @@ class FaultPlan:
 
     def slowdown(self, worker_id: str) -> float:
         return self.straggle.get(worker_id, 1.0)
-
-    # -- pool-backend queries ------------------------------------------
-
-    def pool_crashes(self, chunk_id: int, attempt: int) -> bool:
-        """Should this attempt raise :class:`WorkerCrashed`?"""
-        if chunk_id in self.poison_chunks:
-            return True
-        if attempt != 1:
-            return False  # the retry models a healthy machine
-        return (
-            chunk_id in self.crash_chunks
-            or self.crash_points.get(POOL_CRASH) == chunk_id
-        )
-
-    def pool_kills(self, chunk_id: int, attempt: int) -> bool:
-        """Should this attempt hard-kill its subprocess?"""
-        if attempt != 1:
-            return False
-        return (
-            chunk_id in self.kill_chunks
-            or self.crash_points.get(POOL_KILL) == chunk_id
-        )
 
     # -- network queries (transport wrapper / client conventions) ------
 
@@ -193,38 +162,6 @@ class FaultPlan:
                 plan.duplicate_completions[w] = rng.randrange(max_chunk)
             if rng.random() < 0.25:
                 plan.straggle[w] = 1.0 + 3.0 * rng.random()
-        return plan
-
-    @classmethod
-    def chaos_plan(
-        cls,
-        seed: int,
-        chunks: int,
-        *,
-        crash_fraction: float = 0.15,
-        kill_count: int = 1,
-        duplicate: bool = True,
-        kill_signal_after: int | None = None,
-        corrupt_checkpoint_after: int | None = None,
-    ) -> "FaultPlan":
-        """A reproducible pool-backend chaos schedule over a
-        ``chunks``-chunk partition: a fraction of chunks soft-crash
-        their first attempt, ``kill_count`` of the remainder hard-kill
-        their subprocess, optionally one completion is duplicated, and
-        the coordinator-side kill/corruption knobs pass through.
-        Deterministic in ``seed`` (property-tested)."""
-        rng = random.Random(seed)
-        plan = cls(
-            kill_signal_after=kill_signal_after,
-            corrupt_checkpoint_after=corrupt_checkpoint_after,
-        )
-        ids = list(range(chunks))
-        rng.shuffle(ids)
-        n_crash = max(1, int(chunks * crash_fraction)) if chunks else 0
-        plan.crash_chunks = set(ids[:n_crash])
-        plan.kill_chunks = set(ids[n_crash:n_crash + kill_count])
-        if duplicate and chunks:
-            plan.duplicate_completions[POOL_CRASH] = rng.randrange(chunks)
         return plan
 
     @classmethod

@@ -5,9 +5,11 @@ months; this module is the coordinator that shape of campaign needs.
 A :class:`WorkServer` owns the one :class:`~repro.dist.queue.TaskQueue`
 and :class:`~repro.search.records.CampaignRecord`; remote
 :class:`WorkClient` processes lease chunks over the ``repro-work/1``
-NDJSON protocol, compute them with the same
-:func:`~repro.search.exhaustive.search_chunk` the pool backend uses,
-and mail the results -- plus their obs snapshots -- home.
+NDJSON protocol, compute them with
+:func:`~repro.dist.campaign.compute_chunk`, and mail the results --
+plus their obs snapshots, when the server asks for them -- home.  The
+process pool (:mod:`repro.dist.pool`) is this tier on one host: a
+loopback server and forked clients.
 
 Protocol (one JSON object per line, framing from
 :mod:`repro.net_common`, transports from :mod:`repro.dist.transport`;
@@ -17,7 +19,8 @@ and ``worker``; the verbs are:
 
 ``hello``    version handshake; the reply carries the campaign's
              :class:`~repro.search.exhaustive.SearchConfig`, chunk
-             size and lease duration, so workers need zero local
+             size, lease duration and whether to collect per-chunk
+             metrics and traces, so workers need zero local
              configuration.
 ``lease``    claim the next chunk (reply: bounds + lease ``epoch``),
              or learn the queue is ``idle`` (retry later),
@@ -195,6 +198,12 @@ class WorkServer(CampaignCore):
     every dispatch mutates state between awaits.
     """
 
+    #: ``campaign.start``'s ``backend`` field.
+    backend = "net"
+    #: The per-chunk stage span opened at lease time, under which the
+    #: worker's compute spans are adopted.
+    stage_span = "chunk.remote"
+
     def __init__(
         self,
         config: SearchConfig,
@@ -240,6 +249,10 @@ class WorkServer(CampaignCore):
         self.workers: dict[str, WorkerBook] = {}
         self.address: str | None = None
         self._open_connections = 0
+        #: Set by the completion that ends the serve loop, so
+        #: :meth:`serve` returns without waiting out its tick.
+        self._wake: asyncio.Event | None = None
+        self._stop_after: int | None = None
         self._init_core(
             lease_duration=lease_duration,
             max_attempts=max_attempts,
@@ -270,6 +283,11 @@ class WorkServer(CampaignCore):
 
     # -- protocol dispatch --------------------------------------------
 
+    def _count(self, name: str) -> None:
+        """Bump a ``work.*`` protocol counter, when collecting metrics."""
+        if self.collect_metrics:
+            self.metrics.inc(name)
+
     def _base_reply(self, req: dict, op: str | None = None) -> dict:
         reply: dict[str, Any] = {"ok": True}
         if op is not None:
@@ -281,8 +299,8 @@ class WorkServer(CampaignCore):
 
     def _error_frame(self, code: str, message: str, req: dict | None) -> dict:
         self.stats.protocol_errors += 1
-        self.metrics.inc("work.request.error")
-        self.metrics.inc(f"work.error.{code}")
+        self._count("work.request.error")
+        self._count(f"work.error.{code}")
         frame: dict[str, Any] = {
             "ok": False,
             "error": {"code": code, "message": message},
@@ -383,7 +401,7 @@ class WorkServer(CampaignCore):
         reconnect = book.connections > 0
         book.connections += 1
         book.last_seen = self.clock()
-        self.metrics.inc("work.hello")
+        self._count("work.hello")
         self.events.emit(
             "worker.hello",
             worker=worker,
@@ -396,6 +414,8 @@ class WorkServer(CampaignCore):
             config=config_to_wire(self.config),
             chunk_size=self.chunk_size,
             lease=self.lease_duration,
+            collect_metrics=self.collect_metrics,
+            collect_traces=self.collect_traces,
         )
         return reply, False, worker
 
@@ -420,14 +440,14 @@ class WorkServer(CampaignCore):
             # coordinator stops listening, whatever the lease length.
             reply.update(idle=True, retry_in=round(min(retry_in, 1.0), 4))
             return reply
-        self._open_chunk_spans(task, "chunk.remote", worker=book.worker)
+        self._open_chunk_spans(task, self.stage_span, worker=book.worker)
         self.events.emit(
             "lease.grant",
             chunk=task.chunk_id,
             attempt=task.attempts,
             worker=book.worker,
         )
-        self.metrics.inc("work.lease")
+        self._count("work.lease")
         reply.update(
             chunk=task.chunk_id,
             start=task.start_index,
@@ -476,7 +496,9 @@ class WorkServer(CampaignCore):
             book.examined += result.examined
             book.seconds += result.elapsed_seconds
         else:
-            self.metrics.inc("work.duplicate_completion")
+            self._count("work.duplicate_completion")
+        if self._wake is not None and self._campaign_over():
+            self._wake.set()
         reply = self._base_reply(req, "complete")
         reply.update(merged=merged, done=self.queue.finished)
         return reply
@@ -531,25 +553,41 @@ class WorkServer(CampaignCore):
 
     # -- the serve loop -----------------------------------------------
 
-    async def serve(self) -> int:
-        """Serve until every chunk is DONE or QUARANTINED, or a drain
-        signal lands.  Returns 0; check :attr:`interrupted` and
-        ``queue.quarantined_ids`` for the campaign verdict (the CLI
-        maps them to exit codes)."""
+    def _campaign_over(self) -> bool:
+        """Every chunk DONE or QUARANTINED, or ``stop_after`` new
+        completions merged."""
+        return self.queue.finished or (
+            self._stop_after is not None
+            and self.stats.completions >= self._stop_after
+        )
+
+    def _on_listening(self) -> None:
+        """Called on the event loop once :attr:`address` is bound."""
+
+    async def serve(self, stop_after: int | None = None) -> int:
+        """Serve until every chunk is DONE or QUARANTINED, a drain
+        signal lands, or ``stop_after`` new completions arrive (a test
+        hook for mid-flight checkpoints).  Returns 0; check
+        :attr:`interrupted` and ``queue.quarantined_ids`` for the
+        campaign verdict (the CLI maps them to exit codes)."""
         t0 = self.clock()
+        self._stop_after = stop_after
+        self._wake = asyncio.Event()
         self.address = await self.transport.listen(self._handle_connection)
         self._begin_run(
             t0,
-            "net",
+            self.backend,
             transport=type(self.transport).__name__,
             address=self.address,
+            **self._start_fields(),
         )
         previous = self._install_signal_handlers()
         self._say(f"work server listening on {self.address}")
         tick = min(max(self.lease_duration / 4.0, 0.01), 0.25)
         last_summary = t0
         try:
-            while not self.queue.finished:
+            self._on_listening()
+            while not self._campaign_over():
                 if self._shutdown_signal is not None:
                     break
                 now = self.clock()
@@ -560,7 +598,10 @@ class WorkServer(CampaignCore):
                 if now - last_summary >= self.progress_interval:
                     self._say(self._summary(now - t0))
                     last_summary = now
-                await asyncio.sleep(tick)
+                try:
+                    await asyncio.wait_for(self._wake.wait(), tick)
+                except asyncio.TimeoutError:
+                    pass
             if self._shutdown_signal is not None:
                 await self._drain()
             else:
@@ -572,6 +613,10 @@ class WorkServer(CampaignCore):
         self._finish_run(self.clock() - t0)
         return 0
 
+    def _start_fields(self) -> dict:
+        """Executor-specific ``campaign.start`` fields."""
+        return {}
+
     async def _quiesce(self, grace: float) -> None:
         deadline = self.clock() + grace
         while self._open_connections and self.clock() < deadline:
@@ -582,31 +627,29 @@ class WorkServer(CampaignCore):
         already answers ``draining``), give in-flight chunks
         ``drain_grace`` seconds to complete, forfeit the rest."""
         signame = self._shutdown_signal
-        self.events.emit(
-            "shutdown.drain",
-            signal=signame,
-            inflight=self.queue.leased,
-            grace=self.drain_grace,
-        )
-        self._say(
-            f"{signame} received: draining {self.queue.leased} in-flight "
-            "chunks"
-        )
+        inflight = self.queue.leased
+        self._say(f"{signame} received: draining {inflight} in-flight chunks")
         done_before = self.queue.done
         deadline = self.clock() + self.drain_grace
         while self.queue.leased and self.clock() < deadline:
             await asyncio.sleep(0.02)
         now = self.clock()
-        forfeited = 0
-        for chunk_id in range(len(self.queue)):
-            task = self.queue.task(chunk_id)
-            if task.status.name == "LEASED":
-                self.queue.release(chunk_id, task.owner or "", now)
-                forfeited += 1
+        forfeited = self.queue.leased_ids
+        for chunk_id in forfeited:
+            self.queue.release(chunk_id, self.queue.task(chunk_id).owner, now)
+        delivered = self.queue.done - done_before
+        self.events.emit(
+            "shutdown.drain",
+            signal=signame,
+            inflight=inflight,
+            delivered=delivered,
+            forfeited=len(forfeited),
+            grace=self.drain_grace,
+        )
         await self._quiesce(min(self.drain_grace, 1.0))
         self._say(
-            f"drained {self.queue.done - done_before} chunks, "
-            f"forfeited {forfeited} -- " + self.queue.progress()
+            f"drained {delivered} chunks, forfeited {len(forfeited)} -- "
+            + self.queue.progress()
         )
 
 
@@ -649,7 +692,6 @@ class WorkClient:
         max_connect_attempts: int = 8,
         idle_floor: float = 0.02,
         faults: FaultPlan | None = None,
-        collect_obs: bool = True,
         handle_signals: bool = False,
         log: Callable[[str], None] | None = None,
     ) -> None:
@@ -663,13 +705,15 @@ class WorkClient:
         self.max_connect_attempts = max_connect_attempts
         self.idle_floor = idle_floor
         self.faults = faults
-        self.collect_obs = collect_obs
         self.handle_signals = handle_signals
         self.log = log
         self.stats = ClientStats()
         self.config: SearchConfig | None = None
         self.chunk_size: int | None = None
         self.lease_duration = 30.0
+        #: What the server's ``hello`` asks each chunk to collect.
+        self.collect_metrics = False
+        self.collect_traces = False
         self.outcome: str | None = None
         self._seq = 0
         self._completions = 0
@@ -746,6 +790,8 @@ class WorkClient:
         self.config = config_from_wire(reply["config"])
         self.chunk_size = reply.get("chunk_size")
         self.lease_duration = float(reply.get("lease", self.lease_duration))
+        self.collect_metrics = bool(reply.get("collect_metrics", False))
+        self.collect_traces = bool(reply.get("collect_traces", False))
         return conn
 
     # -- compute ------------------------------------------------------
@@ -753,11 +799,11 @@ class WorkClient:
     def _compute(
         self, start: int, end: int, chunk_id: int, attempt: int
     ) -> tuple[SearchResult, dict | None]:
-        """Runs on an executor thread, under the same per-chunk obs as
-        the pool's subprocess entry point."""
+        """Runs on an executor thread, collecting what the server's
+        ``hello`` asked for."""
         return compute_chunk(
             self.config, start, end, chunk_id, attempt,
-            self.collect_obs, self.collect_obs, worker=self.worker_id,
+            self.collect_metrics, self.collect_traces, worker=self.worker_id,
         )
 
     async def _compute_with_heartbeat(
@@ -835,11 +881,12 @@ class WorkClient:
             chunk = reply["chunk"]
             epoch = reply.get("epoch", 0)
             attempt = reply.get("attempt", 1)
-            if self.faults is not None and self.faults.net_kills(
-                self.worker_id, self._completions
+            if self.faults is not None and (
+                self.faults.net_kills(self.worker_id, self._completions)
+                or chunk in self.faults.poison_chunks
             ):
-                # Die *holding* the lease: the coordinator's reaper
-                # must notice the silence and re-pend the chunk.
+                # Die *holding* the lease: the coordinator must notice
+                # (the reaper, or a pool's launcher) and re-pend it.
                 raise WorkerKilled(
                     f"worker {self.worker_id} killed holding chunk "
                     f"{chunk} after {self._completions} completions"

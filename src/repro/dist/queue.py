@@ -19,15 +19,24 @@ Semantics (enforced by ``tests/dist/test_tasks_queue.py``):
   a deterministically-crashing "poison" chunk must not wedge the
   campaign by being re-leased forever.
 
-Time is injected (``now`` parameters) rather than read from a clock,
-so both the real in-process coordinator and the virtual-time farm
-simulator drive the same code.  The backoff jitter is seeded from
-``(chunk_id, attempts)``, never a real RNG, so two campaigns under
-the same fault schedule make identical scheduling decisions.
+Bookkeeping is per status, not per scan: the queue keeps a count of
+each status, the sets of leased and quarantined ids, and two heaps of
+pending ids (leasable now, and sitting out a backoff), all updated at
+each transition.  ``finished`` and ``lease`` stay O(log chunks) on a
+partition of half a million chunks, where a full scan per call would
+dominate a farm coordinator that asks on every lease and completion.
+
+Time is injected (``now`` parameters, never decreasing) rather than
+read from a clock, so both the real in-process coordinator and the
+virtual-time farm simulator drive the same code.  The backoff jitter
+is seeded from ``(chunk_id, attempts)``, never a real RNG, so two
+campaigns under the same fault schedule make identical scheduling
+decisions.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Callable
 
@@ -72,6 +81,20 @@ class TaskQueue:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate chunk ids")
         self._tasks: dict[int, SearchTask] = {t.chunk_id: t for t in tasks}
+        self._counts = {status: 0 for status in TaskStatus}
+        self._leased: set[int] = set()
+        self._quarantined: set[int] = set()
+        #: Min-heap of PENDING ids free to lease, and of ``(not_before,
+        #: id)`` for PENDING ids sitting out a backoff.  Entries go
+        #: stale when a pending task is completed or quarantined
+        #: without being leased; they are dropped when they surface.
+        self._ready: list[int] = []
+        self._waiting: list[tuple[float, int]] = []
+        for t in self._tasks.values():
+            self._counts[t.status] += 1
+            self._index(t)
+        heapq.heapify(self._ready)
+        heapq.heapify(self._waiting)
         self.lease_duration = lease_duration
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
@@ -98,6 +121,36 @@ class TaskQueue:
     def task(self, chunk_id: int) -> SearchTask:
         return self._tasks[chunk_id]
 
+    # -- per-status bookkeeping ----------------------------------------
+
+    def _index(self, t: SearchTask) -> None:
+        """File ``t`` under its (new) status."""
+        if t.status is TaskStatus.LEASED:
+            self._leased.add(t.chunk_id)
+        elif t.status is TaskStatus.QUARANTINED:
+            self._quarantined.add(t.chunk_id)
+        elif t.status is TaskStatus.PENDING:
+            if t.not_before > 0.0:
+                heapq.heappush(self._waiting, (t.not_before, t.chunk_id))
+            else:
+                heapq.heappush(self._ready, t.chunk_id)
+
+    def _moved(self, t: SearchTask, old: TaskStatus) -> None:
+        """Account for ``t``'s transition out of ``old``."""
+        self._counts[old] -= 1
+        self._counts[t.status] += 1
+        if old is TaskStatus.LEASED:
+            self._leased.discard(t.chunk_id)
+        elif old is TaskStatus.QUARANTINED:
+            self._quarantined.discard(t.chunk_id)
+        self._index(t)
+
+    def _promote(self, now: float) -> None:
+        """Move backed-off ids whose backoff has elapsed to the ready
+        heap."""
+        while self._waiting and self._waiting[0][0] <= now:
+            heapq.heappush(self._ready, heapq.heappop(self._waiting)[1])
+
     # -- forfeit / backoff / quarantine --------------------------------
 
     def _backoff_delay(self, task: SearchTask) -> float:
@@ -115,8 +168,10 @@ class TaskQueue:
     def _forfeit(self, t: SearchTask, now: float, reason: str) -> None:
         if self.on_expire is not None:
             self.on_expire(t, now)  # owner/attempt still visible
+        old = t.status
         if self.max_attempts and t.attempts >= self.max_attempts:
             t.quarantine(now, f"{reason}; budget of {self.max_attempts} spent")
+            self._moved(t, old)
             if self.on_quarantine is not None:
                 self.on_quarantine(t, now)
             return
@@ -124,13 +179,18 @@ class TaskQueue:
         delay = self._backoff_delay(t)
         if delay > 0.0:
             t.not_before = now + delay
-            if self.on_backoff is not None:
-                self.on_backoff(t, delay)
+        self._moved(t, old)
+        if delay > 0.0 and self.on_backoff is not None:
+            self.on_backoff(t, delay)
 
     def _reclaim_expired(self, now: float) -> None:
-        for t in self._tasks.values():
-            if t.status is TaskStatus.LEASED and t.lease_expires_at <= now:
-                self._forfeit(t, now, "lease expired")
+        expired = sorted(
+            chunk_id
+            for chunk_id in self._leased
+            if self._tasks[chunk_id].lease_expires_at <= now
+        )
+        for chunk_id in expired:
+            self._forfeit(self._tasks[chunk_id], now, "lease expired")
 
     def release(self, chunk_id: int, worker_id: str, now: float) -> bool:
         """Voluntary forfeit: the owner knows the attempt failed (a
@@ -153,7 +213,9 @@ class TaskQueue:
             return False
         if t.status is TaskStatus.QUARANTINED:
             return True
+        old = t.status
         t.quarantine(0.0, "restored from checkpoint")
+        self._moved(t, old)
         return True
 
     # -- lease / complete ----------------------------------------------
@@ -163,11 +225,14 @@ class TaskQueue:
         leasable right now (work may be in flight with other workers,
         or pending tasks may be sitting out a retry backoff)."""
         self._reclaim_expired(now)
-        for chunk_id in sorted(self._tasks):
-            t = self._tasks[chunk_id]
-            if t.status is TaskStatus.PENDING and t.not_before <= now:
-                t.lease(worker_id, now, self.lease_duration)
-                return t
+        self._promote(now)
+        while self._ready:
+            t = self._tasks[heapq.heappop(self._ready)]
+            if t.status is not TaskStatus.PENDING:
+                continue  # stale
+            t.lease(worker_id, now, self.lease_duration)
+            self._moved(t, TaskStatus.PENDING)
+            return t
         return None
 
     def complete(self, chunk_id: int, worker_id: str, now: float) -> bool:
@@ -178,7 +243,9 @@ class TaskQueue:
         t = self._tasks[chunk_id]
         if t.status is TaskStatus.DONE:
             return False
+        old = t.status
         t.complete(worker_id, now)
+        self._moved(t, old)
         return True
 
     def renew(
@@ -235,56 +302,51 @@ class TaskQueue:
     def next_lease_expiry(self) -> float | None:
         """Earliest expiry among live leases, or None if nothing is
         leased."""
-        expiries = [
-            t.lease_expires_at
-            for t in self._tasks.values()
-            if t.status is TaskStatus.LEASED
-        ]
-        return min(expiries) if expiries else None
+        return min(
+            (self._tasks[c].lease_expires_at for c in self._leased),
+            default=None,
+        )
 
     def next_wakeup(self, now: float) -> float | None:
         """Earliest instant at which the queue's state can change on
         its own: a live lease expiring or a backed-off task becoming
-        leasable.  The wall-clock runner sleeps until this instant
-        when nothing is leasable and nothing is in flight."""
-        instants = [
-            t.lease_expires_at
-            for t in self._tasks.values()
-            if t.status is TaskStatus.LEASED
-        ]
-        instants += [
-            t.not_before
-            for t in self._tasks.values()
-            if t.status is TaskStatus.PENDING and t.not_before > now
-        ]
+        leasable.  A wall-clock runner sleeps until this instant when
+        nothing is leasable and nothing is in flight."""
+        self._promote(now)
+        instants = [self._tasks[c].lease_expires_at for c in self._leased]
+        while self._waiting:
+            not_before, chunk_id = self._waiting[0]
+            if self._tasks[chunk_id].status is TaskStatus.PENDING:
+                instants.append(not_before)
+                break
+            heapq.heappop(self._waiting)  # stale
         return min(instants) if instants else None
 
     @property
     def pending(self) -> int:
-        return sum(1 for t in self._tasks.values() if t.status is TaskStatus.PENDING)
+        return self._counts[TaskStatus.PENDING]
 
     @property
     def leased(self) -> int:
-        return sum(1 for t in self._tasks.values() if t.status is TaskStatus.LEASED)
+        return self._counts[TaskStatus.LEASED]
 
     @property
     def done(self) -> int:
-        return sum(1 for t in self._tasks.values() if t.status is TaskStatus.DONE)
+        return self._counts[TaskStatus.DONE]
 
     @property
     def quarantined(self) -> int:
-        return sum(
-            1 for t in self._tasks.values() if t.status is TaskStatus.QUARANTINED
-        )
+        return self._counts[TaskStatus.QUARANTINED]
+
+    @property
+    def leased_ids(self) -> list[int]:
+        """Sorted chunk ids currently under lease."""
+        return sorted(self._leased)
 
     @property
     def quarantined_ids(self) -> list[int]:
         """Sorted chunk ids currently under quarantine."""
-        return sorted(
-            t.chunk_id
-            for t in self._tasks.values()
-            if t.status is TaskStatus.QUARANTINED
-        )
+        return sorted(self._quarantined)
 
     @property
     def all_done(self) -> bool:

@@ -4,10 +4,11 @@ Koopman's 2001 search was steerable only because its progress was
 measurable; this module is the reproduction's flight recorder.  An
 :class:`EventLog` appends one JSON object per line to a file -- no
 dependencies, no daemon, safe to ``tail -f`` -- and the emit sites in
+:mod:`repro.dist.campaign`, :mod:`repro.dist.net`,
 :mod:`repro.dist.pool`, :mod:`repro.dist.coordinator` and
 :mod:`repro.search.exhaustive` record every lease grant/renewal/
-expiry, worker crash, pool rebuild, chunk completion and checkpoint
-write.  :mod:`repro.obs.report` turns the file back into a run
+expiry, worker hello, crash and respawn, chunk completion and
+checkpoint write.  :mod:`repro.obs.report` turns the file back into a run
 summary.
 
 Design constraints, in order:

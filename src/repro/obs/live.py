@@ -169,7 +169,7 @@ class Dashboard:
             "worker.crash",
         ):
             self.in_flight.discard(rec.get("chunk"))
-        elif event in ("pool.rebuild", "shutdown.drain", "log.open"):
+        elif event in ("shutdown.drain", "log.open"):
             # Everything in flight was forfeited or belongs to a dead
             # session.
             self.in_flight.clear()
@@ -287,7 +287,6 @@ class Dashboard:
             f"  health: {report.lease_expiries} lease expiries "
             f"({report.lease_expiry_rate:.0%} of grants), "
             f"{report.worker_crashes} crashes, "
-            f"{report.pool_rebuilds} rebuilds, "
             f"{report.quarantined_chunks} quarantined, "
             f"{report.interruptions} drains"
         )

@@ -56,7 +56,6 @@ class RunReport:
     lease_renewals: int = 0
     lease_expiries: int = 0
     worker_crashes: int = 0
-    pool_rebuilds: int = 0
     checkpoint_writes: int = 0
     checkpoint_corruptions: int = 0
     duplicate_deliveries: int = 0
@@ -71,12 +70,12 @@ class RunReport:
     #: produced it (events from before the kernel tag existed count as
     #: "batched" -- the retired driver that was the only emitter then).
     kernel_stats: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Per-worker-host accounting folded from the farm coordinator's
+    #: Per-worker accounting folded from the farm's and the pool's
     #: ``worker.*`` events and ``worker``-tagged completions:
     #: ``{worker: {"host", "chunks", "examined", "seconds",
     #: "connections", "reconnects", "lease_losses", "expiries",
-    #: "benched"}}``.  Empty for pool/simulated campaigns, whose
-    #: events carry no worker identity.
+    #: "benched"}}``.  Empty for simulated campaigns, whose events
+    #: carry no worker identity.
     workers: dict[str, dict[str, Any]] = field(default_factory=dict)
     active_seconds: float = 0.0
     busy_seconds: float = 0.0
@@ -274,8 +273,6 @@ class RunReport:
                     _worker(rec["worker"])["benched"] = True
             elif event == "worker.crash":
                 report.worker_crashes += 1
-            elif event == "pool.rebuild":
-                report.pool_rebuilds += 1
             elif event == "checkpoint.write":
                 report.checkpoint_writes += 1
             elif event == "checkpoint.corrupt":
@@ -347,7 +344,6 @@ class RunReport:
             f"{self.lease_renewals} renewals, {self.lease_expiries} expired "
             f"(expiry rate {self.lease_expiry_rate:.1%})",
             f"  faults: {self.worker_crashes} worker crashes, "
-            f"{self.pool_rebuilds} pool rebuilds, "
             f"{self.duplicate_deliveries} duplicate deliveries, "
             f"{self.retry_backoffs} retry backoffs",
             f"  checkpoints: {self.checkpoint_writes} written, "
@@ -453,7 +449,6 @@ class RunReport:
                 "lease_expiries": self.lease_expiries,
                 "lease_expiry_rate": round(self.lease_expiry_rate, 4),
                 "worker_crashes": self.worker_crashes,
-                "pool_rebuilds": self.pool_rebuilds,
                 "checkpoint_writes": self.checkpoint_writes,
                 "checkpoint_corruptions": self.checkpoint_corruptions,
                 "duplicate_deliveries": self.duplicate_deliveries,

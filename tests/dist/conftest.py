@@ -12,6 +12,7 @@ The obs suite's real campaigns import the same config from here.
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import replace
 
 import pytest
@@ -38,15 +39,27 @@ WORKERS = ["w0", "w1", "w2"]
 
 
 class Recorder(NullEventLog):
-    """Event sink that keeps ``(event, fields)`` pairs in order."""
+    """Event sink that keeps ``(event, fields)`` pairs in order, and
+    the monotonic instant of each in :attr:`times`."""
 
     enabled = True
 
     def __init__(self) -> None:
         self.records: list[tuple[str, dict]] = []
+        self.times: list[float] = []
 
     def emit(self, event, **fields):
         self.records.append((event, fields))
+        self.times.append(time.monotonic())
+
+    def first(self, event: str, **match) -> tuple[float, dict]:
+        """``(instant, fields)`` of the first ``event`` whose fields
+        include ``match``."""
+        return next(
+            (t, f)
+            for t, (name, f) in zip(self.times, self.records)
+            if name == event and match.items() <= f.items()
+        )
 
     @property
     def names(self) -> list[str]:

@@ -52,25 +52,9 @@ class TestFaultPlanDeterminism:
             ids, seed
         )
 
-    @given(
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=2, max_value=64),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_chaos_plan_is_deterministic_and_well_formed(self, seed, chunks):
-        a = FaultPlan.chaos_plan(seed, chunks, kill_signal_after=3)
-        b = FaultPlan.chaos_plan(seed, chunks, kill_signal_after=3)
-        assert a == b
-        # Crash and kill sets are disjoint chunk ids inside the
-        # partition: one chunk gets one failure mode.
-        assert a.crash_chunks.isdisjoint(a.kill_chunks)
-        assert all(0 <= c < chunks for c in a.crash_chunks | a.kill_chunks)
-        assert a.kill_signal_after == 3
-
     def test_different_seeds_differ(self):
-        plans = {
-            str(FaultPlan.chaos_plan(seed, 64)) for seed in range(8)
-        }
+        ids = [f"w{i}" for i in range(8)]
+        plans = {str(FaultPlan.random_plan(ids, seed)) for seed in range(8)}
         assert len(plans) > 1
 
 
@@ -191,20 +175,6 @@ class TestGracefulShutdown:
         names = [rec["event"] for rec in read_events(log)]
         assert "checkpoint.corrupt" in names
         assert second.campaign.to_json() == reference
-
-
-class TestRebuildBackoff:
-    def test_repeated_pool_deaths_eventually_give_up(self):
-        # Injected kills fire on first attempts only, so a real run
-        # cannot wedge the pool forever; drive the streak counter
-        # directly to pin down the give-up bound.
-        runner = make_pool_runner(max_rebuild_streak=2, rebuild_backoff=0.0)
-        executor = runner._new_executor()
-        with pytest.raises(RuntimeError, match="giving up"):
-            for _ in range(3):
-                executor, _ = runner._rebuild(executor, {}, now=0.0)
-        executor.shutdown(wait=False)
-        assert runner.stats.pool_rebuilds == 3
 
 
 class TestFarmChaosPlan:

@@ -8,18 +8,20 @@ scalar oracle over the partition (``conftest.reference``).  A chaos
 cell must also prove from its event log that every scheduled fault
 fired -- a chaos run that quietly stops injecting proves nothing:
 
-* the pool: first-attempt crashes, one hard kill, a duplicated
-  completion, a SIGTERM drain, a corrupted checkpoint falling back to
-  ``.prev``, and a poison chunk that ends quarantined until a
-  ``retry_quarantined`` resume computes it;
+* the pool: a killed child whose lease is released at once and who is
+  respawned, a duplicated completion, a SIGTERM drain, a corrupted
+  checkpoint falling back to ``.prev``, and a poison chunk that ends
+  quarantined until a ``retry_quarantined`` resume computes it;
 * the farm: a severed connection, a dropped completion, a duplicated
   one, a killed worker whose lease expires, and a coordinator drain
   and restart from its checkpoint;
 * the simulator: seeded crashes and duplicates, a drain, and a
   corrupt-checkpoint resume.
 
-The chaos schedules are seeded with 2002; ``test_chaos.py``
-property-tests that every seed gives a deterministic plan.  Below the
+The simulator's and the farm's chaos schedules are seeded with 2002
+(``test_chaos.py`` property-tests that every seed gives a
+deterministic plan); the pool's is scripted by its children's labels,
+in the farm's dialect.  Below the
 matrix, the parity-blind oracle re-proves every reference survivor's
 HD from weight 3, the work confirmation itself skips.
 """
@@ -136,14 +138,22 @@ def _simulated_under_chaos(config, path, events):
 
 
 def _pool_under_chaos(config, path, events):
-    plan = FaultPlan.chaos_plan(
-        SEED, CHUNKS, crash_fraction=0.2, kill_count=1, duplicate=True,
+    # The pool speaks the farm's fault dialect, keyed by its children's
+    # labels: pool-0 dies holding its first lease, and pool-1's first
+    # completion reaches the coordinator twice.
+    victim, flaky = "pool-0", "pool-1"
+    plan = FaultPlan(
+        net_kill_after={victim: 0},
+        net_duplicate_complete={flaky: {0}},
         # Late enough that two checkpoint generations exist, early
         # enough that real work remains for the resumed session.
         kill_signal_after=CHUNKS // 2,
     )
+    # A lease far longer than the whole cell: only the launcher's
+    # immediate release, never an expiry, can free a dead child's chunk.
+    lease = 30.0
     settings = dict(
-        config=config, checkpoint_every=2, lease_duration=2.0,
+        config=config, checkpoint_every=2, lease_duration=lease,
         retry_backoff=0.01,
     )
     first, run = pool(path, events, faults=plan, handle_signals=True,
@@ -153,15 +163,13 @@ def _pool_under_chaos(config, path, events):
     assert "shutdown.drain" in events.names
     corrupt_file(path, seed=SEED)
 
-    # The resumed session re-runs the chunk faults (its queue starts
-    # fresh) without the one-time SIGTERM, and one chunk it still has
-    # to compute is poison: it must end quarantined, not wedge the run.
+    # The resumed session has one poison chunk among those it still
+    # has to compute: every child leasing it dies, and it must end
+    # quarantined after its budget instead of wedging the run.
     second, run = pool(path, events, **settings, max_attempts=3)
     second.resume()
     poison = min(set(range(CHUNKS)) - second.campaign.chunks_done)
-    second.faults = dataclasses.replace(
-        plan, kill_signal_after=None, poison_chunks={poison}
-    )
+    second.faults = FaultPlan(poison_chunks={poison})
     run()
     assert second.queue.finished and not second.queue.all_done
     assert second.queue.quarantined_ids == [poison]
@@ -173,26 +181,26 @@ def _pool_under_chaos(config, path, events):
     third.resume(retry_quarantined=True)
     run()
 
-    crashes = events.fields("worker.crash")
-    crashed = {f["chunk"] for f in crashes if f["kind"] == "crashed"}
-    killed = {f["chunk"] for f in crashes if f["kind"] == "killed"}
-    assert crashed & plan.crash_chunks
-    assert plan.kill_chunks <= killed
-    assert poison in crashed
-    assert events.fields("pool.rebuild")
-    # No faulted chunk ever completed on its first attempt.  (A hard
-    # kill breaks the whole executor, so a scheduled crash can die in
-    # flight beside it instead, released by the rebuild.)
-    faulted = (plan.crash_chunks | plan.kill_chunks) - {poison}
-    assert all(
-        f["attempt"] > 1
-        for f in events.fields("chunk.done")
-        if f["chunk"] in faulted
+    # The killed child's lease was released the moment it died, not
+    # when the lease ran out, and the child came back under a new label.
+    granted, grant = events.first("lease.grant", worker=victim)
+    released, _ = events.first(
+        "lease.expire", owner=victim, chunk=grant["chunk"]
     )
+    assert released - granted < lease / 10
+    _, crash = events.first("worker.crash", worker=victim)
+    assert crash["chunks"] == [grant["chunk"]]
+    assert crash["respawn"] not in (None, victim)
+    events.first("worker.hello", worker=crash["respawn"])
+    # Each of the poison chunk's three attempts killed its child.
+    poisoned = [
+        f for f in events.fields("worker.crash") if f["chunks"] == [poison]
+    ]
+    assert len(poisoned) == 3
     duplicated = {
-        f["chunk"] for f in events.fields("chunk.done") if f["duplicate"]
+        f["worker"] for f in events.fields("chunk.done") if f["duplicate"]
     }
-    assert plan.duplicate_completions["pool"] in duplicated
+    assert flaky in duplicated
     (corrupt,) = events.fields("checkpoint.corrupt")
     assert corrupt["fallback"] == previous_path(path)
     return third

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist.net import PROTOCOL, WorkServer, result_to_wire
+from repro.dist.net import PROTOCOL, WorkClient, WorkServer, result_to_wire
 from repro.dist.transport import LoopbackTransport
 from repro.search.exhaustive import search_chunk
 
@@ -78,6 +78,49 @@ class TestHandshake:
         assert reply["chunk_size"] == CHUNK_SIZE
         assert reply["config"]["width"] == CFG.width
         assert reply["lease"] == 5.0
+        # The server, not the worker, decides what each chunk collects.
+        assert reply["collect_metrics"] is False
+        assert reply["collect_traces"] is False
+
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_workers_collect_what_hello_asks_for(self, collect):
+        """An untraced, unmetered campaign ships no per-chunk obs
+        snapshots; a collecting one gets metrics and spans back."""
+        frames = []
+
+        class Tap(LoopbackTransport):
+            async def connect(self, address="", label=""):
+                conn = await super().connect(address, label)
+                send = conn.send
+
+                async def tapped(obj):
+                    frames.append(obj)
+                    await send(obj)
+
+                conn.send = tapped
+                return conn
+
+        transport = Tap()
+        server = WorkServer(
+            CFG, CHUNK_SIZE, transport, handle_signals=False,
+            collect_metrics=collect, collect_traces=collect,
+        )
+        client = WorkClient("loopback:0", transport, "w0")
+
+        async def farm():
+            return await asyncio.gather(server.serve(), client.run())
+
+        assert asyncio.run(farm()) == [0, 0]
+        assert (client.collect_metrics, client.collect_traces) == (
+            collect, collect
+        )
+        completes = [f for f in frames if f["op"] == "complete"]
+        assert len(completes) == len(server.queue)
+        if collect:
+            assert all(f["obs"]["metrics"] and f["obs"]["spans"]
+                       for f in completes)
+        else:
+            assert all(f["obs"] is None for f in completes)
 
     def test_version_mismatch_is_coded_and_closes(self):
         async def script(server, conn):

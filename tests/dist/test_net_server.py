@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.obs.events import EventLog, read_events
 from repro.obs.report import RunReport
 from repro.search.records import CampaignRecord
 
-from tests.dist.conftest import CFG, CHUNK_SIZE, MAX_SECONDS
+from tests.dist.conftest import CFG, CHUNK_SIZE, CHUNKS, MAX_SECONDS
 
 
 def make_server(transport, **kwargs) -> WorkServer:
@@ -250,3 +251,30 @@ class TestObsMailHome:
         assert json.loads(dumped)["chunks_done"] == list(
             range(len(server.queue))
         )
+
+
+class TestServeReturnsPromptly:
+    def test_serve_returns_on_the_finishing_completion(self):
+        """The completion that finishes the queue wakes the serve loop:
+        ``serve`` returns as soon as its last worker has said bye, not
+        at the reaper's next tick (a quarter second at this lease)."""
+        transport = LoopbackTransport()
+        server = make_server(transport, lease_duration=30.0)
+        for chunk_id in range(CHUNKS - 1):
+            server.queue.complete(chunk_id, "earlier session", 0.0)
+        client = make_client(transport, "w0")
+        returned: dict[str, float] = {}
+
+        async def stamp(name, coro):
+            result = await coro
+            returned[name] = time.monotonic()
+            return result
+
+        async def farm():
+            return await asyncio.gather(
+                stamp("server", server.serve()), stamp("client", client.run())
+            )
+
+        assert asyncio.run(farm()) == [0, 0]
+        assert server.queue.all_done
+        assert returned["server"] - returned["client"] < 0.1

@@ -1,26 +1,34 @@
 """Wall-clock process-pool campaign tests.
 
 Governing invariant (same as the simulated coordinator's): whatever
-happens to the subprocesses -- crashes, hard kills, duplicate
+happens to the forked workers -- exceptions, hard kills, duplicate
 deliveries, mid-flight shutdown plus resume -- the finished campaign
 record is byte-identical to the reference.  The clean run and the
-seeded chaos run are cells of ``test_identity_matrix.py``.
+chaos run are cells of ``test_identity_matrix.py``.  Faults use the
+farm's dialect, keyed by the children's labels ``pool-0``,
+``pool-1``, ...; a respawned child takes the next label.
 """
 
 from __future__ import annotations
 
-import pickle
-from concurrent.futures import wait
-from concurrent.futures.process import BrokenProcessPool
+import json
+import os
+import signal
 
 import pytest
 
 from repro.dist.checkpoint import CheckpointMismatch
-from repro.dist.faults import POOL_CRASH, POOL_KILL, FaultPlan
-from repro.dist.pool import ParallelCoordinator, _run_chunk
+from repro.dist.faults import FaultPlan
+from repro.dist.net import (
+    config_from_wire,
+    config_to_wire,
+    result_from_wire,
+    result_to_wire,
+)
+from repro.dist.pool import ParallelCoordinator
 from repro.search.exhaustive import SearchConfig, search_chunk
 
-from tests.dist.conftest import CFG, CHUNK_SIZE, MAX_SECONDS, Recorder
+from tests.dist.conftest import CFG, CHUNK_SIZE, CHUNKS, MAX_SECONDS, Recorder
 
 
 def make_runner(**kwargs):
@@ -39,19 +47,18 @@ def assert_matches_reference(runner, reference):
 
 class TestPicklability:
     def test_chunk_payloads_round_trip(self):
-        """The pool pickles configs out and results back; both must
-        survive unchanged (witnesses, weights, stage kills and all)."""
-        assert pickle.loads(pickle.dumps(CFG)) == CFG
+        """The pool ships configs out in ``hello`` and results back in
+        ``complete`` frames; both must survive the JSON wire unchanged
+        (witnesses, weights, stage kills and all)."""
+        wire = json.loads(json.dumps(config_to_wire(CFG)))
+        assert config_from_wire(wire) == CFG
         res = search_chunk(CFG, 0, 16)
-        back = pickle.loads(pickle.dumps(res))
+        back = result_from_wire(
+            json.loads(json.dumps(result_to_wire(res))), CFG
+        )
         assert back.records == res.records
         assert back.examined == res.examined
         assert back.stage_kills == res.stage_kills
-
-    def test_subprocess_entry_is_importable_by_name(self):
-        # ProcessPoolExecutor pickles the callable by qualified name.
-        assert _run_chunk.__module__ == "repro.dist.pool"
-        assert _run_chunk.__qualname__ == "_run_chunk"
 
 
 class TestCleanRun:
@@ -68,79 +75,76 @@ class TestCleanRun:
             make_runner(processes=0)
 
 
+class _SigkillOnFirstLease(FaultPlan):
+    """A fault with no exception and no cleanup: ``pool-0`` SIGKILLs
+    itself the moment it holds its first lease."""
+
+    def net_kills(self, label, completions):
+        if label == "pool-0":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return False
+
+
 class TestFaultTolerance:
     def test_soft_crash_reassigned_after_lease_expiry(self, reference):
-        plan = FaultPlan(crash_points={POOL_CRASH: 3})
-        runner = make_runner(faults=plan)
-        runner.run()
-        assert_matches_reference(runner, reference)
-        assert runner.stats.crashes == 1
-        assert runner.stats.reassignments >= 1
-        assert runner.queue.task(3).attempts == 2
-
-    def test_hard_kill_rebuilds_pool(self, reference):
-        plan = FaultPlan(crash_points={POOL_KILL: 2})
-        runner = make_runner(faults=plan)
-        runner.run()
-        assert_matches_reference(runner, reference)
-        assert runner.stats.pool_rebuilds >= 1
-        assert runner.stats.reassignments >= 1
-
-    def test_kill_seen_at_submit_is_a_crash(self, reference):
-        """A pool that breaks between two submissions is reported by
-        ``submit`` before the coordinator's wait sees the dead future.
-        That path must record the killed chunk as a crash before the
-        rebuild, exactly as the wait path does."""
+        """A child that raises holding a lease forfeits it: the
+        launcher releases it at once and the chunk's next attempt,
+        on another child, completes it."""
         events = Recorder()
         runner = make_runner(
-            faults=FaultPlan(kill_chunks={0}), events=events
-        )
-        submits_refused: list[int] = []
-        runner._new_executor = lambda: _SubmitAfterSettling(
-            ParallelCoordinator._new_executor(runner), submits_refused
+            faults=FaultPlan(net_kill_after={"pool-0": 0}), events=events
         )
         runner.run()
         assert_matches_reference(runner, reference)
-        assert submits_refused, "the submit-time path never ran"
-        assert runner.stats.crashes == 1
-        assert runner.stats.pool_rebuilds == 1
-        names = [name for name, _ in events.records]
-        crash = names.index("worker.crash")
-        assert events.records[crash][1] == {"chunk": 0, "kind": "killed"}
-        assert crash < names.index("pool.rebuild")
+        (crash,) = events.fields("worker.crash")
+        assert crash["worker"] == "pool-0" and crash["exitcode"] == 1
+        (chunk,) = crash["chunks"]
+        assert runner.stats.reassignments >= 1
+        assert runner.queue.task(chunk).attempts == 2
+
+    def test_hard_kill_respawns_child(self, reference):
+        """A SIGKILLed child takes the same path as one that raised:
+        its lease is released long before it could expire, and a
+        fresh child under the next label joins the campaign."""
+        events = Recorder()
+        runner = make_runner(
+            faults=_SigkillOnFirstLease(), events=events, lease_duration=60.0
+        )
+        runner.run()
+        assert_matches_reference(runner, reference)
+        (crash,) = events.fields("worker.crash")
+        assert crash["exitcode"] == -signal.SIGKILL
+        assert crash["respawn"] == "pool-2"
+        granted, grant = events.first("lease.grant", worker="pool-0")
+        released, _ = events.first("lease.expire", owner="pool-0")
+        assert crash["chunks"] == [grant["chunk"]]
+        assert released - granted < 6.0
+        assert any(
+            f["worker"] == "pool-2" for f in events.fields("chunk.done")
+        )
 
     def test_duplicate_delivery_deduped(self, reference):
-        plan = FaultPlan(duplicate_completions={POOL_CRASH: 5})
-        runner = make_runner(faults=plan)
+        plan = FaultPlan(net_duplicate_complete={"pool-0": {5}})
+        runner = make_runner(faults=plan, processes=1)
         runner.run()
         assert_matches_reference(runner, reference)
         assert runner.stats.duplicate_deliveries == 1
 
-
-class _SubmitAfterSettling:
-    """Executor wrapper whose ``submit`` first waits for every future
-    it has already handed out.  A worker killed under one of them has
-    then broken the pool, so the next ``submit`` raises
-    ``BrokenProcessPool`` -- the submit-time detection path, made
-    deterministic.  Refused submissions are noted in ``refused``."""
-
-    def __init__(self, inner, refused: list[int]) -> None:
-        self.inner = inner
-        self.refused = refused
-        self.handed_out = []
-
-    def submit(self, fn, *args):
-        wait(self.handed_out)
-        try:
-            fut = self.inner.submit(fn, *args)
-        except BrokenProcessPool:
-            self.refused.append(args[3])  # the chunk id
-            raise
-        self.handed_out.append(fut)
-        return fut
-
-    def shutdown(self, **kwargs):
-        self.inner.shutdown(**kwargs)
+    def test_respawns_are_bounded(self):
+        """Children that keep dying without a completion in between
+        end the campaign after ``max_rebuild_streak`` respawns instead
+        of forking forever."""
+        events = Recorder()
+        runner = make_runner(
+            faults=FaultPlan(poison_chunks=set(range(CHUNKS))), max_attempts=0,
+            max_rebuild_streak=2, events=events, processes=1,
+        )
+        with pytest.raises(RuntimeError, match="giving up"):
+            runner.run()
+        crashes = events.fields("worker.crash")
+        assert len(crashes) == 3
+        assert [f["respawn"] for f in crashes] == ["pool-1", "pool-2", None]
+        assert not runner._children  # every child reaped
 
 
 class TestKillAndResume:
@@ -150,12 +154,14 @@ class TestKillAndResume:
         and a fresh resumed runner finishes to the identical record
         without recomputing checkpointed chunks."""
         path = str(tmp_path / "campaign.json")
-        plan = FaultPlan(crash_points={POOL_KILL: 1})
+        events = Recorder()
+        plan = FaultPlan(net_kill_after={"pool-0": 1})
         first = make_runner(
-            faults=plan, checkpoint_path=path, checkpoint_every=1
+            faults=plan, checkpoint_path=path, checkpoint_every=1,
+            events=events,
         )
         first.run(stop_after=6)  # mid-flight shutdown, checkpoint written
-        assert first.stats.pool_rebuilds >= 1  # the kill really happened
+        assert events.fields("worker.crash")  # the kill really happened
         assert 0 < first.stats.completions < len(first.queue)
 
         resumed = make_runner(checkpoint_path=path)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pickle
 
-from repro.dist.faults import POOL_KILL, FaultPlan
+from repro.dist.faults import FaultPlan
 from repro.dist.pool import ParallelCoordinator
 from repro.obs import trace as obs_trace
 from repro.obs.events import EventLog, read_events
@@ -190,7 +190,7 @@ class TestKillAndResumeIntegrity:
 
         with EventLog(events_path) as events:
             first = make(
-                events=events, faults=FaultPlan(crash_points={POOL_KILL: 1})
+                events=events, faults=FaultPlan(net_kill_after={"pool-0": 1})
             )
             assert first.collect_traces  # auto-on: events are attached
             first.run(stop_after=4)

@@ -51,13 +51,23 @@ def main() -> int:
         log = os.path.join(scratch, "run.jsonl")
         ckpt = os.path.join(scratch, "campaign.json")
 
-        # 1. A real two-process campaign narrating into the log.
-        run_cli(
+        # 1. A real two-process campaign narrating into the log; its
+        # summary carries each worker's books.
+        summary = run_cli(
             "campaign", "--width", "8", "--target-hd", "4", "--bits", "100",
             "--parallel", "2", "--chunk-size", "8",
             "--checkpoint", ckpt, "--events", log, "--metrics",
-        )
+        ).stdout
         check(os.path.getsize(log) > 0, "campaign wrote no events")
+        books = re.findall(r"^  (pool-\d+): (\d+) chunks", summary, re.M)
+        check(
+            [name for name, _ in books] == ["pool-0", "pool-1"],
+            f"summary lacks the two workers' books:\n{summary}",
+        )
+        check(
+            sum(int(chunks) for _, chunks in books) == 16,
+            f"worker books do not add up to the campaign:\n{summary}",
+        )
 
         # 2. One dashboard frame over that log, via the CLI.
         frame = run_cli("dash", log, "--once").stdout
@@ -74,6 +84,8 @@ def main() -> int:
             "eta: complete",
             "last trace (chunk",
             "chunk.compute",
+            "hosts: pool-0 ",
+            "; pool-1 ",
         ):
             check(needle in frame, f"frame lacks {needle!r}:\n{frame}")
         match = re.search(r"progress: \[#+\] (\d+)/(\d+) chunks", frame)
@@ -85,6 +97,8 @@ def main() -> int:
         # 3. The report reads the same log and carries the percentiles.
         report = run_cli("report", log).stdout
         check("chunk latency: p50=" in report, f"report lacks latency:\n{report}")
+        for needle in ("workers: 2 host(s)", "    pool-0", "    pool-1"):
+            check(needle in report, f"report lacks {needle!r}:\n{report}")
 
         # 4. Friendly failures: directories and empty files are
         # diagnosed on stderr with exit 2, for dash and report both.
