@@ -18,12 +18,13 @@ Three engines are provided:
   workstation farm days; results are bit-identical where both run.
 * :mod:`repro.hd.packed` -- the vectorized screen's sweep: one
   position-major syndrome buffer per batch of generators in the
-  narrowest dtype holding the register, plus composite-key row sorts
-  for the weight-3 screen -- the engine behind the search's default
+  narrowest dtype holding the register, plus the one weight-3 screen
+  for every width (row sorts of composite keys, or argsorted values
+  above 32 bits) -- the engine behind the search's default
   ``backend="packed"``; record-identical to the scalar cascade.
-* :mod:`repro.hd.batched` -- the batch screens that run on uint64
-  copies of those tables (presence-map / sorted-key weight-3 screens,
-  composite-key weight-4/5 matching).
+* :mod:`repro.hd.batched` -- the weight-4/5 screens that run on uint64
+  copies of those tables: composite-key pair matching over one
+  set-membership structure (presence map or sorted keys).
 
 Breakpoint extraction (:mod:`repro.hd.breakpoints`) runs on the
 :mod:`repro.hd.jump` engine: shared extend-only syndrome tables,

@@ -25,6 +25,8 @@ If neither 3 nor 4 can decide (envelope exceeded and no witness), an
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.gf2.poly import degree, divisible_by_x_plus_1
@@ -66,26 +68,57 @@ def hamming_distance(
     N = data_word_bits + r
     if data_word_bits < 1:
         raise ValueError("data word must have at least one bit")
-    parity = divisible_by_x_plus_1(g) if exploit_parity else False
     # k = 2 via order (exact, instant).
     if order_of_x(g) <= N - 1:
         return 2
     if syn is None:
         syn = syndrome_table(g, N)
-    for k in range(3, k_max + 1):
-        if parity and k % 2 == 1:
-            continue
-        if _weight_k_exists(
+    for k, exists in _ascending_weights(
+        g, N, 3, k_max,
+        syn=syn,
+        exploit_parity=exploit_parity,
+        witness_window=witness_window,
+        mem_elems=mem_elems,
+        stream_elems=stream_elems,
+    ):
+        if exists:
+            return k
+    raise ValueError(
+        f"HD exceeds k_max={k_max} at n={data_word_bits}; raise k_max"
+    )
+
+
+def _ascending_weights(
+    g: int,
+    N: int,
+    k_min: int,
+    k_max: int,
+    *,
+    syn: np.ndarray,
+    exploit_parity: bool = True,
+    witness_window: int,
+    mem_elems: int,
+    stream_elems: int,
+) -> Iterator[tuple[int, bool]]:
+    """The ascending HD scan: yield ``(k, exists)`` for ``k = k_min ..
+    k_max``, deciding each weight exactly within an ``N``-bit codeword.
+
+    Odd ``k`` are absent by the parity theorem when ``(x+1) | g``
+    (unless ``exploit_parity`` is off).  Ascending order is the MITM
+    precondition, so the caller must know every weight below ``k_min``
+    absent.  :class:`EnvelopeError` propagates at the first weight
+    that cannot be decided -- every weight yielded before it is
+    decided.
+    """
+    parity = exploit_parity and divisible_by_x_plus_1(g)
+    for k in range(k_min, k_max + 1):
+        yield k, not (parity and k % 2 == 1) and _weight_k_exists(
             g, N, k,
             syn=syn,
             witness_window=witness_window,
             mem_elems=mem_elems,
             stream_elems=stream_elems,
-        ):
-            return k
-    raise ValueError(
-        f"HD exceeds k_max={k_max} at n={data_word_bits}; raise k_max"
-    )
+        )
 
 
 def _weight_k_exists(
@@ -149,28 +182,23 @@ def hamming_distance_bound(
     N = data_word_bits + r
     if data_word_bits < 1:
         raise ValueError("data word must have at least one bit")
-    parity = divisible_by_x_plus_1(g) if exploit_parity else False
     if order_of_x(g) <= N - 1:
         return 2, True
-    syn = syndrome_table(g, N)
     verified_below = 3
-    for k in range(3, k_max + 1):
-        if parity and k % 2 == 1:
+    try:
+        for k, exists in _ascending_weights(
+            g, N, 3, k_max,
+            syn=syndrome_table(g, N),
+            exploit_parity=exploit_parity,
+            witness_window=witness_window,
+            mem_elems=mem_elems,
+            stream_elems=stream_elems,
+        ):
+            if exists:
+                return k, True
             verified_below = k + 1
-            continue
-        try:
-            exists = _weight_k_exists(
-                g, N, k,
-                syn=syn,
-                witness_window=witness_window,
-                mem_elems=mem_elems,
-                stream_elems=stream_elems,
-            )
-        except EnvelopeError:
-            return verified_below, False
-        if exists:
-            return k, True
-        verified_below = k + 1
+    except EnvelopeError:
+        pass
     return verified_below, False
 
 

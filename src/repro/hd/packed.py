@@ -15,14 +15,14 @@ to the value dtype, ``acc = (acc << 1) ^ (top * g)`` cancels the
 is in range) or by overflow (``r`` == dtype bits), bit-identical to
 the arbitrary-precision recurrence.
 
-For weight 3 (``r <= 32``) ``(value << pos_bits) | position`` packs a
-*composite key* into one uint32 or uint64 (:func:`composite_from_values`).
-One SIMD row sort then makes weight-3 partners -- consecutive integer
-values -- adjacent entries whose XOR's high half is exactly 1, and the
-position payload rides along for free, so witness extraction never
-re-sorts (:func:`weight3_witnesses_packed`).  Wider registers leave no
-room for the position beside the value; the search driver screens
-their weight 3 with :class:`~repro.hd.batched.BatchKeys` instead.
+The weight-3 screen (:func:`weight3_witnesses`) serves every width
+with one row sort: weight-3 partners -- consecutive integer values --
+become adjacent entries.  For ``r <= 32`` ``(value << pos_bits) |
+position`` packs a *composite key* into one uint32 or uint64
+(:func:`composite_from_values`), so a SIMD sort carries the position
+payload for free; wider values leave no room beside them, so their
+rows are argsorted.  Either way the partner pairs feed one
+hit-to-witness selection that replicates the scalar witness choice.
 
 Exactness contract: identical to the scalar cascade -- same screens,
 same witness selection rules, same ascending-weight preconditions.
@@ -46,9 +46,8 @@ PACKED_MAX_WIDTH = 63
 #: which the sliced sweep's jump-start needs).
 COMPOSITE_MAX_WIDTH = 32
 
-#: Elements of composite-key workspace materialized at once by the
-#: weight-3 screen (uint32/uint64 each); the search driver sub-batches
-#: candidate rows to fit.
+#: Table elements the weight-3 screen sorts at once (as composite keys
+#: or argsorted values); candidate rows are sub-batched to fit.
 COMPOSITE_BUDGET = 1 << 26
 
 
@@ -329,51 +328,83 @@ def composite_from_values(
     return keys, pos_bits
 
 
-def weight3_rows_packed(sorted_keys: np.ndarray, pos_bits: int) -> np.ndarray:
-    """(B,) bool: rows of a *row-sorted* composite-key batch containing
-    some ``syn[p] ^ syn[q] == 1`` -- adjacent sorted values XORing
-    to 1.  Exact on weight-2-clean rows (distinct values), the
-    cascade's ascending-weight precondition."""
-    if sorted_keys.shape[1] < 2:
-        return np.zeros(len(sorted_keys), dtype=bool)
-    x = sorted_keys[:, 1:] ^ sorted_keys[:, :-1]
-    return (x >> sorted_keys.dtype.type(pos_bits) == sorted_keys.dtype.type(1)).any(
-        axis=1
-    )
+def _weight3_partners(
+    values: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ``syn[p] ^ syn[q] == 1`` pair of a ``(rows, N)`` value
+    table, as ``(row, p, q)`` arrays.
+
+    Partners are consecutive integers, hence adjacent once a row is
+    sorted.  For ``r <= 32`` the row sort runs on composite keys
+    (:func:`composite_from_values`), so positions ride in the low
+    bits; wider values leave no room beside them, so their rows are
+    argsorted instead.  Exact on weight-2-clean rows (distinct
+    values), the cascade's ascending-weight precondition.
+    """
+    if r <= COMPOSITE_MAX_WIDTH:
+        keys, pos_bits = composite_from_values(values, r, values.shape[1])
+        keys.sort(axis=1)
+        dt = keys.dtype.type
+        adj = keys[:, 1:] ^ keys[:, :-1]
+        adj >>= dt(pos_bits)
+        # flatnonzero + unravel: a 2-D np.nonzero is an order of
+        # magnitude slower.
+        row, col = np.unravel_index(np.flatnonzero(adj == dt(1)), adj.shape)
+        pmask = dt((1 << pos_bits) - 1)
+        return row, keys[row, col] & pmask, keys[row, col + 1] & pmask
+    order = np.argsort(values, axis=1)
+    sv = np.take_along_axis(values, order, axis=1)
+    adj = (sv[:, 1:] ^ sv[:, :-1]) == np.uint64(1)
+    row, col = np.unravel_index(np.flatnonzero(adj), adj.shape)
+    return row, order[row, col], order[row, col + 1]
 
 
-def weight3_witnesses_packed(
-    sorted_keys: np.ndarray, pos_bits: int, window: int
-) -> list[tuple[int, int, int] | None]:
-    """Weight-3 witnesses from row-sorted composite keys, replicating
-    the scalar :func:`~repro.hd.mitm.windowed_witness` choice exactly
-    (same rule as :func:`repro.hd.batched.weight3_witnesses`): the
-    first position ``b`` (ascending) whose partner sits below
-    ``window``; ``None`` where every match needs a partner at or
-    beyond it.  Positions fall straight out of the sorted keys -- the
-    existence scan already paid for the sort, so extraction costs one
-    pass over the adjacent-pair hits."""
-    R, N = sorted_keys.shape
-    w = min(window, N)
-    if N < 2:
-        return [None] * R
-    dt = sorted_keys.dtype.type
-    x = sorted_keys[:, 1:] ^ sorted_keys[:, :-1]
-    hit_row, hit_col = np.nonzero((x >> dt(pos_bits)) == dt(1))
-    pmask = dt((1 << pos_bits) - 1)
-    pos_a = sorted_keys[hit_row, hit_col] & pmask
-    pos_b = sorted_keys[hit_row, hit_col + 1] & pmask
-    best_b: list[int | None] = [None] * R
-    best_p: list[int] = [0] * R
-    for i, pa, pb in zip(hit_row.tolist(), pos_a.tolist(), pos_b.tolist()):
-        for b, p in ((pa, pb), (pb, pa)):
-            # b >= 1 and p >= 1 hold automatically: position 0 has
-            # syndrome 1, whose partner would be syndrome 0, which
-            # never occurs.
-            bb = best_b[i]
-            if p < w and (bb is None or b < bb):
-                best_b[i], best_p[i] = b, p
+def _pick_witnesses(
+    row: np.ndarray, p: np.ndarray, q: np.ndarray, window: int
+) -> list[tuple[int, tuple[int, int, int]]]:
+    """One weight-3 witness ``(0, min(b, partner), max(b, partner))``
+    per row of partner pairs ``(p, q)``, chosen as the scalar cascade
+    chooses it: the smallest ``b`` whose partner sits below ``window``
+    (:func:`~repro.hd.mitm.windowed_witness`), else -- a windowed miss
+    -- the smallest ``b`` overall, which is what the scalar fallback
+    :func:`~repro.hd.mitm.find_witness` returns.
+
+    Each pair offers both orientations; ``b`` is unique per row
+    (distinct values give each a single partner), so the order below
+    has no ties.  ``b >= 1`` holds automatically: position 0 has
+    syndrome 1, whose partner would be syndrome 0, which never occurs.
+    """
+    rows = np.concatenate((row, row))
+    b = np.concatenate((p, q)).astype(np.int64)
+    partner = np.concatenate((q, p)).astype(np.int64)
+    order = np.lexsort((b, partner >= window, rows))
+    rows = rows[order]
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    pick = order[first]
+    lo = np.minimum(b[pick], partner[pick])
+    hi = np.maximum(b[pick], partner[pick])
     return [
-        None if b is None else tuple(sorted((0, best_p[i], b)))
-        for i, b in enumerate(best_b)
+        (i, (0, x, y))
+        for i, x, y in zip(rows[first].tolist(), lo.tolist(), hi.tolist())
     ]
+
+
+def weight3_witnesses(
+    sweep: ValueSweep, lanes: np.ndarray, n_positions: int, window: int
+) -> list[tuple[int, tuple[int, int, int]]]:
+    """The weight-3 screen: ``(i, witness)`` for each ``lanes[i]``
+    whose first ``n_positions`` syndromes hold a weight-3 codeword,
+    with the scalar cascade's witness (:func:`_pick_witnesses`).
+
+    Rows are sub-batched to :data:`COMPOSITE_BUDGET` elements.
+    """
+    out: list[tuple[int, tuple[int, int, int]]] = []
+    rows_per = max(1, COMPOSITE_BUDGET // max(n_positions, 1))
+    for c0 in range(0, len(lanes), rows_per):
+        values = sweep.values(lanes[c0 : c0 + rows_per], n_positions)
+        row, p, q = _weight3_partners(values, sweep.r)
+        if len(row):
+            out.extend(
+                (c0 + i, wit) for i, wit in _pick_witnesses(row, p, q, window)
+            )
+    return out

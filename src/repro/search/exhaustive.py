@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gf2.poly import degree, divisible_by_x_plus_1
+from repro.gf2.poly import degree
 from repro.gf2.order import order_of_x
 from repro.hd.breakpoints import _refute_weights, refute_hd_at  # noqa: F401
 from repro.hd.cost import DEFAULT_MEM_ELEMS, DEFAULT_STREAM_ELEMS
-from repro.hd.hamming import _weight_k_exists
+from repro.hd.hamming import _ascending_weights
 from repro.hd.invariants import WeightMonitor
 from repro.hd.syndromes import extend_syndrome_table, syndrome_table
 from repro.hd.weights import weight_profile
@@ -253,19 +253,15 @@ def confirm_survivor(
         # Backends hand the table over in their native sweep width;
         # the weight searches below key on uint64.
         syn = syn.astype(np.uint64)
-    parity = divisible_by_x_plus_1(g)
     k_max = max(config.target_hd + 4, 10)
-    for k in range(config.target_hd, k_max + 1):
-        if parity and k % 2 == 1:
-            continue
-        if _weight_k_exists(
-            g, N, k,
-            syn=syn,
-            witness_window=config.witness_window,
-            mem_elems=config.mem_elems,
-            stream_elems=config.stream_elems,
-        ):
-            hd = k
+    for hd, exists in _ascending_weights(
+        g, N, config.target_hd, k_max,
+        syn=syn,
+        witness_window=config.witness_window,
+        mem_elems=config.mem_elems,
+        stream_elems=config.stream_elems,
+    ):
+        if exists:
             break
     else:
         raise ValueError(f"HD exceeds k_max={k_max} at n={n}; raise k_max")

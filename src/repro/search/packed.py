@@ -20,20 +20,20 @@ more expensive -- stage.
   ``x``), so the stage kill is ``first_one <= N - 1`` and the witness
   ``(0, order)`` is free.
 * **Weight 3** runs only on the lanes that can still die of it
-  (parity-immune and already-condemned lanes are excluded first).
-  For ``r <= 32`` their buffer columns are cast to
-  ``(value << pos_bits) | position`` composite keys
-  (:func:`~repro.hd.packed.composite_from_values`, sub-batched to
-  :data:`~repro.hd.packed.COMPOSITE_BUDGET`); one SIMD row sort makes
-  partners adjacent, and witness positions ride in the key's low bits.
-  Wider registers leave no room for the position, so their weight 3
-  runs on :class:`~repro.hd.batched.BatchKeys` over uint64 tables.
+  (parity-immune and already-condemned lanes are excluded first), in
+  one screen for every width (:func:`~repro.hd.packed.weight3_witnesses`):
+  a row sort of their buffer columns -- composite keys
+  ``(value << pos_bits) | position`` for ``r <= 32``, argsorted uint64
+  values above -- makes partners adjacent, and one selection picks
+  the scalar witness.
 * **Weights 4/5 and the scalar tail** (``target_hd >= 5``) run the
-  :mod:`repro.hd.batched` screens on uint64 casts of the same buffer --
-  these stages only run on the thin post-weight-3 remainder, so
-  exactness is shared and speed is irrelevant.  Target weights >= 6
-  (rare: ``target_hd >= 7``) drop to the per-row scalar tail shared
-  with :func:`repro.hd.breakpoints.refute_hd_at`.
+  :mod:`repro.hd.batched` membership screens on uint64 casts of the
+  same buffer, through a presence map shared by every batch when
+  ``batch << r`` fits :data:`~repro.hd.batched.BITMAP_BUDGET` and
+  sorted keys otherwise -- these stages only run on the thin
+  post-weight-3 remainder.  Target weights >= 6 (rare:
+  ``target_hd >= 7``) drop to the per-row scalar tail shared with
+  :func:`repro.hd.breakpoints.refute_hd_at`.
 
 Killed lanes stay in the buffer until a stage has condemned enough of
 the batch (a quarter or more) to make one gather of the filled rows
@@ -61,14 +61,7 @@ from repro.hd.batched import BatchKeys, weight4_exists, weight5_exists
 from repro.hd.breakpoints import _refute_weights
 from repro.hd.cost import EnvelopeError, check_envelope
 from repro.hd.mitm import find_witness, windowed_witness
-from repro.hd.packed import (
-    COMPOSITE_BUDGET,
-    COMPOSITE_MAX_WIDTH,
-    ValueSweep,
-    composite_from_values,
-    weight3_rows_packed,
-    weight3_witnesses_packed,
-)
+from repro.hd.packed import ValueSweep, weight3_witnesses
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.events import NULL_EVENTS, NullEventLog
@@ -104,36 +97,6 @@ def _witness_for(
     return witness
 
 
-def _weight3_composite(
-    sweep: ValueSweep, lanes: np.ndarray, cand: np.ndarray, N: int, window: int
-) -> Kills:
-    """Weight-3 kills among the ``cand`` rows from sorted composite
-    keys (``r <= 32``), with their scalar-identical witnesses."""
-    kills: Kills = []
-    rows_per = max(1, COMPOSITE_BUDGET // max(N, 1))
-    for c0 in range(0, len(cand), rows_per):
-        rows = cand[c0 : c0 + rows_per]
-        keys, pos_bits = composite_from_values(
-            sweep.values(lanes[rows], N), sweep.r, N
-        )
-        keys.sort(axis=1)
-        rh = weight3_rows_packed(keys, pos_bits)
-        if not rh.any():
-            continue
-        wits = weight3_witnesses_packed(keys[rh], pos_bits, window)
-        misses = [i for i, w in enumerate(wits) if w is None]
-        if misses:
-            # No witness within the window: the full-window extraction
-            # selects exactly what the scalar fallback (find_witness)
-            # would.
-            full = weight3_witnesses_packed(keys[rh][misses], pos_bits, N)
-            for i, w in zip(misses, full):
-                assert w is not None
-                wits[i] = w
-        kills.extend(zip(rows[rh].tolist(), wits))
-    return kills
-
-
 def _keyed_kills(
     k: int,
     keys: BatchKeys,
@@ -143,21 +106,12 @@ def _keyed_kills(
     config: SearchConfig,
 ) -> Kills:
     """Weight-``k`` kills among the ``cand`` rows from the uint64-table
-    screens (weight 3 above 32 bits, weights 4 and 5)."""
-    if k == 3:
-        rows = np.flatnonzero(keys.weight3_rows() & cand)
-        wits = keys.weight3_witnesses(rows, config.witness_window)
-    else:
-        screen = weight4_exists if k == 4 else weight5_exists
-        rows = np.flatnonzero(screen(keys, cand) & cand)
-        wits = [None] * len(rows)
-    kills: Kills = []
-    for row, wit in zip(rows.tolist(), wits):
-        if wit is None:
-            g = int(g_alive[row])
-            wit = _witness_for(g, N, k, keys.tables[row], config)
-        kills.append((row, wit))
-    return kills
+    screens (weights 4 and 5)."""
+    screen = weight4_exists if k == 4 else weight5_exists
+    return [
+        (row, _witness_for(int(g_alive[row]), N, k, keys.tables[row], config))
+        for row in np.flatnonzero(screen(keys, cand) & cand).tolist()
+    ]
 
 
 def _screen_batch_packed(
@@ -226,21 +180,24 @@ def _screen_batch_packed(
             if k >= hd or not eligible.any():
                 break
             cand = eligible if k == 4 else (eligible & ~immune)
-            if k == 3 and r <= COMPOSITE_MAX_WIDTH:
-                hits = _weight3_composite(
-                    sweep, lanes, np.flatnonzero(cand), N, config.witness_window
-                )
+            if k == 3:
+                rows = np.flatnonzero(cand)
+                hits = [
+                    (int(rows[i]), wit)
+                    for i, wit in weight3_witnesses(
+                        sweep, lanes[rows], N, config.witness_window
+                    )
+                ]
             else:
-                if k > 3:
-                    try:
-                        check_envelope(N, k, config.mem_elems, config.stream_elems)
-                    except EnvelopeError:
-                        # The scalar path would be envelope-bound here
-                        # too; delegate this weight and everything
-                        # above it to the per-row tail, which
-                        # replicates it exactly.
-                        tail_k_min = k
-                        break
+                try:
+                    check_envelope(N, k, config.mem_elems, config.stream_elems)
+                except EnvelopeError:
+                    # The scalar path would be envelope-bound here
+                    # too; delegate this weight and everything
+                    # above it to the per-row tail, which
+                    # replicates it exactly.
+                    tail_k_min = k
+                    break
                 if keys is None:
                     tables = sweep.values(lanes, N, np.uint64)
                     keys = BatchKeys(tables, r, workspace=workspace)
@@ -384,7 +341,6 @@ def screen_chunk_packed(
             )
         if metrics.enabled:
             metrics.inc("search.batches")
-            metrics.inc("search.batches.packed")
             for length, count in kills.items():
                 metrics.inc(f"search.batch_kill.{length}", count)
         events.emit(

@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf2.order import order_of_x
-from repro.hd.batched import BatchKeys, PositionMap
-from repro.hd.packed import ValueSweep
+from repro.hd.batched import BatchKeys, PositionMap, weight4_exists, weight5_exists
+from repro.hd.packed import ValueSweep, weight3_witnesses
 from repro.hd.syndromes import syndrome_table
 from repro.search.exhaustive import (
     SearchConfig,
@@ -30,6 +30,7 @@ from repro.search.exhaustive import (
     screen_chunk,
     search_chunk,
 )
+from repro.search import packed as search_packed
 from repro.search.space import canonical, poly_to_index
 
 #: Odd, so chunk edges drift against every batch size used below.
@@ -136,7 +137,7 @@ def both_engines(gs, n: int) -> list[BatchKeys]:
     r = gs[0].bit_length() - 1
     tables = uint64_tables(gs, n)
     dense = BatchKeys(tables, r, workspace=PositionMap(len(gs) << r))
-    assert dense._inv is not None
+    assert dense._map is not None
     return [dense, BatchKeys(tables, r)]
 
 
@@ -193,11 +194,62 @@ class TestKernelProperties:
     @given(same_degree_batches(), st.integers(min_value=4, max_value=300))
     @settings(max_examples=40, deadline=None)
     def test_keyed_weight3_matches_table_scan(self, gs, n):
-        # Both engines find exactly the rows whose syndrome table holds
-        # a pair differing by 1 (a weight-3 codeword).
+        # Probing each engine for every value XOR 1 finds exactly the
+        # rows whose syndrome table holds a pair differing by 1 (a
+        # weight-3 codeword), and so does the weight-3 screen.
+        r = gs[0].bit_length() - 1
         expect = []
         for g in gs:
             vals = set(syndrome_table(g, n).tolist())
             expect.append(any((v ^ 1) in vals for v in vals))
+        rows = np.arange(len(gs), dtype=np.uint64)[:, None] << np.uint64(r)
         for keys in both_engines(gs, n):
-            assert keys.weight3_rows().tolist() == expect
+            probes = rows | (keys.tables ^ np.uint64(1))
+            assert keys.contains(probes).any(axis=1).tolist() == expect
+        sweep = ValueSweep(np.array(gs, dtype=np.uint64), r, n)
+        sweep.advance_to(n)
+        hits = {i for i, _ in weight3_witnesses(sweep, np.arange(len(gs)), n, n)}
+        assert [row in hits for row in range(len(gs))] == expect
+
+    @given(same_degree_batches(min_width=3), st.integers(min_value=5, max_value=120))
+    @settings(max_examples=40, deadline=None)
+    def test_weight5_takes_the_map(self, gs, n):
+        # Weight 5 re-marks the presence map for its pair values, so
+        # the keys must hand it over and answer from sorted keys after.
+        dense, ref = both_engines(gs, n)
+        rows = np.ones(len(gs), dtype=bool)
+        assert weight4_exists(dense, rows).tolist() == weight4_exists(ref, rows).tolist()
+        assert weight5_exists(dense, rows).tolist() == weight5_exists(ref, rows).tolist()
+        assert dense._map is None
+        r = gs[0].bit_length() - 1
+        probes = (np.arange(len(gs), dtype=np.uint64)[:, None] << np.uint64(r)) | (
+            ref.tables ^ np.uint64(1)
+        )
+        np.testing.assert_array_equal(dense.contains(probes), ref.contains(probes))
+
+
+class TestMembershipEngines:
+    """The weight-4/5 screens below width 33, on each engine, through
+    the driver: ``min(batch, candidates) << 24`` reaches
+    :data:`~repro.hd.batched.BITMAP_BUDGET` exactly at batch 4, so
+    batch 4 runs the presence map and batch 5 the sorted keys."""
+
+    @pytest.mark.parametrize("batch_size, mapped", [(4, True), (5, False)])
+    def test_width24_hd6_identical(self, monkeypatch, batch_size, mapped):
+        engines = []
+
+        class Spy(BatchKeys):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self._map is not None)
+
+        monkeypatch.setattr(search_packed, "BatchKeys", Spy)
+        cfg = SearchConfig.for_bits(24, 6, 96, batch_size=batch_size)
+        third = (1 << 23) // 3
+        packed = search_chunk(cfg, third, third + 48)
+        scalar = search_chunk(replace(cfg, backend="scalar"), third, third + 48)
+        assert_identical(packed, scalar)
+        assert engines and set(engines) == {mapped}
+        # The range holds weight-4 and weight-5 kills, so both screens
+        # condemned rows on the engine under test.
+        assert {r.hd for r in packed.records if not r.survived} >= {4, 5}

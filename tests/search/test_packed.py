@@ -14,11 +14,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gf2.order import order_of_x
-from repro.hd.packed import ValueSweep, composite_from_values, weight3_rows_packed
+from repro.hd.mitm import find_witness, windowed_witness
+from repro.hd.packed import ValueSweep, weight3_witnesses
 from repro.hd.syndromes import syndrome_of_positions, syndrome_table
 from repro.search.exhaustive import (
     SearchConfig,
@@ -157,7 +158,7 @@ class TestFullSpaceIdentity:
     )
     def test_wide_index_ranges_identical(self, width, target_hd, bits, span):
         # Above 32 bits the sweep runs uint64 and serially, and weight 3
-        # runs on BatchKeys; the low indices hold sparse generators
+        # argsorts the values; the low indices hold sparse generators
         # that die at weights 2-5, a third of the way in they survive.
         cfg = SearchConfig.for_bits(width, target_hd, bits)
         third = (1 << (width - 1)) // 3
@@ -281,26 +282,32 @@ class TestPackedKernels:
             expect = order if order <= n - 1 else -1
             assert sweep.first_one[lane] == expect
 
-    @given(same_degree_batches(max_width=16), st.integers(min_value=4, max_value=300))
-    @settings(max_examples=40, deadline=None)
-    def test_weight3_rows_match_table_scan(self, gs, n):
-        # Composite-key adjacency finds exactly the rows whose syndrome
-        # table contains a pair differing by 1 (a weight-3 codeword).
+    @given(
+        same_degree_batches(max_width=63),
+        st.integers(min_value=4, max_value=300),
+        st.integers(min_value=2, max_value=300),
+    )
+    # 0x1473 at 300 bits: the windowed witness (0, 23, 181) is not the
+    # full search's (0, 17, 202); window 2 forces the windowed miss.
+    @example([0x1473], 300, 32)
+    @example([0x1473], 300, 2)
+    @settings(max_examples=60, deadline=None)
+    def test_weight3_rows_match_table_scan(self, gs, n, window):
+        # The weight-3 screen -- composite-key sort up to 32 bits,
+        # argsort above -- finds exactly the rows whose syndrome table
+        # holds a pair differing by 1 (a weight-3 codeword), and on
+        # weight-2-clean rows picks the scalar cascade's witness:
+        # windowed first, the full search on a windowed miss.
         r = gs[0].bit_length() - 1
         sweep = ValueSweep(np.array(gs, dtype=np.uint64), r, n)
         sweep.advance_to(n)
-        keys, pos_bits = composite_from_values(
-            sweep.values(np.arange(len(gs)), n), r, n
-        )
-        keys.sort(axis=1)
-        hits = weight3_rows_packed(keys, pos_bits)
-        for row, g in zip(hits, gs):
+        hits = dict(weight3_witnesses(sweep, np.arange(len(gs)), n, window))
+        for row, g in enumerate(gs):
             syn = syndrome_table(g, n)
-            vals = set()
-            expect = False
-            for v in syn.tolist():
-                if (v ^ 1) in vals:
-                    expect = True
-                    break
-                vals.add(v)
-            assert bool(row) == expect
+            vals = set(syn.tolist())
+            assert (row in hits) == any((v ^ 1) in vals for v in vals)
+            if row in hits and order_of_x(g) > n - 1:
+                expect = windowed_witness(
+                    g, n, 3, window=min(window, n), syn=syn
+                ) or find_witness(g, n, 3, syn=syn)
+                assert hits[row] == expect

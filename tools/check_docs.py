@@ -17,6 +17,16 @@ GitHub's slug rules.  External schemes (``http(s)``, ``mailto``) are
 left alone -- this is a repo-integrity check, not a crawler.  A
 broken link fails the run exactly like a failing example block.
 
+Documentation that quotes a committed number must quote it right:
+a Markdown table right below ``<!-- numbers: BENCH_x.json -->`` (in
+EXPERIMENTS.md, README.md or docs/*.md) is checked cell by cell
+against that JSON file.  Every number in such a table names its field
+in a comment right after it -- ``72.7 <!-- metrics.a.b ms -->`` -- and
+must equal the field's value rounded (half up) to the quoted
+precision, in the quoted unit: an optional ``ms`` or ``%`` after the
+field scales a JSON value in seconds or as a fraction.  A number
+without a field, or one that does not match, fails the run.
+
 Conventions:
 
 * Blocks run with the repository's ``src/`` importable and the
@@ -34,12 +44,14 @@ traceback.  Wired into ``make verify`` and the docs-check CI job.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import sys
 import tempfile
 import time
 import traceback
+from decimal import ROUND_HALF_UP, Decimal
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -132,6 +144,81 @@ def check_links() -> int:
     return broken
 
 
+# -- quoted numbers against committed results ---------------------------
+
+_NUMBERS = re.compile(r"^<!--\s*numbers:\s*(\S+\.json)\s*-->[ \t]*$", re.MULTILINE)
+
+#: ``<!-- dotted.field [ms|%] -->`` right after a quoted number.
+_FIELD = re.compile(r"<!--\s*([\w.]+)(?:\s+(ms|%))?\s*-->")
+
+_NUM = re.compile(r"[+\-\u2212]?\d[\d,]*(?:\.\d+)?")
+
+_SCALE = {None: 1, "ms": 1000, "%": 100}
+
+
+def _field_value(data: object, path: str) -> object:
+    """The JSON value at a dotted path, or ``None`` if there is none."""
+    for key in path.split("."):
+        if not isinstance(data, dict) or key not in data:
+            return None
+        data = data[key]
+    return data
+
+
+def _check_quote(quoted: str, value: object, unit: str | None) -> bool:
+    """Does ``value`` (JSON, in seconds / as a fraction for ``ms`` /
+    ``%``) round to ``quoted`` at the quoted precision?"""
+    want = Decimal(quoted.replace(",", "").replace("\u2212", "-"))
+    got = Decimal(repr(value)) * _SCALE[unit]
+    quantum = Decimal(1).scaleb(want.as_tuple().exponent)
+    return got.quantize(quantum, rounding=ROUND_HALF_UP) == want
+
+
+def check_numbers() -> int:
+    """Check every ``numbers:`` table; returns the number of bad cells."""
+    bad = tables = checked = 0
+    for path in [os.path.join(REPO, "EXPERIMENTS.md")] + doc_files():
+        rel = os.path.relpath(path, REPO)
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        for marker in _NUMBERS.finditer(text):
+            tables += 1
+            with open(os.path.join(REPO, marker.group(1)), encoding="utf-8") as f:
+                data = json.load(f)
+            # The table starts on the line after the marker.
+            line_no = text.count("\n", 0, marker.end()) + 2
+            rows = text[marker.end() + 1 :].splitlines()
+            for i, row in enumerate(rows):
+                if not row.startswith("|"):
+                    break
+                where = f"{rel}:{line_no + i}"
+                for cell in row.strip("|").split("|"):
+                    pos = 0
+                    for m in _FIELD.finditer(cell):
+                        quoted = cell[pos : m.start()]
+                        nums = _NUM.findall(quoted)
+                        field, unit = m.group(1), m.group(2)
+                        value = _field_value(data, field)
+                        checked += 1
+                        if (
+                            len(nums) != 1
+                            or not isinstance(value, (int, float))
+                            or not _check_quote(nums[0], value, unit)
+                        ):
+                            bad += 1
+                            print(f"NUMBER {where}: quoted {quoted.strip()!r}"
+                                  f" but {marker.group(1)} {field} = "
+                                  f"{value!r}{' (' + unit + ')' if unit else ''}")
+                        pos = m.end()
+                    if i >= 2 and _NUM.search(cell[pos:]):
+                        bad += 1
+                        print(f"NUMBER {where}: {cell.strip()!r} quotes a "
+                              "number that names no field")
+    print(f"docs-check: {checked} quoted numbers in {tables} tables "
+          f"checked, {bad} wrong")
+    return bad
+
+
 def python_blocks(text: str) -> list[tuple[int, str, str]]:
     """``(first_line_number, info_string, source)`` per fenced block."""
     blocks = []
@@ -174,6 +261,7 @@ def run_file(path: str) -> tuple[int, int]:
 def main() -> int:
     sys.path.insert(0, os.path.join(REPO, "src"))
     bad_links = check_links()  # before chdir: paths resolve repo-relative
+    bad_numbers = check_numbers()
     total = bad = 0
     with tempfile.TemporaryDirectory(prefix="repro-docs-") as scratch:
         os.chdir(scratch)  # examples may write checkpoints/logs here
@@ -182,7 +270,7 @@ def main() -> int:
             total += run
             bad += failed
     print(f"docs-check: {total} blocks run, {bad} failed")
-    return 1 if bad or bad_links else 0
+    return 1 if bad or bad_links or bad_numbers else 0
 
 
 if __name__ == "__main__":
