@@ -10,6 +10,8 @@ invariant:
   (x+1) theorem -- same answers, fewer checks;
 * windowed-witness fast path: hamming_distance with the probe
   disabled (window smaller than useful) vs enabled -- same answers;
+  and one weight-5 windowed witness at width 32, its seconds and
+  ``tracemalloc`` peak;
 * chunk-size sensitivity of the distributed coordinator -- same
   campaign outcome across granularities.
 """
@@ -17,6 +19,7 @@ invariant:
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -24,6 +27,8 @@ from conftest import once
 from repro.gf2.notation import koopman_to_full
 from repro.gf2.poly import reciprocal
 from repro.hd.hamming import hamming_distance
+from repro.hd.mitm import windowed_witness
+from repro.hd.syndromes import syndrome_table
 from repro.search.exhaustive import SearchConfig, search_chunk, search_all
 
 
@@ -106,6 +111,34 @@ def test_windowed_witness_ablation(benchmark, record):
     record("ablation", {"windowed_witness": {
         "seconds_with": round(t_fast, 3),
         "seconds_without": round(t_slow, 3),
+    }})
+
+
+def test_windowed_witness_weight5(benchmark, record):
+    """One weight-5 kill of the width-32 HD-6 search at 1,056 bits:
+    the windowed witness's time and ``tracemalloc`` peak.  The
+    ablation above never reaches k >= 5, because ``hamming_distance``
+    takes the full meet-in-the-middle at its lengths."""
+    g = 0x179F48B87
+    syn = syndrome_table(g, 1056)
+
+    def timed():
+        t0 = time.perf_counter()
+        witness = windowed_witness(g, 1056, 5, window=400, syn=syn)
+        return witness, time.perf_counter() - t0
+
+    witness, seconds = once(benchmark, timed)
+    tracemalloc.start()
+    try:
+        assert windowed_witness(g, 1056, 5, window=400, syn=syn) == witness
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness == (0, 38, 151, 218, 924)
+    record("ablation", {"windowed_witness_weight5": {
+        "seconds": round(seconds, 3),
+        "peak_mb": round(peak / 2**20, 1),
+        "witness": list(witness),
     }})
 
 

@@ -35,6 +35,18 @@ Two generation strategies, chosen by shape:
   Python iterations regardless of s, with closed-form unranking to
   recover positions.  This is what makes weight-14 checks at 40-bit
   windows (Table 1's top rows) instantaneous.
+
+The windowed witness (:func:`windowed_witness`), the screens' cheap
+proof for a kill, looks only at codewords ``{0, b} | S`` with ``S`` a
+(k-2)-subset of a short window.  It returns the smallest ``b``, then
+the colex-smallest ``S`` -- one fixed rule, because records carry the
+witness.  Up to ``k = 4`` it sorts every ``S`` at once.  From ``k = 5``
+it meets in the middle: it sorts the (k-3)-subsets ``T`` and streams
+``syn[b] ^ syn[c]`` against them in blocks of ascending ``b``, each
+``S = T + (c,)`` seen once with ``c`` its largest position.  At width
+32 that sorts ``C(399, 2)`` pairs where the whole side was
+``C(399, 3)`` triples.  Its envelope guard still prices the whole side:
+a raise sends callers to :func:`find_witness`, whose witness differs.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ from repro.hd.syndromes import syndrome_table, syndrome_of_positions
 from repro.obs import metrics as obs_metrics
 
 DEFAULT_CHUNK = 1 << 22  # streamed elements per searchsorted batch
+_SPLIT_QUERIES = 1 << 16  # (b, c) queries per windowed-witness block
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +473,31 @@ def windowed_witness(
     mem_elems: int = DEFAULT_MEM_ELEMS,
 ) -> tuple[int, ...] | None:
     """Cheap *existence proof* for dense regimes: look for a weight-k
-    codeword of the restricted shape ``{0, b, c_1..c_{k-2}}`` with the
-    ``c_i`` confined to the first ``window`` positions and ``b``
-    ranging over the whole window of ``codeword_bits``.
+    codeword of the restricted shape ``{0, b} | S`` with ``S`` a
+    (k-2)-subset of the first ``window`` positions (excluding 0) and
+    ``b`` ranging over the whole window of ``codeword_bits``.
 
     Far above a breakpoint the number of weight-k codewords grows like
     ``C(N, k) / 2**r``, so even this thin slice of the search space
     contains many -- a hit is returned (verified) almost immediately.
     A ``None`` result proves nothing; callers must fall back to
     :func:`exists_weight_k`.
+
+    The witness returned is fixed by one rule, whichever way it is
+    searched: the smallest ``b`` in ``[1, N)`` for which some ``S``
+    not containing ``b`` has ``XOR syn[S] == syn[b] ^ 1``, and for that
+    ``b`` the colex-smallest such ``S`` (the levelwise order), each
+    candidate verified against the exact big-int syndrome.  For
+    ``k <= 4`` every ``S`` is materialized and sorted at once.  For
+    ``k >= 5`` the search meets in the middle (:func:`_split_candidates`):
+    only the (k-3)-subsets are sorted and ``syn[b] ^ syn[c]`` is
+    streamed against them -- unless the window is so short that the
+    (k-3)-subsets outnumber the (k-2)-subsets.
+
+    The envelope guard still prices the whole ``C(window - 1, k - 2)``
+    side even where the split never builds it: a raise sends callers
+    to :func:`find_witness`, whose witness differs, so moving the guard
+    would change which witness a record carries.
     """
     N = codeword_bits
     if k < 3 or N < k:
@@ -482,25 +511,82 @@ def windowed_witness(
         syn = syndrome_table(g, N)
     metrics = obs_metrics.active()
     metrics.inc("mitm.windowed.calls")
+    if k <= 4 or comb(window - 1, k - 3) >= comb(window - 1, k - 2):
+        candidates = _whole_candidates(syn, N, k, window)
+    else:
+        candidates = _split_candidates(syn, N, k, window)
+    for b, subset in candidates:
+        if b in subset:
+            continue
+        positions = tuple(sorted((0, b) + subset))
+        if syndrome_of_positions(g, positions) == 0:
+            # The cheap existence proof landed: the candidate dies
+            # without a full meet-in-the-middle scan.
+            metrics.inc("mitm.windowed.hits")
+            return positions
+    return None
+
+
+def _whole_candidates(
+    syn: np.ndarray, N: int, k: int, window: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every ``(b, S)`` with ``XOR syn[S] == syn[b] ^ 1`` in
+    :func:`windowed_witness`'s order, from all ``C(window - 1, k - 2)``
+    subsets ``S`` sorted at once.
+
+    A stable sort keeps equal values in levelwise (colex) order, and
+    hits come out by ascending ``b``.
+    """
     side = _materialize_side(syn, k - 2, 1, window, target=1, with_positions=True)
     queries = syn[1:N]
     for flat in _hits(side.values, queries):
-        b = int(flat) + 1
         value = queries[int(flat)]
         lo_i = int(np.searchsorted(side.values, value, side="left"))
         hi_i = int(np.searchsorted(side.values, value, side="right"))
         for si in range(lo_i, hi_i):
-            small_part = side.positions_at(si)
-            flat_set = {0, b} | set(small_part)
-            if len(flat_set) != k:
-                continue
-            positions = tuple(sorted(flat_set))
-            if syndrome_of_positions(g, positions) == 0:
-                # The cheap existence proof landed: the candidate dies
-                # without a full meet-in-the-middle scan.
-                metrics.inc("mitm.windowed.hits")
-                return positions
-    return None
+            yield int(flat) + 1, side.positions_at(si)
+
+
+def _split_candidates(
+    syn: np.ndarray, N: int, k: int, window: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The same ``(b, S)`` sequence as :func:`_whole_candidates`, by
+    meeting in the middle: ``S = T + (c,)`` with ``c = max(S)``.
+
+    Only the ``C(window - 1, k - 3)`` subsets ``T`` are sorted (with
+    their maximum position and levelwise rank).  ``syn[b] ^ syn[c]``
+    is streamed for every ``c`` in the window and ``b`` in ascending
+    blocks of about :data:`_SPLIT_QUERIES` queries; a match with
+    ``c > max(T)`` is a candidate, so each ``S`` is seen once.  The
+    hits of a block come out ordered by ``(b, c)``, and a stable sort
+    keeps the ``T`` of one value in rank order, so candidates leave
+    ordered by ``(b, c, rank(T))`` -- which is ``b``, then the colex
+    order of ``S``.
+    """
+    side = _materialize_side(syn, k - 3, 1, window, target=1, with_positions=True)
+    assert side.maxpos is not None
+    ends = np.asarray(syn[1:window], dtype=np.uint64)  # syn[c], c in [1, window)
+    span = window - 1
+    rows = max(1, _SPLIT_QUERIES // span)
+    for b0 in range(1, N, rows):
+        heads = np.asarray(syn[b0 : min(b0 + rows, N)], dtype=np.uint64)
+        queries = np.bitwise_xor(heads[:, None], ends).ravel()
+        flat = _hits(side.values, queries)
+        if len(flat) == 0:
+            continue
+        values = queries[flat]
+        lo = np.searchsorted(side.values, values, side="left")
+        counts = np.searchsorted(side.values, values, side="right") - lo
+        # Expand each hit into its run of equal side entries.
+        query_of = np.repeat(flat, counts)
+        entry = np.arange(len(query_of)) + np.repeat(
+            lo - (np.cumsum(counts) - counts), counts
+        )
+        c = query_of % span + 1
+        keep = side.maxpos[entry] < c
+        b = query_of[keep] // span + b0
+        for bi, ci, ei in zip(b.tolist(), c[keep].tolist(), entry[keep].tolist()):
+            yield bi, side.positions_at(ei) + (ci,)
 
 
 def minimal_codeword_span(

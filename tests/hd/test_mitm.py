@@ -7,6 +7,7 @@ enumeration on small windows, across random generators -- the same
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -25,6 +26,14 @@ from repro.hd.cost import EnvelopeError
 
 gen_polys = st.integers(min_value=0b1001, max_value=(1 << 13) - 1).filter(
     lambda p: p & 1
+)
+
+# Generators of widths 8-24 not divisible by (x+1) (an odd number of
+# terms), so odd-weight codewords exist.
+parity_free_polys = (
+    st.integers(min_value=8, max_value=24)
+    .flatmap(lambda r: st.integers(min_value=1 << r, max_value=(2 << r) - 1))
+    .filter(lambda p: p & 1 and bin(p).count("1") % 2 == 1)
 )
 
 
@@ -99,7 +108,75 @@ class TestWitness:
         assert w is not None and syndrome_of_positions(g=0b111, positions=w) == 0
 
 
+def brute_windowed(g: int, N: int, k: int, window: int) -> tuple[int, ...] | None:
+    """``windowed_witness``'s rule by enumeration: the smallest ``b`` in
+    [1, N) with some (k-2)-subset ``S`` of [1, window), ``b`` not in
+    ``S``, such that ``{0, b} | S`` is a codeword; for that ``b`` the
+    colex-smallest ``S``."""
+    window = min(window, N)
+    syn = [int(s) for s in syndrome_table(g, N)]
+    colex = sorted(combinations(range(1, window), k - 2), key=lambda S: S[::-1])
+    for b in range(1, N):
+        for S in colex:
+            if b in S:
+                continue
+            acc = syn[0] ^ syn[b]
+            for p in S:
+                acc ^= syn[p]
+            if acc == 0:
+                positions = tuple(sorted((0, b) + S))
+                assert syndrome_of_positions(g, positions) == 0
+                return positions
+    return None
+
+
+# Largest window per weight that keeps the oracle's enumeration small.
+ORACLE_WINDOW = {5: 40, 6: 28, 7: 20}
+
+
 class TestWindowedWitness:
+    @given(parity_free_polys, st.integers(min_value=5, max_value=7),
+           st.integers(min_value=7, max_value=80), st.integers(min_value=2, max_value=40))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_brute_force_rule(self, g, k, N, window):
+        window = min(window, ORACLE_WINDOW[k])
+        assert windowed_witness(g, N, k, window=window) == brute_windowed(
+            g, N, k, window
+        )
+
+    @pytest.mark.parametrize(
+        "g, N, k, window, expect",
+        [
+            # b = 1, the smallest b there is; window < N
+            (0x133, 80, 5, 33, (0, 1, 4, 5, 8)),
+            # b = 2, inside the window
+            (0x135, 26, 5, 10, (0, 2, 4, 5, 8)),
+            # b = 15, beyond a 13-bit window
+            (0x81AD, 34, 7, 13, (0, 2, 3, 5, 7, 8, 15)),
+            # window == N
+            (0x499, 16, 6, 16, (0, 2, 4, 8, 13, 15)),
+            (0x2CF, 13, 7, 13, (0, 1, 2, 3, 6, 7, 9)),
+            # several S fit the smallest b: the colex-smallest wins, not
+            # the lexicographically smallest ((5, 35, 37) here)
+            (0x1F99, 46, 5, 38, (0, 3, 6, 17, 18)),
+            (0x1C95, 77, 6, 28, (0, 1, 2, 6, 11, 16)),
+            (0x1151, 47, 7, 19, (0, 6, 8, 10, 12, 14, 20)),
+            # ... and among several S with one largest position, the
+            # colex-smallest rest ((15, 22, 24) also fits b = 1 here)
+            (0xE35, 43, 5, 37, (0, 1, 2, 11, 24)),
+            (0x7B7, 40, 6, 20, (0, 1, 3, 6, 9, 16)),
+            (0x111, 20, 7, 13, (0, 1, 2, 6, 10, 12, 13)),
+            # misses, window < N and window == N
+            (0x36B, 30, 5, 8, None),
+            (0x53985, 15, 5, 15, None),
+            (0xB0BD, 20, 7, 16, None),
+            (0x1076CE3, 37, 6, 26, None),
+        ],
+    )
+    def test_pinned_witnesses(self, g, N, k, window, expect):
+        assert brute_windowed(g, N, k, window) == expect
+        assert windowed_witness(g, N, k, window=window) == expect
+
     @given(gen_polys, st.integers(min_value=16, max_value=64),
            st.integers(min_value=3, max_value=5))
     @settings(max_examples=100, deadline=None)
@@ -123,6 +200,28 @@ class TestWindowedWitness:
     def test_envelope_guard(self):
         with pytest.raises(EnvelopeError):
             windowed_witness(0x107, 4000, 6, window=4000, mem_elems=1000)
+
+    def test_envelope_guard_prices_the_whole_side(self):
+        # The guard counts all C(window - 1, k - 2) = C(37, 3) = 7,770
+        # subsets, though the weight-5 search sorts only C(37, 2) pairs.
+        expect = (0, 3, 6, 17, 18)
+        assert windowed_witness(0x1F99, 46, 5, window=38, mem_elems=7770) == expect
+        with pytest.raises(EnvelopeError):
+            windowed_witness(0x1F99, 46, 5, window=38, mem_elems=7769)
+
+    def test_weight5_memory(self):
+        # A width-32 weight-5 kill.  Sorting all C(399, 3) window triples
+        # takes over 500 MB; the bound holds only if pairs are sorted.
+        g = 0x179F48B87
+        syn = syndrome_table(g, 1056)
+        tracemalloc.start()
+        try:
+            w = windowed_witness(g, 1056, 5, window=400, syn=syn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w == (0, 38, 151, 218, 924)
+        assert peak < 32 * 2**20
 
 
 class TestMinimalSpan:
