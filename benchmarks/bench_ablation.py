@@ -12,6 +12,9 @@ invariant:
   disabled (window smaller than useful) vs enabled -- same answers;
   and one weight-5 windowed witness at width 32, its seconds and
   ``tracemalloc`` peak;
+* membership screens: the weight-4/5 pair screens' seconds in each
+  presence-filter regime, hashed at width 32 and direct at width 12,
+  with answers checked against a sort-based oracle first;
 * chunk-size sensitivity of the distributed coordinator -- same
   campaign outcome across granularities.
 """
@@ -21,15 +24,19 @@ from __future__ import annotations
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import once
 from repro.gf2.notation import koopman_to_full
 from repro.gf2.poly import reciprocal
+from repro.hd.batched import BatchKeys, _pair_indices, weight4_exists, weight5_exists
 from repro.hd.hamming import hamming_distance
 from repro.hd.mitm import windowed_witness
+from repro.hd.packed import ValueSweep
 from repro.hd.syndromes import syndrome_table
 from repro.search.exhaustive import SearchConfig, search_chunk, search_all
+from repro.search.space import canonical_mask, index_range_polys
 
 
 def test_reciprocal_dedup_ablation(benchmark, record):
@@ -140,6 +147,74 @@ def test_windowed_witness_weight5(benchmark, record):
         "peak_mb": round(peak / 2**20, 1),
         "witness": list(witness),
     }})
+
+
+def _screen_tables(width: int, start: int, end: int, n: int) -> np.ndarray:
+    """The uint64 ``(B, n + width)`` syndrome tables of the canonical
+    candidates in an index range, as the packed driver hands them to
+    :class:`BatchKeys`."""
+    polys = index_range_polys(width, start, end)
+    polys = polys[canonical_mask(width, polys)]
+    N = n + width
+    sweep = ValueSweep(polys, width, N)
+    sweep.advance_to(N)
+    return sweep.values(np.arange(len(polys)), N, np.uint64)
+
+
+def _pair_oracle(tables: np.ndarray) -> tuple[list[bool], list[bool]]:
+    """Row by row with ``np.isin``: is some ``syn[a] ^ syn[b] ^ 1`` a
+    single (weight 4) or another pair (weight 5)?"""
+    a, b = _pair_indices(tables.shape[1])
+    w4, w5 = [], []
+    for row in tables:
+        pairs = row[a] ^ row[b]
+        w4.append(bool(np.isin(pairs ^ np.uint64(1), row).any()))
+        w5.append(bool(np.isin(pairs ^ np.uint64(1), pairs).any()))
+    return w4, w5
+
+
+def test_membership_screens(benchmark, record):
+    """The weight-4 plus weight-5 pair screens, best of 3, in both
+    presence-filter regimes: hashed on the ``w32_hd6_1k`` chunk (its 4
+    canonical candidates at 1,056 positions), direct on the width-12
+    space of ``for_bits(12, 6, 200)`` (1,056 candidates at 212
+    positions).  Answers must equal a sort-based oracle before
+    anything is timed."""
+    cases = {
+        "hashed_w32": (32, _screen_tables(32, 1023034816, 1023034824, 1024)),
+        "direct_w12": (12, _screen_tables(12, 0, 1 << 11, 200)),
+    }
+
+    def timed():
+        out = {}
+        for name, (r, tables) in cases.items():
+            rows = np.ones(len(tables), dtype=bool)
+            keys = BatchKeys(tables, r)
+            assert keys.hashed == (name == "hashed_w32")
+            answers = (
+                weight4_exists(keys, rows).tolist(),
+                weight5_exists(keys, rows).tolist(),
+            )
+            assert answers == _pair_oracle(tables)
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                keys = BatchKeys(tables, r)
+                weight4_exists(keys, rows)
+                weight5_exists(keys, rows)
+                best = min(best, time.perf_counter() - t0)
+            out[name] = {
+                "width": r,
+                "rows": len(tables),
+                "positions": tables.shape[1],
+                "seconds": round(best, 3),
+                "weight4": answers[0].count(True),
+                "weight5": answers[1].count(True),
+            }
+        return out
+
+    out = once(benchmark, timed)
+    record("ablation", {"membership_screens": out})
 
 
 @pytest.mark.parametrize("chunk_size", [4, 16, 64])

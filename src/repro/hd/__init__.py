@@ -23,8 +23,10 @@ Three engines are provided:
   above 32 bits) -- the engine behind the search's default
   ``backend="packed"``; record-identical to the scalar cascade.
 * :mod:`repro.hd.batched` -- the weight-4/5 screens that run on uint64
-  copies of those tables: composite-key pair matching over one
-  set-membership structure (presence map or sorted keys).
+  copies of those tables: composite-key pair matching against one
+  presence filter per batch of at most 32 slots per key,
+  direct-indexed when the batch's whole key space fits that and
+  hashed with exact confirmation otherwise.
 
 Breakpoint extraction (:mod:`repro.hd.breakpoints`) runs on the
 :mod:`repro.hd.jump` engine: shared extend-only syndrome tables,
@@ -40,7 +42,7 @@ existence (witnesses are re-verified), never non-existence.
 """
 
 from repro.hd.syndromes import syndrome_table, syndrome_of_positions
-from repro.hd.batched import BatchKeys, PositionMap
+from repro.hd.batched import BatchKeys
 from repro.hd.jump import (
     SpanCache,
     first_failure_jump,
@@ -92,7 +94,6 @@ __all__ = [
     "syndrome_table",
     "syndrome_of_positions",
     "BatchKeys",
-    "PositionMap",
     "SpanCache",
     "first_failure_jump",
     "refine_span",

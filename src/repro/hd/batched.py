@@ -9,13 +9,15 @@ tables once (:class:`~repro.hd.packed.ValueSweep`) and screens weights
 uint64 copies of those tables:
 
 * :class:`BatchKeys` answers set membership -- does value ``v`` occur
-  in row ``b``? -- for a whole batch, through a dense presence map
-  (:class:`PositionMap`) when ``B << r`` slots fit, sorted keys
-  otherwise.
+  in row ``b``? -- for a whole batch, through one presence filter of
+  at most 32 slots per key: indexed directly when the ``B << r`` key
+  space fits it, hashed with exact confirmation against the sorted
+  keys otherwise.
 * Weight-4/5 existence (:func:`weight4_exists`, :func:`weight5_exists`)
   uses **composite keys** -- candidate (row) index in the high bits,
-  syndrome in the low ``r`` bits -- so a single gather or global
-  ``searchsorted`` over pair-XOR keys services the entire batch.
+  syndrome in the low ``r`` bits -- so one filter lookup over pair-XOR
+  keys services the entire batch; weight 5 builds a second
+  :class:`BatchKeys` over the pair values.
 
 Exactness contract: identical to the scalar engines.  Every existence
 answer is exact for rows that passed the lower-weight screens first
@@ -39,46 +41,10 @@ from repro.hd.cost import EnvelopeError
 #: weight-4/5 kernels (~64 MB of uint64); rows are sub-batched to fit.
 PAIR_BUDGET = 8_000_000
 
-#: Largest dense presence-map (``B << r`` elements, one byte each) the
-#: batch screens may allocate.  Within it, every screen is a
-#: scatter/gather over the 2**r possible syndrome values -- no sorting
-#: at all; beyond it (large degree x large batch) the sorted-key
-#: screens take over.
-BITMAP_BUDGET = 1 << 26
-
-
-class PositionMap:
-    """Reusable presence-map workspace for the dense batch screens.
-
-    One uint8 array marks which ``(row << r) | value`` slots are
-    occupied *this stage*: a slot is present iff it holds the current
-    epoch stamp.  Each :meth:`mark` *bumps the epoch* instead of
-    clearing the map -- entries written by earlier marks simply stop
-    matching -- so the allocation (``np.zeros``, lazily paged) and the
-    invalidation are both free; only the slots actually present are
-    ever written.  One byte per slot keeps the hot footprint small
-    enough to stay cache-resident for the random scatter/gather
-    traffic.  A mark invalidates every earlier one, so one map serves
-    one reader at a time.
-    """
-
-    MAX_EPOCH = (1 << 8) - 1
-
-    def __init__(self, elems: int) -> None:
-        self.array = np.zeros(elems, dtype=np.uint8)
-        self._epoch = 0
-
-    def mark(self, slots: np.ndarray) -> np.uint8:
-        """Start a new epoch with exactly ``slots`` present; returns
-        the stamp a slot holds iff it is present."""
-        self._epoch += 1
-        if self._epoch > self.MAX_EPOCH:
-            # One full clear every 255 marks: amortized to nothing.
-            self.array.fill(0)
-            self._epoch = 1
-        epoch = np.uint8(self._epoch)
-        self.array[slots] = epoch
-        return epoch
+#: Largest presence filter, in one-byte slots (64 MiB), a
+#: :class:`BatchKeys` builds; below it the filter is sized from the
+#: batch's key count.
+_FILTER_SLOTS = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -90,27 +56,24 @@ class BatchKeys:
     """Set-membership state for one ``(B, N)`` syndrome batch: does a
     composite key ``(row << r) | value`` name a value in its row?
 
-    Two interchangeable engines answer the same exact question:
+    One engine answers: a presence filter, one byte per slot, marked at
+    every key of the batch.
 
-    *Dense presence map* (borrowed :class:`PositionMap` workspace,
-    fitting ``B << r`` slots): construction marks the ``B * N`` present
-    slots, and :meth:`contains` is one gather -- no sorting anywhere.
+    The filter holds at most 32 slots per key and at most
+    :data:`_FILTER_SLOTS`, so small batches stay cache-sized.
 
-    *Sorted keys* (fallback above :data:`BITMAP_BUDGET`): a row-wise
-    sort lifts rows into composite keys whose row-major flattening is
-    globally sorted, so one ``searchsorted`` serves the whole batch.
+    *Direct* (the ``B << r`` key space fits that room): a key is its
+    own slot, so a filter hit is the exact answer.  Keys this dense
+    are mostly hits, which a hashed filter would all have to confirm.
 
-    :func:`weight5_exists` re-marks the map for its pair values; it
-    takes the map over (:meth:`take_map`), so the keys answer from the
-    sorted engine from then on and never from a re-stamped plane.
+    *Hashed* (otherwise): a multiplicative hash of the key picks a slot
+    in a power-of-two filter of 16 to 32 slots per key, fewer at the
+    cap.  A miss is exact (every key marked its slot); each hit is
+    confirmed against the sorted composite keys with ``searchsorted``,
+    so every positive is exact too.
     """
 
-    def __init__(
-        self,
-        tables: np.ndarray,
-        r: int,
-        workspace: "PositionMap | None" = None,
-    ) -> None:
+    def __init__(self, tables: np.ndarray, r: int) -> None:
         B, N = tables.shape
         if B and r + max((B - 1).bit_length(), 1) > 64:
             raise EnvelopeError(
@@ -119,54 +82,41 @@ class BatchKeys:
             )
         self.B, self.N, self.r = B, N, r
         self.tables = tables
-        self._map: PositionMap | None = None
-        self._epoch = np.uint8(0)
-        self._sorted_syn: np.ndarray | None = None
-        self._flat: np.ndarray | None = None
-        if workspace is not None and B and N and (B << r) <= len(
-            workspace.array
-        ):
-            # intp composite indices: fancy indexing then skips the
-            # internal uint64 -> intp cast.
-            idx = (np.arange(B, dtype=np.intp) << r)[:, None] | tables.view(
-                np.int64
-            ).astype(np.intp, copy=False)
-            self._epoch = workspace.mark(idx.reshape(-1))
-            self._map = workspace
+        rows = np.arange(B, dtype=np.uint64) << np.uint64(r)
+        #: ``(B, N)`` composite keys ``(row << r) | value``.
+        self.keys = rows[:, None] | tables
+        room = min(_FILTER_SLOTS, 32 * max(B * N, 1))
+        self.hashed = (B << r) > room
+        if self.hashed:
+            bits = room.bit_length() - 1
+            self._shift = np.uint64(64 - bits)
+            self._filter = np.zeros(1 << bits, dtype=bool)
+            self._sorted = np.sort(self.keys, axis=1).reshape(-1)
+        else:
+            self._filter = np.zeros(B << r, dtype=bool)
+        self._filter[self._slots(self.keys)] = True
 
-    def take_map(self) -> "PositionMap | None":
-        """Hand the presence map to a caller that will re-mark it; the
-        keys answer from sorted keys from then on."""
-        workspace, self._map = self._map, None
-        return workspace
-
-    # -- sorted-key fallback state (built on demand) -------------------
-
-    @property
-    def sorted_syn(self) -> np.ndarray:
-        if self._sorted_syn is None:
-            self._sorted_syn = np.sort(self.tables, axis=1)
-        return self._sorted_syn
-
-    def flat_keys(self) -> np.ndarray:
-        """The globally sorted composite-key array (built on demand)."""
-        if self._flat is None:
-            rows = np.arange(self.B, dtype=np.uint64) << np.uint64(self.r)
-            self._flat = (rows[:, None] | self.sorted_syn).ravel()
-        return self._flat
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        if not self.hashed:
+            return keys
+        # Fibonacci hashing: the top bits of the key times 2**64 / phi.
+        slots = keys * np.uint64(0x9E3779B97F4A7C15)
+        slots >>= self._shift
+        return slots
 
     def contains(self, query_keys: np.ndarray) -> np.ndarray:
         """Element-wise membership of ``query_keys`` (composite keys,
         any shape) in their own row's syndrome set."""
-        if self._map is not None:
-            return self._map.array[query_keys] == self._epoch
-        flat = self.flat_keys()
-        q = query_keys.ravel()
-        if len(flat) == 0 or len(q) == 0:
-            return np.zeros(query_keys.shape, dtype=bool)
-        idx = np.searchsorted(flat, q)
-        np.minimum(idx, len(flat) - 1, out=idx)
-        return (flat[idx] == q).reshape(query_keys.shape)
+        hit = self._filter[self._slots(query_keys)]
+        if self.hashed:
+            # Index tuples, not a flattened view: query arrays arrive
+            # in either memory order.
+            cand = np.nonzero(hit)
+            q = query_keys[cand]
+            pos = np.searchsorted(self._sorted, q)
+            np.minimum(pos, len(self._sorted) - 1, out=pos)
+            hit[cand] = self._sorted[pos] == q
+        return hit
 
 
 _PAIR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -231,27 +181,9 @@ def weight5_exists(keys: BatchKeys, rows_mask: np.ndarray) -> np.ndarray:
     if len(idx) == 0 or N < 5:
         return out
     a, b = _pair_indices(N)
-    P = len(a)
-    rows_per = max(1, PAIR_BUDGET // max(P, 1))
-    r_u = np.uint64(keys.r)
-    workspace = keys.take_map()
+    rows_per = max(1, PAIR_BUDGET // max(len(a), 1))
     for i0 in range(0, len(idx), rows_per):
         sub = idx[i0 : i0 + rows_per]
-        m = len(sub)
-        vals = tables[sub][:, a] ^ tables[sub][:, b]
-        pk = (np.arange(m, dtype=np.uint64) << r_u)[:, None] | vals
-        if workspace is not None:
-            # Pair values live in the same 2**r space as singles, and
-            # m <= B rows fit the keys' map: one mark of the pair set,
-            # one gather at ``value ^ 1``.
-            epoch = workspace.mark(pk.ravel())
-            out[sub] = (
-                workspace.array[(pk ^ np.uint64(1)).ravel()] == epoch
-            ).reshape(m, P).any(axis=1)
-        else:
-            flat = np.sort(pk, axis=1).ravel()
-            q = (pk ^ np.uint64(1)).ravel()
-            pos = np.searchsorted(flat, q)
-            np.minimum(pos, len(flat) - 1, out=pos)
-            out[sub] = (flat[pos] == q).reshape(m, P).any(axis=1)
+        pairs = BatchKeys(tables[sub][:, a] ^ tables[sub][:, b], keys.r)
+        out[sub] = pairs.contains(pairs.keys ^ np.uint64(1)).any(axis=1)
     return out

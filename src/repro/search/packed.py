@@ -28,10 +28,10 @@ more expensive -- stage.
   the scalar witness.
 * **Weights 4/5 and the scalar tail** (``target_hd >= 5``) run the
   :mod:`repro.hd.batched` membership screens on uint64 casts of the
-  same buffer, through a presence map shared by every batch when
-  ``batch << r`` fits :data:`~repro.hd.batched.BITMAP_BUDGET` and
-  sorted keys otherwise -- these stages only run on the thin
-  post-weight-3 remainder.  Target weights >= 6 (rare:
+  same buffer, through one presence filter per batch (direct-indexed
+  when the ``batch << r`` key space fits 32 slots per key, hashed
+  with exact confirmation otherwise) -- these stages only run on the
+  thin post-weight-3 remainder.  Target weights >= 6 (rare:
   ``target_hd >= 7``) drop to the per-row scalar tail shared with
   :func:`repro.hd.breakpoints.refute_hd_at`.
 
@@ -56,7 +56,6 @@ import time
 
 import numpy as np
 
-from repro.hd import batched as hd_batched
 from repro.hd.batched import BatchKeys, weight4_exists, weight5_exists
 from repro.hd.breakpoints import _refute_weights
 from repro.hd.cost import EnvelopeError, check_envelope
@@ -115,9 +114,7 @@ def _keyed_kills(
 
 
 def _screen_batch_packed(
-    config: SearchConfig,
-    g_all: np.ndarray,
-    workspace: hd_batched.PositionMap | None = None,
+    config: SearchConfig, g_all: np.ndarray
 ) -> tuple[list[PolyRecord | None], list[tuple[int, int, np.ndarray]], dict[int, int]]:
     """Screen one batch of same-width candidates.
 
@@ -200,7 +197,7 @@ def _screen_batch_packed(
                     break
                 if keys is None:
                     tables = sweep.values(lanes, N, np.uint64)
-                    keys = BatchKeys(tables, r, workspace=workspace)
+                    keys = BatchKeys(tables, r)
                 hits = _keyed_kills(k, keys, cand, g_alive, N, config)
             for row, wit in hits:
                 kill_weight[row] = k
@@ -278,20 +275,6 @@ def _screen_batch_packed(
     return records, survivors, kills
 
 
-#: Process-wide screening workspace, grown on demand and reused across
-#: chunks: a fresh :class:`~repro.hd.batched.PositionMap` per chunk
-#: would re-pay the page-fault cost of first-touching its pages on
-#: every call (the epoch stamps make reuse free -- see PositionMap).
-_workspace: hd_batched.PositionMap | None = None
-
-
-def _workspace_for(elems: int) -> hd_batched.PositionMap:
-    global _workspace
-    if _workspace is None or len(_workspace.array) < elems:
-        _workspace = hd_batched.PositionMap(elems)
-    return _workspace
-
-
 def screen_chunk_packed(
     config: SearchConfig,
     start_index: int,
@@ -313,21 +296,10 @@ def screen_chunk_packed(
     batch_size = min(config.batch_size, 1 << (64 - config.width))
     result = ScreenResult(config=config)
     metrics = obs_metrics.active()
-    # One dense position map serves every weight-4/5 stage of every
-    # batch: each BatchKeys stamps its writes with a fresh epoch, so
-    # the array is never cleared between stages (see PositionMap).
-    map_elems = min(batch_size, len(polys)) << config.width
-    workspace = (
-        _workspace_for(map_elems)
-        if config.target_hd > 4 and 0 < map_elems <= hd_batched.BITMAP_BUDGET
-        else None
-    )
     for base in range(0, len(polys), batch_size):
         g_batch = polys[base : base + batch_size]
         t0 = time.perf_counter()
-        records, survivors, kills = _screen_batch_packed(
-            config, g_batch, workspace
-        )
+        records, survivors, kills = _screen_batch_packed(config, g_batch)
         seconds = time.perf_counter() - t0
         offset = len(result.records)
         result.records.extend(records)

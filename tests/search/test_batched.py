@@ -12,7 +12,9 @@ cases as one chunk each.)
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf2.order import order_of_x
-from repro.hd.batched import BatchKeys, PositionMap, weight4_exists, weight5_exists
+from repro.hd import batched as hd_batched
+from repro.hd.batched import BatchKeys, weight4_exists, weight5_exists
 from repro.hd.packed import ValueSweep, weight3_witnesses
 from repro.hd.syndromes import syndrome_table
 from repro.search.exhaustive import (
@@ -132,13 +135,51 @@ def uint64_tables(gs, n: int) -> np.ndarray:
     return sweep.values(np.arange(len(gs)), n, np.uint64)
 
 
+@contextmanager
+def tiny_filter():
+    """Cap the presence filter at two slots: every batch hashes, nearly
+    every query hits a marked slot, and the confirmation decides."""
+    with mock.patch.object(hd_batched, "_FILTER_SLOTS", 2):
+        yield
+
+
 def both_engines(gs, n: int) -> list[BatchKeys]:
-    """The same batch behind the dense presence map and the sorted keys."""
+    """The same batch behind the filter it gets by default (direct when
+    ``2**r <= 32 * n``: every width up to 5, wider ones at longer
+    ``n``) and behind a forced-hashed one."""
     r = gs[0].bit_length() - 1
     tables = uint64_tables(gs, n)
-    dense = BatchKeys(tables, r, workspace=PositionMap(len(gs) << r))
-    assert dense._map is not None
-    return [dense, BatchKeys(tables, r)]
+    default = BatchKeys(tables, r)
+    assert_envelope(default)
+    with tiny_filter():
+        hashed = BatchKeys(tables, r)
+    assert hashed.hashed
+    return [default, hashed]
+
+
+def assert_envelope(keys: BatchKeys) -> None:
+    """A filter holds at most 32 slots per key and at most the cap; a
+    direct one holds exactly the batch's key space."""
+    slots = len(keys._filter)
+    assert slots <= min(hd_batched._FILTER_SLOTS, 32 * max(keys.B * keys.N, 1))
+    assert keys.hashed or slots == keys.B << keys.r
+
+
+@st.composite
+def key_batches(draw):
+    """Random ``(B, N)`` value tables at a degree ``r``, whose composite
+    keys fit 64 bits, plus probe values."""
+    # Degrees up to 10 index the filter directly once N is large enough.
+    r = draw(st.one_of(st.integers(2, 10), st.integers(2, 63)))
+    B = draw(st.integers(min_value=1, max_value=min(8, 1 << (64 - r))))
+    N = draw(st.integers(min_value=0, max_value=40))
+    value = st.integers(min_value=0, max_value=(1 << r) - 1)
+    tables = np.array(
+        draw(st.lists(st.lists(value, min_size=N, max_size=N), min_size=B, max_size=B)),
+        dtype=np.uint64,
+    ).reshape(B, N)
+    probes = draw(st.lists(value, max_size=20))
+    return r, tables, probes
 
 
 class TestKernelProperties:
@@ -149,7 +190,7 @@ class TestKernelProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_tables_match_scalar(self, gs, n, probes):
-        # Both engines' membership answers agree with the scalar tables:
+        # Both filters' membership answers agree with the scalar tables:
         # every table value is present, a probe only if it occurs.
         r = gs[0].bit_length() - 1
         for keys in both_engines(gs, n):
@@ -194,7 +235,7 @@ class TestKernelProperties:
     @given(same_degree_batches(), st.integers(min_value=4, max_value=300))
     @settings(max_examples=40, deadline=None)
     def test_keyed_weight3_matches_table_scan(self, gs, n):
-        # Probing each engine for every value XOR 1 finds exactly the
+        # Probing each filter for every value XOR 1 finds exactly the
         # rows whose syndrome table holds a pair differing by 1 (a
         # weight-3 codeword), and so does the weight-3 screen.
         r = gs[0].bit_length() - 1
@@ -211,45 +252,99 @@ class TestKernelProperties:
         hits = {i for i, _ in weight3_witnesses(sweep, np.arange(len(gs)), n, n)}
         assert [row in hits for row in range(len(gs))] == expect
 
+    @given(key_batches(), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_contains_matches_set_oracle(self, batch, tiny, fortran):
+        # Every table value, its XOR-1 neighbour and each probe, asked
+        # of every row, in either memory order: the answer is exactly
+        # "is it in that row's set?".  Dense rows (small degrees) index
+        # the filter directly, sparse ones hash; the tiny filter hashes
+        # everything and collides nearly always.
+        r, tables, probes = batch
+        B, N = tables.shape
+        vals = np.concatenate(
+            [tables.ravel(), tables.ravel() ^ np.uint64(1),
+             np.array(probes, dtype=np.uint64)]
+        ) & np.uint64((1 << r) - 1)
+        rows = np.arange(B, dtype=np.uint64)
+        queries = (rows[:, None] << np.uint64(r)) | vals[None, :]
+        if fortran:
+            queries = np.asfortranarray(queries)
+        if tiny:
+            with tiny_filter():
+                keys = BatchKeys(tables, r)
+            assert keys.hashed
+        else:
+            keys = BatchKeys(tables, r)
+            assert_envelope(keys)
+        sets = [set(row) for row in tables.tolist()]
+        expect = [[v in sets[row] for v in vals.tolist()] for row in range(B)]
+        assert keys.contains(queries).tolist() == expect
+
     @given(same_degree_batches(min_width=3), st.integers(min_value=5, max_value=120))
     @settings(max_examples=40, deadline=None)
-    def test_weight5_takes_the_map(self, gs, n):
-        # Weight 5 re-marks the presence map for its pair values, so
-        # the keys must hand it over and answer from sorted keys after.
-        dense, ref = both_engines(gs, n)
-        rows = np.ones(len(gs), dtype=bool)
-        assert weight4_exists(dense, rows).tolist() == weight4_exists(ref, rows).tolist()
-        assert weight5_exists(dense, rows).tolist() == weight5_exists(ref, rows).tolist()
-        assert dense._map is None
+    def test_pair_screens_match_brute_force(self, gs, n):
+        # Weights 4 and 5 answer the anchored pair equations exactly,
+        # by default and forced-hashed alike: syn[a] ^ syn[b] ^ 1 is a
+        # single (weight 4) or another pair (weight 5), 1 <= a < b.
+        tables = uint64_tables(gs, n)
+        expect4, expect5 = [], []
+        for row in tables.tolist():
+            singles = set(row)
+            pairs = {row[a] ^ row[b] for a in range(1, n) for b in range(a + 1, n)}
+            expect4.append(any(v ^ 1 in singles for v in pairs))
+            expect5.append(any(v ^ 1 in pairs for v in pairs))
         r = gs[0].bit_length() - 1
-        probes = (np.arange(len(gs), dtype=np.uint64)[:, None] << np.uint64(r)) | (
-            ref.tables ^ np.uint64(1)
-        )
-        np.testing.assert_array_equal(dense.contains(probes), ref.contains(probes))
+        rows = np.ones(len(gs), dtype=bool)
+        for tiny in (False, True):
+            with tiny_filter() if tiny else nullcontext():
+                keys = BatchKeys(tables, r)
+                assert keys.hashed or not tiny
+                assert weight4_exists(keys, rows).tolist() == expect4
+                assert weight5_exists(keys, rows).tolist() == expect5
 
 
 class TestMembershipEngines:
-    """The weight-4/5 screens below width 33, on each engine, through
-    the driver: ``min(batch, candidates) << 24`` reaches
-    :data:`~repro.hd.batched.BITMAP_BUDGET` exactly at batch 4, so
-    batch 4 runs the presence map and batch 5 the sorted keys."""
+    """The weight-4/5 screens below width 33 through the driver, with
+    every filter they build (weight 5's pair filters too) recorded.
+    Width-24 rows are sparse -- 2**24 values against at most 32 slots
+    per key -- so every filter hashes, even on the thin remainders of
+    small batches.  At width 12 the weight-4 filters at the 37-bit
+    stage hash, while the pair filters (630 keys per row against 4,096
+    values) are indexed directly."""
 
-    @pytest.mark.parametrize("batch_size, mapped", [(4, True), (5, False)])
-    def test_width24_hd6_identical(self, monkeypatch, batch_size, mapped):
+    @staticmethod
+    def spy(monkeypatch) -> list[BatchKeys]:
         engines = []
 
         class Spy(BatchKeys):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                engines.append(self._map is not None)
+                assert_envelope(self)
+                engines.append(self)
 
         monkeypatch.setattr(search_packed, "BatchKeys", Spy)
+        monkeypatch.setattr(hd_batched, "BatchKeys", Spy)
+        return engines
+
+    @pytest.mark.parametrize("batch_size", [4, 5])
+    def test_width24_hd6_identical(self, monkeypatch, batch_size):
+        engines = self.spy(monkeypatch)
         cfg = SearchConfig.for_bits(24, 6, 96, batch_size=batch_size)
         third = (1 << 23) // 3
         packed = search_chunk(cfg, third, third + 48)
         scalar = search_chunk(replace(cfg, backend="scalar"), third, third + 48)
         assert_identical(packed, scalar)
-        assert engines and set(engines) == {mapped}
+        assert engines and all(keys.hashed for keys in engines)
         # The range holds weight-4 and weight-5 kills, so both screens
-        # condemned rows on the engine under test.
+        # condemned rows.
+        assert {r.hd for r in packed.records if not r.survived} >= {4, 5}
+
+    def test_width12_hd6_identical(self, monkeypatch):
+        engines = self.spy(monkeypatch)
+        cfg = SearchConfig.for_bits(12, 6, 200)
+        packed = search_chunk(cfg, 0, 256)
+        scalar = search_chunk(replace(cfg, backend="scalar"), 0, 256)
+        assert_identical(packed, scalar)
+        assert {keys.hashed for keys in engines} == {False, True}
         assert {r.hd for r in packed.records if not r.survived} >= {4, 5}
