@@ -10,8 +10,11 @@ invariant:
   (x+1) theorem -- same answers, fewer checks;
 * windowed-witness fast path: hamming_distance with the probe
   disabled (window smaller than useful) vs enabled -- same answers;
-  and one weight-5 windowed witness at width 32, its seconds and
+  and one weight-5 windowed witness at width 32 and one weight-4
+  witness of a width-16 survivor at 12,112 bits, each its seconds and
   ``tracemalloc`` peak;
+* one exact ``exists_weight_k`` (weight 6 at 3,000 bits), its seconds
+  and ``tracemalloc`` peak;
 * membership screens: the weight-4/5 pair screens' seconds in each
   presence-filter regime, hashed at width 32 and direct at width 12,
   with answers checked against a sort-based oracle first;
@@ -32,11 +35,12 @@ from repro.gf2.notation import koopman_to_full
 from repro.gf2.poly import reciprocal
 from repro.hd.batched import BatchKeys, _pair_indices, weight4_exists, weight5_exists
 from repro.hd.hamming import hamming_distance
-from repro.hd.mitm import windowed_witness
+from repro.hd.mitm import exists_weight_k, windowed_witness
 from repro.hd.packed import ValueSweep
 from repro.hd.syndromes import syndrome_table
 from repro.search.exhaustive import SearchConfig, search_chunk, search_all
 from repro.search.space import canonical_mask, index_range_polys
+from tests.hd.test_mitm import ref_exists, ref_windowed
 
 
 def test_reciprocal_dedup_ablation(benchmark, record):
@@ -121,6 +125,23 @@ def test_windowed_witness_ablation(benchmark, record):
     }})
 
 
+def _timed_with_peak(fn, rounds: int = 1):
+    """``fn()``'s result, its best time over ``rounds`` calls, and the
+    ``tracemalloc`` peak of one more call."""
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        assert fn() == result
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, best, peak
+
+
 def test_windowed_witness_weight5(benchmark, record):
     """One weight-5 kill of the width-32 HD-6 search at 1,056 bits:
     the windowed witness's time and ``tracemalloc`` peak.  The
@@ -128,24 +149,59 @@ def test_windowed_witness_weight5(benchmark, record):
     takes the full meet-in-the-middle at its lengths."""
     g = 0x179F48B87
     syn = syndrome_table(g, 1056)
+    expect = ref_windowed(g, 1056, 5, 400, syn=syn)
+    assert expect == (0, 38, 151, 218, 924)
 
-    def timed():
-        t0 = time.perf_counter()
-        witness = windowed_witness(g, 1056, 5, window=400, syn=syn)
-        return witness, time.perf_counter() - t0
+    def call():
+        return windowed_witness(g, 1056, 5, window=400, syn=syn)
 
-    witness, seconds = once(benchmark, timed)
-    tracemalloc.start()
-    try:
-        assert windowed_witness(g, 1056, 5, window=400, syn=syn) == witness
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert witness == (0, 38, 151, 218, 924)
+    witness, seconds, peak = once(benchmark, _timed_with_peak, call)
+    assert witness == expect
     record("ablation", {"windowed_witness_weight5": {
-        "seconds": round(seconds, 3),
+        "seconds": round(seconds, 4),
         "peak_mb": round(peak / 2**20, 1),
         "witness": list(witness),
+    }})
+
+
+def test_windowed_witness_weight4(benchmark, record):
+    """The weight-4 witness that confirms a width-16 survivor at the
+    paper's 12,112 bits (``0x10007``, a survivor of ``mtu16_hd4``'s
+    space): the whole-window search over C(399, 2) pairs, asked once
+    for all 12,127 positions ``b``.  Best of 5."""
+    g, N = 0x10007, 12112 + 16
+    syn = syndrome_table(g, N)
+    expect = ref_windowed(g, N, 4, 400, syn=syn)
+
+    def call():
+        return windowed_witness(g, N, 4, window=400, syn=syn)
+
+    witness, seconds, peak = once(benchmark, _timed_with_peak, call, 5)
+    assert witness == expect
+    record("ablation", {"windowed_witness_weight4": {
+        "seconds": round(seconds, 4),
+        "peak_mb": round(peak / 2**20, 1),
+        "witness": list(witness),
+    }})
+
+
+def test_exists_weight6(benchmark, record):
+    """The exact weight-6 check for 0xBA0DC66B at 3,000 bits: a side of
+    C(2999, 2) pair values, hashed, streamed against the triples until
+    the first hit."""
+    g = koopman_to_full(0xBA0DC66B)
+    syn = syndrome_table(g, 3000)
+    expect = ref_exists(g, 3000, 6, 1 << 22)
+    assert expect
+
+    def call():
+        return exists_weight_k(g, 3000, 6, syn=syn)
+
+    answer, seconds, peak = once(benchmark, _timed_with_peak, call)
+    assert answer == expect
+    record("ablation", {"exists_weight6_3000": {
+        "seconds": round(seconds, 3),
+        "peak_mb": round(peak / 2**20, 1),
     }})
 
 

@@ -12,7 +12,9 @@ Three engines are provided:
   O(C(n+r, k)) per polynomial; kept as the independently-validated
   reference and to reproduce the paper's §4.1 optimization studies.
 * :mod:`repro.hd.mitm` -- an anchored meet-in-the-middle search over
-  syndrome combinations, O(C(n+r, ceil((k-1)/2))).  This is the
+  syndrome combinations, O(C(n+r, ceil((k-1)/2))), whose sides answer
+  membership through a one-row :class:`~repro.hd.batched.BatchKeys`.
+  This is the
   algorithmic substitution that lets a single 2026 CPU verify
   breakpoints (HD=6 to 16,360 bits, etc.) that took the paper's
   workstation farm days; results are bit-identical where both run.
@@ -22,11 +24,12 @@ Three engines are provided:
   for every width (row sorts of composite keys, or argsorted values
   above 32 bits) -- the engine behind the search's default
   ``backend="packed"``; record-identical to the scalar cascade.
-* :mod:`repro.hd.batched` -- the weight-4/5 screens that run on uint64
-  copies of those tables: composite-key pair matching against one
-  presence filter per batch of at most 32 slots per key,
+* :mod:`repro.hd.batched` -- the membership engine: a presence filter
+  of at most 32 slots per key over a batch of uint64 tables,
   direct-indexed when the batch's whole key space fits that and
-  hashed with exact confirmation otherwise.
+  hashed with exact confirmation otherwise.  The weight-4/5 screens
+  match composite-key pairs against it, and every meet-in-the-middle
+  side in :mod:`repro.hd.mitm` is a one-row batch of it.
 
 Breakpoint extraction (:mod:`repro.hd.breakpoints`) runs on the
 :mod:`repro.hd.jump` engine: shared extend-only syndrome tables,

@@ -5,14 +5,16 @@ candidate runs the same LFSR recurrence and the same low-weight
 matching -- only the tap constants differ.  The packed search driver
 (:mod:`repro.search.packed`) sweeps a batch's ``(B, N)`` syndrome
 tables once (:class:`~repro.hd.packed.ValueSweep`) and screens weights
-2 and 3 there; this module holds the weight-4/5 screens, which run on
-uint64 copies of those tables:
+2 and 3 there; this module holds the membership engine and the
+weight-4/5 screens, which run on uint64 copies of those tables:
 
 * :class:`BatchKeys` answers set membership -- does value ``v`` occur
   in row ``b``? -- for a whole batch, through one presence filter of
   at most 32 slots per key: indexed directly when the ``B << r`` key
   space fits it, hashed with exact confirmation against the sorted
-  keys otherwise.
+  keys otherwise.  It is also the only membership test of
+  :mod:`repro.hd.mitm`: each meet-in-the-middle side is a one-row
+  batch, whose keys are its values, uncopied.
 * Weight-4/5 existence (:func:`weight4_exists`, :func:`weight5_exists`)
   uses **composite keys** -- candidate (row) index in the high bits,
   syndrome in the low ``r`` bits -- so one filter lookup over pair-XOR
@@ -75,16 +77,19 @@ class BatchKeys:
 
     def __init__(self, tables: np.ndarray, r: int) -> None:
         B, N = tables.shape
-        if B and r + max((B - 1).bit_length(), 1) > 64:
+        if B and r + (B - 1).bit_length() > 64:
             raise EnvelopeError(
                 f"composite keys for batch of {B} rows at degree {r} "
                 "exceed 64 bits; shrink the batch"
             )
         self.B, self.N, self.r = B, N, r
         self.tables = tables
-        rows = np.arange(B, dtype=np.uint64) << np.uint64(r)
-        #: ``(B, N)`` composite keys ``(row << r) | value``.
-        self.keys = rows[:, None] | tables
+        #: ``(B, N)`` composite keys ``(row << r) | value``; row 0's
+        #: keys are its values, so a one-row batch keeps the table.
+        self.keys = tables
+        if B > 1:
+            rows = np.arange(B, dtype=np.uint64) << np.uint64(r)
+            self.keys = rows[:, None] | tables
         room = min(_FILTER_SLOTS, 32 * max(B * N, 1))
         self.hashed = (B << r) > room
         if self.hashed:

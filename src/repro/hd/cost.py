@@ -57,18 +57,19 @@ def mitm_cost(codeword_bits: int, k: int) -> int:
 
 
 def mitm_sorted_side(codeword_bits: int, k: int) -> int:
-    """Memory (in elements) of the materialized, sorted smaller side:
+    """Memory (in elements) of the materialized smaller side:
     ``C(N-1, (k-1)//2)``."""
     if k <= 2:
         return codeword_bits
     return comb(codeword_bits - 1, (k - 1) // 2)
 
 
-# Default envelopes, tuned for a ~15 GB machine.  The sorted side is
-# held in RAM (8 bytes/element plus sort workspace); the streamed side
-# is pure compute time.
-DEFAULT_MEM_ELEMS = 700_000_000       # ~5.6 GB sorted side
-DEFAULT_STREAM_ELEMS = 30_000_000_000  # a few minutes of searchsorted
+# Default envelopes, tuned for a ~15 GB machine.  The side is held in
+# RAM (8 bytes/element, plus a sorted copy and a presence filter of at
+# most 64 MiB when its filter hashes); the streamed side is pure
+# compute time.
+DEFAULT_MEM_ELEMS = 700_000_000       # ~5.6 GB side
+DEFAULT_STREAM_ELEMS = 30_000_000_000  # a few minutes of membership queries
 
 # Largest fully-materialized combination-XOR array (elements) for the
 # level-wise generator; streaming sides deeper than s=3 must fit this.

@@ -11,9 +11,11 @@ remaining exact:
    distinct positions ``0 < b_1 < .. < b_{k-1} < N`` whose syndromes
    XOR to ``r_0 == 1``.
 2. **Meet in the middle.**  Split ``k-1 = s + t`` (``s <= t``).
-   Materialize and sort the ``C(N-1, s)`` XORs of the small side
-   (pre-XORed with the target 1); run the ``C(N-1, t)`` XORs of the
-   large side through ``searchsorted``.  A match is a codeword --
+   Materialize the ``C(N-1, s)`` XORs of the small side (pre-XORed
+   with the target 1) in rank order, behind a one-row
+   :class:`~repro.hd.batched.BatchKeys` presence filter; stream the
+   ``C(N-1, t)`` XORs of the large side through its membership test.
+   A match is a codeword --
    *provided* the two sides use disjoint positions, which is
    guaranteed whenever no codeword of weight ``k - 2m`` exists in the
    window (overlapping positions cancel pairwise).  The drivers in
@@ -36,15 +38,23 @@ Two generation strategies, chosen by shape:
   recover positions.  This is what makes weight-14 checks at 40-bit
   windows (Table 1's top rows) instantaneous.
 
+The side keeps its rank order (only a hashed filter holds a sorted
+copy, for confirming its hits).  A hit expands to its subsets by
+scanning the side for entries equal to its value, which yields them
+in rank order -- the colex order of their positions, so "first hit,
+then lowest rank" is a fixed rule the records can carry.  Where every
+hit of a chunk is visited, one pass over the side expands them all.
+
 The windowed witness (:func:`windowed_witness`), the screens' cheap
 proof for a kill, looks only at codewords ``{0, b} | S`` with ``S`` a
 (k-2)-subset of a short window.  It returns the smallest ``b``, then
-the colex-smallest ``S`` -- one fixed rule, because records carry the
-witness.  Up to ``k = 4`` it sorts every ``S`` at once.  From ``k = 5``
-it meets in the middle: it sorts the (k-3)-subsets ``T`` and streams
-``syn[b] ^ syn[c]`` against them in blocks of ascending ``b``, each
-``S = T + (c,)`` seen once with ``c`` its largest position.  At width
-32 that sorts ``C(399, 2)`` pairs where the whole side was
+the colex-smallest ``S``.  Up to ``k = 4`` the side holds every ``S``
+and is asked once for all ``syn[b]``.  From ``k = 5`` it meets in the
+middle: the side holds the (k-3)-subsets ``T`` and is asked for
+``syn[b] ^ syn[c]`` in blocks of ascending ``b``, each ``S = T + (c,)``
+seen once with ``c`` its largest position -- the ``T`` below ``c`` are
+a levelwise prefix of the side, so a hit scans only that prefix.  At
+width 32 that builds ``C(399, 2)`` pairs where the whole side was
 ``C(399, 3)`` triples.  Its envelope guard still prices the whole side:
 a raise sends callers to :func:`find_witness`, whose witness differs.
 """
@@ -57,6 +67,8 @@ from collections.abc import Iterator, Callable
 
 import numpy as np
 
+from repro.gf2.poly import degree
+from repro.hd.batched import BatchKeys
 from repro.hd.cost import (
     DEFAULT_MEM_ELEMS,
     DEFAULT_STREAM_ELEMS,
@@ -67,7 +79,7 @@ from repro.hd.cost import (
 from repro.hd.syndromes import syndrome_table, syndrome_of_positions
 from repro.obs import metrics as obs_metrics
 
-DEFAULT_CHUNK = 1 << 22  # streamed elements per searchsorted batch
+DEFAULT_CHUNK = 1 << 22  # streamed elements per membership query
 _SPLIT_QUERIES = 1 << 16  # (b, c) queries per windowed-witness block
 
 
@@ -109,14 +121,14 @@ def _rows(
 # ---------------------------------------------------------------------------
 
 
-def _levelwise(
-    syn: np.ndarray, s: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """All XORs of s-subsets of positions [lo, hi), fully materialized.
+def _levelwise(syn: np.ndarray, s: int, lo: int, hi: int) -> np.ndarray:
+    """All XORs of s-subsets of positions [lo, hi), fully materialized,
+    as a fresh array the caller may modify.
 
-    Returns ``(values, maxpos)`` ordered by maximum position (grouped),
-    and within a group recursively by the same rule -- the order that
-    :func:`_unrank_levelwise` inverts in closed form.
+    Ordered by maximum position (grouped), and within a group
+    recursively by the same rule -- the colex order that
+    :func:`_unrank_levelwise` inverts in closed form.  A subset's index
+    in it is its *rank*.
 
     The t-subsets with maximum ``j`` are ``syn[j] ^`` every
     (t-1)-subset drawn from positions below ``j``; grouping makes
@@ -125,7 +137,7 @@ def _levelwise(
     """
     m = hi - lo
     if s < 1 or m < s:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.uint64)
     if comb(m, s) > LEVELWISE_CAP:
         raise EnvelopeError(
             f"level-wise side C({m},{s}) exceeds materialization cap"
@@ -137,12 +149,7 @@ def _levelwise(
             cnt = comb(j - lo, t - 1)  # (t-1)-subsets entirely below j
             parts.append(np.bitwise_xor(vals[:cnt], syn[j]))
         vals = np.concatenate(parts) if parts else np.empty(0, np.uint64)
-    # maxpos of the final level, rebuilt from group sizes (cheap).
-    sizes = [comb(j - lo, s - 1) for j in range(lo + s - 1, hi)]
-    maxpos = np.repeat(
-        np.arange(lo + s - 1, hi, dtype=np.int64), sizes
-    ) if sizes else np.empty(0, np.int64)
-    return vals, maxpos
+    return vals
 
 
 def _unrank_levelwise(index: int, s: int, lo: int) -> tuple[int, ...]:
@@ -168,54 +175,37 @@ def _unrank_levelwise(index: int, s: int, lo: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SortedSide:
-    """The materialized, sorted small side of a MITM check."""
+class _Side:
+    """The materialized side of a meet-in-the-middle check: the XORs of
+    every s-subset of positions [lo, hi), each pre-XORed with
+    ``target``, kept in rank order, plus a one-row :class:`BatchKeys`
+    over them that answers membership for whole query arrays."""
 
-    values: np.ndarray                 # sorted ascending
-    s: int
-    lo: int
-    maxpos: np.ndarray | None = None   # aligned with values
-    orig_index: np.ndarray | None = None  # aligned; unranking handle
+    def __init__(
+        self, syn: np.ndarray, s: int, lo: int, hi: int, target: int, r: int
+    ) -> None:
+        self.values = _levelwise(syn, s, lo, hi)
+        self.values ^= np.uint64(target)
+        self.s, self.lo, self.r = s, lo, r
+        self.keys = BatchKeys(self.values[None, :], r)
 
-    def positions_at(self, i: int) -> tuple[int, ...]:
-        assert self.orig_index is not None
-        return _unrank_levelwise(int(self.orig_index[i]), self.s, self.lo)
+    def ranks(self, value: np.uint64, end: int | None = None) -> list[int]:
+        """Ranks of the entries equal to ``value`` among the first
+        ``end`` -- ascending, so their subsets come out in colex order."""
+        return np.flatnonzero(self.values[:end] == value).tolist()
 
-    def max_at(self, i: int) -> int:
-        assert self.maxpos is not None
-        return int(self.maxpos[i])
+    def expand(self, hit_values: np.ndarray) -> dict[int, list[int]]:
+        """The ranks of the entries equal to each of ``hit_values``
+        (ascending per value), found in one pass over the side."""
+        wanted = BatchKeys(hit_values[None, :], self.r)
+        matched = np.flatnonzero(wanted.contains(self.values))
+        out: dict[int, list[int]] = {}
+        for rank, value in zip(matched.tolist(), self.values[matched].tolist()):
+            out.setdefault(value, []).append(rank)
+        return out
 
-
-def _materialize_side(
-    syn: np.ndarray,
-    s: int,
-    lo: int,
-    hi: int,
-    target: int,
-    with_positions: bool,
-) -> _SortedSide:
-    """Build the sorted small side: all s-subset XORs of [lo, hi),
-    each pre-XORed with ``target``."""
-    if s == 1:
-        values = np.bitwise_xor(syn[lo:hi], np.uint64(target))
-        maxpos = np.arange(lo, hi, dtype=np.int64)
-        orig = np.arange(hi - lo, dtype=np.int64)
-    else:
-        values, maxpos = _levelwise(syn, s, lo, hi)
-        values = np.bitwise_xor(values, np.uint64(target))
-        orig = np.arange(len(values), dtype=np.int64)
-    if not with_positions:
-        values.sort(kind="stable")
-        return _SortedSide(values=values, s=s, lo=lo)
-    order = np.argsort(values, kind="stable")
-    return _SortedSide(
-        values=values[order],
-        s=s,
-        lo=lo,
-        maxpos=maxpos[order],
-        orig_index=orig[order],
-    )
+    def positions_at(self, rank: int) -> tuple[int, ...]:
+        return _unrank_levelwise(rank, self.s, self.lo)
 
 
 @dataclass
@@ -261,7 +251,7 @@ def _stream_side(
             )
         return
     if comb(m, s - 1) <= LEVELWISE_CAP:
-        base_vals, _ = _levelwise(syn, s - 1, lo, hi)
+        base_vals = _levelwise(syn, s - 1, lo, hi)
         groups: list[tuple[int, np.ndarray]] = []
         size = 0
 
@@ -342,16 +332,6 @@ def _stream_side(
         yield emit_rows(batch)
 
 
-def _hits(side_values: np.ndarray, chunk_values: np.ndarray) -> np.ndarray:
-    """Offsets within ``chunk_values`` whose value occurs in the sorted
-    side."""
-    if len(side_values) == 0 or len(chunk_values) == 0:
-        return np.empty(0, dtype=np.intp)
-    idx = np.searchsorted(side_values, chunk_values)
-    np.minimum(idx, len(side_values) - 1, out=idx)
-    return np.flatnonzero(side_values[idx] == chunk_values)
-
-
 # ---------------------------------------------------------------------------
 # public checks
 # ---------------------------------------------------------------------------
@@ -399,11 +379,11 @@ def exists_weight_k(
         return len(np.unique(syn)) < N
     check_envelope(N, k, mem_elems, stream_elems)
     s_small, s_large = _split(k)
-    side = _materialize_side(syn, s_small, 1, N, target=1, with_positions=False)
+    side = _Side(syn, s_small, 1, N, 1, degree(g))
     for chunk in _stream_side(syn, s_large, 1, N, chunk_elems):
         metrics.inc("mitm.chunks_streamed")
         metrics.inc("mitm.elements_streamed", len(chunk.values))
-        if len(_hits(side.values, chunk.values)):
+        if side.keys.contains(chunk.values).any():
             # Early bailout: a hit ends the scan without streaming the
             # rest of the C(N-1, t) side -- the savings the filter
             # cascade banks on in the dense regime.
@@ -444,16 +424,17 @@ def find_witness(
         return (int(where[0]), int(where[1]))
     check_envelope(N, k, mem_elems, stream_elems)
     s_small, s_large = _split(k)
-    side = _materialize_side(syn, s_small, 1, N, target=1, with_positions=True)
+    side = _Side(syn, s_small, 1, N, 1, degree(g))
     for chunk in _stream_side(syn, s_large, 1, N, chunk_elems):
-        for flat in _hits(side.values, chunk.values):
-            flat = int(flat)
+        hits = np.flatnonzero(side.keys.contains(chunk.values))
+        if len(hits) == 0:
+            continue
+        values = chunk.values[hits]
+        ranks = side.expand(values)
+        for flat, value in zip(hits.tolist(), values.tolist()):
             large_part = chunk.resolve(flat)
-            value = chunk.values[flat]
-            lo_i = int(np.searchsorted(side.values, value, side="left"))
-            hi_i = int(np.searchsorted(side.values, value, side="right"))
-            for si in range(lo_i, hi_i):
-                small_part = side.positions_at(si)
+            for rank in ranks[value]:
+                small_part = side.positions_at(rank)
                 flat_set = set(small_part) | set(large_part) | {0}
                 if len(flat_set) != k:
                     continue
@@ -488,11 +469,12 @@ def windowed_witness(
     not containing ``b`` has ``XOR syn[S] == syn[b] ^ 1``, and for that
     ``b`` the colex-smallest such ``S`` (the levelwise order), each
     candidate verified against the exact big-int syndrome.  For
-    ``k <= 4`` every ``S`` is materialized and sorted at once.  For
-    ``k >= 5`` the search meets in the middle (:func:`_split_candidates`):
-    only the (k-3)-subsets are sorted and ``syn[b] ^ syn[c]`` is
-    streamed against them -- unless the window is so short that the
-    (k-3)-subsets outnumber the (k-2)-subsets.
+    ``k <= 4`` every ``S`` is materialized at once
+    (:func:`_whole_candidates`).  For ``k >= 5`` the search meets in
+    the middle (:func:`_split_candidates`): only the (k-3)-subsets are
+    materialized and ``syn[b] ^ syn[c]`` is asked of them -- unless the
+    window is so short that the (k-3)-subsets outnumber the
+    (k-2)-subsets.
 
     The envelope guard still prices the whole ``C(window - 1, k - 2)``
     side even where the split never builds it: a raise sends callers
@@ -512,9 +494,9 @@ def windowed_witness(
     metrics = obs_metrics.active()
     metrics.inc("mitm.windowed.calls")
     if k <= 4 or comb(window - 1, k - 3) >= comb(window - 1, k - 2):
-        candidates = _whole_candidates(syn, N, k, window)
+        candidates = _whole_candidates(syn, N, k, window, degree(g))
     else:
-        candidates = _split_candidates(syn, N, k, window)
+        candidates = _split_candidates(syn, N, k, window, degree(g))
     for b, subset in candidates:
         if b in subset:
             continue
@@ -528,65 +510,52 @@ def windowed_witness(
 
 
 def _whole_candidates(
-    syn: np.ndarray, N: int, k: int, window: int
+    syn: np.ndarray, N: int, k: int, window: int, r: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Every ``(b, S)`` with ``XOR syn[S] == syn[b] ^ 1`` in
-    :func:`windowed_witness`'s order, from all ``C(window - 1, k - 2)``
-    subsets ``S`` sorted at once.
+    :func:`windowed_witness`'s order, from a side of all
+    ``C(window - 1, k - 2)`` subsets ``S``.
 
-    A stable sort keeps equal values in levelwise (colex) order, and
-    hits come out by ascending ``b``.
+    One membership query over ``syn[1:N]`` marks every ``b`` that has
+    some ``S``; hits are taken by ascending ``b``, and each expands to
+    its ``S`` by scanning the side for its value, in rank (colex)
+    order.  Candidates are generated lazily, so the scans stop at the
+    first witness the caller accepts.
     """
-    side = _materialize_side(syn, k - 2, 1, window, target=1, with_positions=True)
+    side = _Side(syn, k - 2, 1, window, 1, r)
     queries = syn[1:N]
-    for flat in _hits(side.values, queries):
-        value = queries[int(flat)]
-        lo_i = int(np.searchsorted(side.values, value, side="left"))
-        hi_i = int(np.searchsorted(side.values, value, side="right"))
-        for si in range(lo_i, hi_i):
-            yield int(flat) + 1, side.positions_at(si)
+    for flat in np.flatnonzero(side.keys.contains(queries)):
+        for rank in side.ranks(queries[flat]):
+            yield int(flat) + 1, side.positions_at(rank)
 
 
 def _split_candidates(
-    syn: np.ndarray, N: int, k: int, window: int
+    syn: np.ndarray, N: int, k: int, window: int, r: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The same ``(b, S)`` sequence as :func:`_whole_candidates`, by
     meeting in the middle: ``S = T + (c,)`` with ``c = max(S)``.
 
-    Only the ``C(window - 1, k - 3)`` subsets ``T`` are sorted (with
-    their maximum position and levelwise rank).  ``syn[b] ^ syn[c]``
-    is streamed for every ``c`` in the window and ``b`` in ascending
-    blocks of about :data:`_SPLIT_QUERIES` queries; a match with
-    ``c > max(T)`` is a candidate, so each ``S`` is seen once.  The
-    hits of a block come out ordered by ``(b, c)``, and a stable sort
-    keeps the ``T`` of one value in rank order, so candidates leave
-    ordered by ``(b, c, rank(T))`` -- which is ``b``, then the colex
-    order of ``S``.
+    The side holds only the ``C(window - 1, k - 3)`` subsets ``T``.
+    ``syn[b] ^ syn[c]`` is asked of it for every ``c`` in the window
+    and ``b`` in ascending blocks of about :data:`_SPLIT_QUERIES`
+    queries, and a block's hits are taken in ``(b, c)`` order.  The
+    ``T`` with ``max(T) < c`` are exactly the side's levelwise prefix
+    of ``C(c - 1, k - 3)`` entries, so a hit scans only that prefix
+    for its value: each ``S`` is seen once, and the ``T`` of one hit
+    come out in rank order.  Candidates thus leave ordered by
+    ``(b, c, rank(T))`` -- which is ``b``, then the colex order of ``S``.
     """
-    side = _materialize_side(syn, k - 3, 1, window, target=1, with_positions=True)
-    assert side.maxpos is not None
-    ends = np.asarray(syn[1:window], dtype=np.uint64)  # syn[c], c in [1, window)
+    side = _Side(syn, k - 3, 1, window, 1, r)
+    ends = syn[1:window]  # syn[c], c in [1, window)
     span = window - 1
     rows = max(1, _SPLIT_QUERIES // span)
     for b0 in range(1, N, rows):
-        heads = np.asarray(syn[b0 : min(b0 + rows, N)], dtype=np.uint64)
-        queries = np.bitwise_xor(heads[:, None], ends).ravel()
-        flat = _hits(side.values, queries)
-        if len(flat) == 0:
-            continue
-        values = queries[flat]
-        lo = np.searchsorted(side.values, values, side="left")
-        counts = np.searchsorted(side.values, values, side="right") - lo
-        # Expand each hit into its run of equal side entries.
-        query_of = np.repeat(flat, counts)
-        entry = np.arange(len(query_of)) + np.repeat(
-            lo - (np.cumsum(counts) - counts), counts
-        )
-        c = query_of % span + 1
-        keep = side.maxpos[entry] < c
-        b = query_of[keep] // span + b0
-        for bi, ci, ei in zip(b.tolist(), c[keep].tolist(), entry[keep].tolist()):
-            yield bi, side.positions_at(ei) + (ci,)
+        queries = np.bitwise_xor(syn[b0 : min(b0 + rows, N), None], ends)
+        for flat in np.flatnonzero(side.keys.contains(queries)):
+            b, c = divmod(int(flat), span)
+            c += 1
+            for rank in side.ranks(queries.flat[flat], comb(c - 1, k - 3)):
+                yield b0 + b, side.positions_at(rank) + (c,)
 
 
 def minimal_codeword_span(
@@ -625,34 +594,34 @@ def minimal_codeword_span(
         return order + 1 if order + 1 <= N else None
     check_envelope(N, k, mem_elems, stream_elems)
     s_small, s_large = _split(k)
-    side = _materialize_side(syn, s_small, 1, N, target=1, with_positions=True)
-    assert side.maxpos is not None
+    side = _Side(syn, s_small, 1, N, 1, degree(g))
     best: int | None = None
     for chunk in _stream_side(syn, s_large, 1, N, chunk_elems, want_max=True):
-        hit_offsets = _hits(side.values, chunk.values)
-        if len(hit_offsets) == 0:
-            continue
+        hits = np.flatnonzero(side.keys.contains(chunk.values))
         assert chunk.elem_max is not None
-        # Sort hits by a *lower bound* on their span (the large side's
-        # max position alone); the early break below is then safe even
-        # when duplicate side entries give one hit several true spans.
-        spans_lb = chunk.elem_max[hit_offsets] + 1
-        order = np.argsort(spans_lb, kind="stable")
-        for oi in order:
-            flat = int(hit_offsets[oi])
-            candidate_lb = int(spans_lb[oi])
-            if best is not None and candidate_lb >= best:
-                break
+        # The large side's max position alone is a lower bound on a
+        # hit's span: hits that cannot beat the best so far are dropped
+        # before their one shared pass over the side.
+        spans_lb = chunk.elem_max[hits] + 1
+        if best is not None:
+            keep = spans_lb < best
+            hits, spans_lb = hits[keep], spans_lb[keep]
+        if len(hits) == 0:
+            continue
+        values = chunk.values[hits]
+        ranks = side.expand(values)
+        for flat, value, lb in zip(
+            hits.tolist(), values.tolist(), spans_lb.tolist()
+        ):
+            if best is not None and lb >= best:
+                continue
             large_part = chunk.resolve(flat)
-            value = chunk.values[flat]
-            lo_i = int(np.searchsorted(side.values, value, side="left"))
-            hi_i = int(np.searchsorted(side.values, value, side="right"))
-            for si in range(lo_i, hi_i):
-                small_part = side.positions_at(si)
+            for rank in ranks[value]:
+                small_part = side.positions_at(rank)
                 flat_set = {0} | set(small_part) | set(large_part)
                 if len(flat_set) != k:
                     continue
-                span = max(max(large_part), side.max_at(si)) + 1
+                span = max(large_part[-1], small_part[-1]) + 1
                 if best is not None and span >= best:
                     continue
                 if syndrome_of_positions(g, tuple(sorted(flat_set))) == 0:

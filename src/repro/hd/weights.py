@@ -194,7 +194,7 @@ def count_weight_5(
         )
     if syn is None:
         syn = syndrome_table(g, N)
-    triples, _ = _levelwise(syn, 3, 0, N)
+    triples = _levelwise(syn, 3, 0, N)
     triples.sort(kind="stable")
     matches = 0
     for i in range(N - 1):
@@ -238,7 +238,7 @@ def count_weight_6(
         )
     if syn is None:
         syn = syndrome_table(g, N)
-    triples, _ = _levelwise(syn, 3, 0, N)
+    triples = _levelwise(syn, 3, 0, N)
     triples.sort(kind="stable")
     boundaries = np.flatnonzero(triples[1:] != triples[:-1])
     run_starts = np.concatenate(([0], boundaries + 1))

@@ -18,7 +18,7 @@ from repro.gf2.notation import class_signature, full_to_koopman
 from repro.gf2.poly import degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolyRecord:
     """Evaluation outcome for a single candidate polynomial.
 

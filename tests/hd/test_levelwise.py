@@ -35,8 +35,7 @@ class TestLevelwiseGeneration:
         if hi - lo < s:
             return
         syn = syndrome_table(g, hi)
-        vals, maxpos = _levelwise(syn, s, lo, hi)
-        expected = {}
+        vals = _levelwise(syn, s, lo, hi)
         got = sorted(int(v) for v in vals)
         brute = sorted(
             int(np.bitwise_xor.reduce(syn[list(c)]))
@@ -44,13 +43,16 @@ class TestLevelwiseGeneration:
         )
         assert got == brute
         assert len(vals) == comb(hi - lo, s)
-        # maxpos really is the max position, grouped ascending
-        assert list(maxpos) == sorted(maxpos)
+        # grouped by ascending max position: the subsets with max < c
+        # are the first C(c - lo, s)
+        maxpos = [max(_unrank_levelwise(i, s, lo)) for i in range(len(vals))]
+        assert maxpos == sorted(maxpos)
+        for c in range(lo + s, hi):
+            assert maxpos[comb(c - lo, s) - 1] < c
 
     def test_empty_when_too_small(self):
         syn = syndrome_table(0x107, 10)
-        vals, maxpos = _levelwise(syn, 5, 0, 3)
-        assert len(vals) == 0 and len(maxpos) == 0
+        assert len(_levelwise(syn, 5, 0, 3)) == 0
 
     def test_cap_enforced(self):
         syn = syndrome_table(0x107, 3000)
@@ -67,7 +69,7 @@ class TestUnranking:
         if hi - lo < s:
             return
         syn = syndrome_table(0x107, hi)
-        vals, _ = _levelwise(syn, s, lo, hi)
+        vals = _levelwise(syn, s, lo, hi)
         for index in range(len(vals)):
             positions = _unrank_levelwise(index, s, lo)
             assert len(positions) == s

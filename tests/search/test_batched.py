@@ -12,6 +12,7 @@ cases as one chunk each.)
 
 from __future__ import annotations
 
+import tracemalloc
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from unittest import mock
@@ -302,6 +303,29 @@ class TestKernelProperties:
                 assert keys.hashed or not tiny
                 assert weight4_exists(keys, rows).tolist() == expect4
                 assert weight5_exists(keys, rows).tolist() == expect5
+
+
+@pytest.mark.parametrize("r", [8, 32, 64])
+def test_one_row_keeps_its_table(r):
+    # A one-row batch needs no row bits: its keys are its values, not
+    # a copy, even at degree 64.  The hashed filter's sorted keys are
+    # the only copy it makes, and nothing else outlives construction.
+    rng = np.random.default_rng(r)
+    values = rng.integers(0, 1 << min(r, 63), size=20_000, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        keys = BatchKeys(values[None, :], r)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(keys.keys, values)
+    assert keys.hashed == (r > 8)
+    copies = values.nbytes if keys.hashed else 0
+    if keys.hashed:
+        assert not np.shares_memory(keys._sorted, values)
+    assert kept <= keys._filter.nbytes + copies + 4096
+    assert keys.contains(values).all()
 
 
 class TestMembershipEngines:

@@ -9,9 +9,12 @@ lives here only, as the oracle.
 
 from __future__ import annotations
 
+import copy as copy_module
 import dataclasses
 import os
+import pickle
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -89,3 +92,29 @@ def test_fixture_round_trips():
     with open(FIXTURE, encoding="utf-8") as f:
         text = f.read()
     assert CampaignRecord.from_json(text).to_json() == text
+
+
+def kill_record() -> PolyRecord:
+    return PolyRecord(
+        poly=0x179F48B87, width=32, data_word_bits=1024, hd=5,
+        survived=False, filtered_at_bits=1024, witness=(0, 38, 151, 218, 924),
+    )
+
+
+def test_record_is_slotted():
+    # A campaign holds one record per candidate: no per-record __dict__.
+    rec = kill_record()
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.hd = 6
+
+
+@given(poly_records)
+def test_slotted_record_copies_and_compares(rec):
+    for copy in (pickle.loads(pickle.dumps(rec)), copy_module.deepcopy(rec)):
+        assert copy == rec and copy.to_json_dict() == rec.to_json_dict()
+    assert dataclasses.replace(rec) == rec
+    assert dataclasses.replace(rec, hd=rec.hd + 1).hd == rec.hd + 1
+    assert asdict_form(rec) == rec.to_json_dict()
+    if rec.weights is None:
+        assert hash(rec) == hash(dataclasses.replace(rec))
