@@ -18,6 +18,8 @@ invariant:
 * membership screens: the weight-4/5 pair screens' seconds in each
   presence-filter regime, hashed at width 32 and direct at width 12,
   with answers checked against a sort-based oracle first;
+* the packed and scalar backends on the ``w32_hd6_1k`` chunk, with
+  identical records asserted first;
 * chunk-size sensitivity of the distributed coordinator -- same
   campaign outcome across granularities.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ import pytest
 from conftest import once
 from repro.gf2.notation import koopman_to_full
 from repro.gf2.poly import reciprocal
-from repro.hd.batched import BatchKeys, _pair_indices, weight4_exists, weight5_exists
+from repro.hd.batched import BatchKeys, weight4_exists, weight5_exists
 from repro.hd.hamming import hamming_distance
 from repro.hd.mitm import exists_weight_k, windowed_witness
 from repro.hd.packed import ValueSweep
@@ -220,7 +223,9 @@ def _screen_tables(width: int, start: int, end: int, n: int) -> np.ndarray:
 def _pair_oracle(tables: np.ndarray) -> tuple[list[bool], list[bool]]:
     """Row by row with ``np.isin``: is some ``syn[a] ^ syn[b] ^ 1`` a
     single (weight 4) or another pair (weight 5)?"""
-    a, b = _pair_indices(tables.shape[1])
+    a, b = np.triu_indices(tables.shape[1] - 1, k=1)
+    a += 1
+    b += 1
     w4, w5 = [], []
     for row in tables:
         pairs = row[a] ^ row[b]
@@ -271,6 +276,35 @@ def test_membership_screens(benchmark, record):
 
     out = once(benchmark, timed)
     record("ablation", {"membership_screens": out})
+
+
+def test_packed_vs_scalar_w32(benchmark, record):
+    """``search_chunk`` on the ``w32_hd6_1k`` chunk (``for_bits(32, 6,
+    1024)``, its 4 canonical candidates: two HD-6 survivors and two
+    weight-5 kills) on each backend, best of 5, after both backends'
+    records are checked equal."""
+    cfg = SearchConfig.for_bits(32, 6, 1024)
+    lo, hi = 1023034816, 1023034824
+    backends = ("packed", "scalar")
+
+    def timed():
+        packed, scalar = (
+            search_chunk(replace(cfg, backend=b), lo, hi) for b in backends
+        )
+        assert packed.stage_kills == scalar.stage_kills
+        assert packed.records == scalar.records
+        out = {"candidates": packed.examined}
+        for b in backends:
+            best = float("inf")
+            for _ in range(5):
+                t0 = time.perf_counter()
+                search_chunk(replace(cfg, backend=b), lo, hi)
+                best = min(best, time.perf_counter() - t0)
+            out[f"{b}_ms"] = round(best * 1000, 1)
+        return out
+
+    out = once(benchmark, timed)
+    record("ablation", {"packed_vs_scalar_w32": out})
 
 
 @pytest.mark.parametrize("chunk_size", [4, 16, 64])

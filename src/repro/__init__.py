@@ -25,67 +25,60 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.gf2 import (
-    koopman_to_full,
-    full_to_koopman,
-    class_signature,
-    class_signature_str,
-    order_of_x,
-    is_primitive,
-    factorize,
-)
-from repro.crc import CRCSpec, CATALOG, PAPER_POLYS, get_spec, paper_poly
-from repro.hd import (
-    hamming_distance,
-    weight_profile,
-    hd_breakpoint_table,
-    max_length_for_hd,
-    refute_hd_at,
-)
-from repro.search import SearchConfig, search_all, census_of
-from repro.search.optimize import best_for_length
-from repro.analysis import report_for, render_table1, render_table2
-from repro.gf2.ring import GF2Poly
-from repro.crc.stream import StreamingCrc, crc_combine
-from repro.network.stacked import stacked_hd
-from repro.service import AdviceStore, CrcSession, residue_value
+import importlib
+
+#: Every public name, by the module that defines it.  Loaded on first
+#: use (PEP 562), so importing one subsystem -- a search worker, say --
+#: does not pay for the CRC service or the farm's network stack.
+_EXPORTS = {
+    "koopman_to_full": "repro.gf2",
+    "full_to_koopman": "repro.gf2",
+    "class_signature": "repro.gf2",
+    "class_signature_str": "repro.gf2",
+    "order_of_x": "repro.gf2",
+    "is_primitive": "repro.gf2",
+    "factorize": "repro.gf2",
+    "CRCSpec": "repro.crc",
+    "CATALOG": "repro.crc",
+    "PAPER_POLYS": "repro.crc",
+    "get_spec": "repro.crc",
+    "paper_poly": "repro.crc",
+    "hamming_distance": "repro.hd",
+    "weight_profile": "repro.hd",
+    "hd_breakpoint_table": "repro.hd",
+    "max_length_for_hd": "repro.hd",
+    "refute_hd_at": "repro.hd",
+    "SearchConfig": "repro.search",
+    "search_all": "repro.search",
+    "census_of": "repro.search",
+    "best_for_length": "repro.search.optimize",
+    "report_for": "repro.analysis",
+    "render_table1": "repro.analysis",
+    "render_table2": "repro.analysis",
+    "GF2Poly": "repro.gf2.ring",
+    "StreamingCrc": "repro.crc.stream",
+    "crc_combine": "repro.crc.stream",
+    "stacked_hd": "repro.network.stacked",
+    "AdviceStore": "repro.service",
+    "CrcSession": "repro.service",
+    "residue_value": "repro.service",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 # The single source of truth for the release version: pyproject.toml
 # declares ``version`` dynamic and reads this attribute at build time,
 # and the CLI's ``--version`` prints it.  Bump here and nowhere else.
 __version__ = "1.2.0"
 
-__all__ = [
-    "koopman_to_full",
-    "full_to_koopman",
-    "class_signature",
-    "class_signature_str",
-    "order_of_x",
-    "is_primitive",
-    "factorize",
-    "CRCSpec",
-    "CATALOG",
-    "PAPER_POLYS",
-    "get_spec",
-    "paper_poly",
-    "hamming_distance",
-    "weight_profile",
-    "hd_breakpoint_table",
-    "max_length_for_hd",
-    "refute_hd_at",
-    "SearchConfig",
-    "search_all",
-    "census_of",
-    "best_for_length",
-    "report_for",
-    "render_table1",
-    "render_table2",
-    "GF2Poly",
-    "StreamingCrc",
-    "crc_combine",
-    "stacked_hd",
-    "AdviceStore",
-    "CrcSession",
-    "residue_value",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -35,25 +35,36 @@ This package reproduces that system:
   and are respawned.
 """
 
-from repro.dist.tasks import SearchTask, TaskStatus
-from repro.dist.queue import TaskQueue
-from repro.dist.campaign import CampaignCore, CampaignStats
-from repro.dist.checkpoint import CheckpointMismatch
-from repro.dist.faults import FaultPlan
-from repro.dist.farm import FarmSpec, MachineSpec, simulate_campaign, CampaignEstimate
-from repro.dist.pool import ParallelCoordinator
+import importlib
 
-__all__ = [
-    "SearchTask",
-    "TaskStatus",
-    "TaskQueue",
-    "CampaignCore",
-    "CampaignStats",
-    "CheckpointMismatch",
-    "FaultPlan",
-    "FarmSpec",
-    "MachineSpec",
-    "simulate_campaign",
-    "CampaignEstimate",
-    "ParallelCoordinator",
-]
+#: Every public name, by the module that defines it, loaded on first
+#: use (PEP 562): a campaign that only checkpoints does not import the
+#: farm's asyncio/ssl stack.
+_EXPORTS = {
+    "SearchTask": "repro.dist.tasks",
+    "TaskStatus": "repro.dist.tasks",
+    "TaskQueue": "repro.dist.queue",
+    "CampaignCore": "repro.dist.campaign",
+    "CampaignStats": "repro.dist.campaign",
+    "CheckpointMismatch": "repro.dist.checkpoint",
+    "FaultPlan": "repro.dist.faults",
+    "FarmSpec": "repro.dist.farm",
+    "MachineSpec": "repro.dist.farm",
+    "simulate_campaign": "repro.dist.farm",
+    "CampaignEstimate": "repro.dist.farm",
+    "ParallelCoordinator": "repro.dist.pool",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+__all__ = [*_EXPORTS]

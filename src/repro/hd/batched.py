@@ -19,13 +19,19 @@ weight-4/5 screens, which run on uint64 copies of those tables:
   uses **composite keys** -- candidate (row) index in the high bits,
   syndrome in the low ``r`` bits -- so one filter lookup over pair-XOR
   keys services the entire batch; weight 5 builds a second
-  :class:`BatchKeys` over the pair values.
+  :class:`BatchKeys` over the pair values.  Both bail out early:
+  pairs stream in blocks of ascending larger position ``b``, built
+  from contiguous slices, and a row leaves the query set at its first
+  hit.  A ``start`` skips the pairs below a window the rows are
+  already known to be clean in -- the cascade's previous stage.
 
 Exactness contract: identical to the scalar engines.  Every existence
 answer is exact for rows that passed the lower-weight screens first
 (the same ascending-``k`` precondition :mod:`repro.hd.mitm` relies
-on); condemned rows get their witnesses from the scalar search, so
-records match the scalar backend bit for bit.
+on), and with a ``start``, for rows with no codeword of that weight
+in the first ``start`` positions; condemned rows get their witnesses
+from the scalar search, so records match the scalar backend bit for
+bit.
 
 Requirements: all generators in a batch share one degree ``r`` with
 ``r <= 63`` (so ``g`` itself fits a machine word), and
@@ -35,13 +41,15 @@ uint64 -- the search driver caps its batch size accordingly.
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
 from repro.hd.cost import EnvelopeError
 
-#: Elements of pair-XOR workspace materialized at once by the
-#: weight-4/5 kernels (~64 MB of uint64); rows are sub-batched to fit.
-PAIR_BUDGET = 8_000_000
+#: Pair XORs per streamed weight-4/5 block (1 MiB of uint64), and per
+#: weight-5 pair side short of one whole row.
+_PAIR_BLOCK = 1 << 17
 
 #: Largest presence filter, in one-byte slots (64 MiB), a
 #: :class:`BatchKeys` builds; below it the filter is sized from the
@@ -124,38 +132,80 @@ class BatchKeys:
         return hit
 
 
-_PAIR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_PAIR_CACHE_SLOTS = 8
+def _pair_side(tables: np.ndarray) -> np.ndarray:
+    """``(R, C(N - 1, 2))``: every pair XOR ``syn[a] ^ syn[b]``,
+    ``1 <= a < b < N``, of each row, by ascending ``b`` -- one
+    contiguous slice per ``b``."""
+    R, N = tables.shape
+    side = np.empty((R, (N - 1) * (N - 2) // 2), dtype=tables.dtype)
+    off = 0
+    for b in range(2, N):
+        np.bitwise_xor(
+            tables[:, 1:b], tables[:, b, None], out=side[:, off : off + b - 1]
+        )
+        off += b - 1
+    return side
 
 
-def _pair_indices(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """All pairs ``1 <= a < b < N`` as two index arrays.
+def _block_width(rows: int, b0: int, N: int) -> int:
+    """Columns ``b`` of the next pair block: the most ``w`` whose
+    ``rows * (b0 - 1 + w) * w`` pairs fit :data:`_PAIR_BLOCK`."""
+    room, p = max(_PAIR_BLOCK // rows, 1), b0 - 1
+    return max(1, min(N - b0, (isqrt(p * p + 4 * room) - p) // 2))
 
-    Memoized: a cascade re-enters each stage length once per batch, and
-    ``np.triu_indices`` rebuilds cost as much as a whole pair sweep.
-    Pair sets above :data:`PAIR_BUDGET` elements are returned uncached
-    rather than pinned (callers chunk by the same budget anyway).
-    Callers must treat the arrays as read-only.
+
+def _pair_hits(
+    contains, tables: np.ndarray, key_rows: np.ndarray, r: int, start: int
+) -> np.ndarray:
+    """``(R,)`` bool: does ``contains`` hold the composite key
+    ``(key_rows[i] << r) | (syn[a] ^ syn[b] ^ 1)`` for some pair
+    ``1 <= a < b < N`` of row ``i`` with ``b >= start``?
+
+    Pairs stream in blocks of ascending larger position ``b``: block
+    ``[b0, b1)`` is the contiguous-slice product
+    ``syn[1:b1, None] ^ syn[None, b0:b1]``.  Its ``a > b`` entries are
+    pairs whose larger position is ``a``, in the block too; its
+    ``a == b`` diagonal (XOR 0) is masked.  A row leaves the query set
+    at its first confirmed hit, so a killable row pays only for the
+    blocks up to its first match.
     """
-    hit = _PAIR_CACHE.get(N)
-    if hit is not None:
-        return hit
-    a, b = np.triu_indices(N - 1, k=1)
-    a += 1
-    b += 1
-    if len(a) <= PAIR_BUDGET:
-        while len(_PAIR_CACHE) >= _PAIR_CACHE_SLOTS:
-            _PAIR_CACHE.pop(next(iter(_PAIR_CACHE)))
-        _PAIR_CACHE[N] = (a, b)
-    return a, b
+    R, N = tables.shape
+    found = np.zeros(R, dtype=bool)
+    live = np.arange(R)
+    # The row bits and the anchor's 1 ride on the ``a`` operand, so a
+    # block is one XOR: ``(row << r | syn[a] ^ 1) ^ syn[b]``.
+    marks = (key_rows.astype(np.uint64) << np.uint64(r)) | np.uint64(1)
+    t, tq = tables, tables ^ marks[:, None]
+    b0 = max(start, 2)
+    while b0 < N and len(live):
+        w = _block_width(len(live), b0, N)
+        b1 = b0 + w
+        hit = contains(tq[:, 1:b1, None] ^ t[:, None, b0:b1])
+        diag = np.arange(w)
+        hit[:, b0 - 1 + diag, diag] = False
+        got = hit.any(axis=(1, 2))
+        if got.any():
+            found[live[got]] = True
+            live = live[~got]
+            t, tq = t[~got], tq[~got]
+        b0 = b1
+    return found
 
 
-def weight4_exists(keys: BatchKeys, rows_mask: np.ndarray) -> np.ndarray:
+def weight4_exists(
+    keys: BatchKeys, rows_mask: np.ndarray, start: int = 0
+) -> np.ndarray:
     """(B,) bool (meaningful where ``rows_mask``): does a weight-4
     codeword fit the window?  Anchored form: pair XOR
     ``syn[a] ^ syn[b]`` equals ``syn[p] ^ 1`` for some single ``p`` --
     exact for rows with no weight-2 codeword in the window (a
     degenerate ``p in {a, b}`` match would need a duplicate syndrome).
+
+    Only pairs with ``b >= start`` are asked: exact for rows with no
+    weight-4 codeword in a ``start``-bit window, whose new codewords
+    all hold a position ``>= start`` -- and any of a codeword's three
+    non-zero positions can play ``p``, so the other two can be the
+    pair holding the largest.
     """
     tables = keys.tables
     B, N = tables.shape
@@ -163,32 +213,36 @@ def weight4_exists(keys: BatchKeys, rows_mask: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(rows_mask)
     if len(idx) == 0 or N < 4:
         return out
-    a, b = _pair_indices(N)
-    rows_per = max(1, PAIR_BUDGET // max(len(a), 1))
-    r_u = np.uint64(keys.r)
-    for i0 in range(0, len(idx), rows_per):
-        sub = idx[i0 : i0 + rows_per]
-        vals = tables[sub][:, a] ^ tables[sub][:, b]
-        qk = (sub.astype(np.uint64) << r_u)[:, None] | (vals ^ np.uint64(1))
-        out[sub] = keys.contains(qk).any(axis=1)
+    out[idx] = _pair_hits(keys.contains, tables[idx], idx, keys.r, start)
     return out
 
 
-def weight5_exists(keys: BatchKeys, rows_mask: np.ndarray) -> np.ndarray:
+def weight5_exists(
+    keys: BatchKeys, rows_mask: np.ndarray, start: int = 0
+) -> np.ndarray:
     """(B,) bool (meaningful where ``rows_mask``): weight-5 existence
     by (2,2)-split matching ``syn[a] ^ syn[b] ^ 1 == syn[c] ^ syn[d]``.
     Exact for rows already clean of weights 2 and 3 (a shared position
-    would collapse the match to a weight-3 codeword)."""
+    would collapse the match to a weight-3 codeword).
+
+    The side holds every pair of the window; only pairs with
+    ``b >= start`` are asked of it -- exact, as for
+    :func:`weight4_exists`, for rows with no weight-5 codeword in a
+    ``start``-bit window: either pair may be the query, so it can be
+    the one holding the codeword's largest position.
+    """
     tables = keys.tables
     B, N = tables.shape
     out = np.zeros(B, dtype=bool)
     idx = np.flatnonzero(rows_mask)
     if len(idx) == 0 or N < 5:
         return out
-    a, b = _pair_indices(N)
-    rows_per = max(1, PAIR_BUDGET // max(len(a), 1))
+    rows_per = max(1, _PAIR_BLOCK // ((N - 1) * (N - 2) // 2))
     for i0 in range(0, len(idx), rows_per):
         sub = idx[i0 : i0 + rows_per]
-        pairs = BatchKeys(tables[sub][:, a] ^ tables[sub][:, b], keys.r)
-        out[sub] = pairs.contains(pairs.keys ^ np.uint64(1)).any(axis=1)
+        t = tables[sub]
+        pairs = BatchKeys(_pair_side(t), keys.r)
+        out[sub] = _pair_hits(
+            pairs.contains, t, np.arange(len(sub)), keys.r, start
+        )
     return out

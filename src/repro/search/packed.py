@@ -31,8 +31,12 @@ more expensive -- stage.
   same buffer, through one presence filter per batch (direct-indexed
   when the ``batch << r`` key space fits 32 slots per key, hashed
   with exact confirmation otherwise) -- these stages only run on the
-  thin post-weight-3 remainder.  Target weights >= 6 (rare:
-  ``target_hd >= 7``) drop to the per-row scalar tail shared with
+  thin post-weight-3 remainder.  The screens stream pairs and retire
+  a row at its first hit, and each stage asks only the pairs reaching
+  past the previous stage's window, which every alive row passed.
+  Weight 5 proves kills by the windowed witness first and screens
+  only its misses.  Target weights >= 6 (rare: ``target_hd >= 7``)
+  drop to the per-row scalar tail shared with
   :func:`repro.hd.breakpoints.refute_hd_at`.
 
 Killed lanes stay in the buffer until a stage has condemned enough of
@@ -47,7 +51,10 @@ identity matrix (``tests/dist/test_identity_matrix.py``) holds
 campaign-wide on every executor.  Witness choices replicate the
 scalar sequence exactly: weight 2 reports ``(0, order_of_x)``; weights
 3-5 try the windowed extraction first and fall back to the full
-meet-in-the-middle witness search on a windowed miss.
+meet-in-the-middle witness search on a windowed miss.  Weight 5 runs
+that sequence in the scalar order (windowed extraction, then the
+existence screen, then the full search); weight 4 screens first and
+extracts witnesses for its hits only, which yields the same witness.
 """
 
 from __future__ import annotations
@@ -71,27 +78,32 @@ from repro.search.space import canonical_mask, index_range_polys
 Kills = list[tuple[int, tuple[int, ...]]]
 
 
-def _witness_for(
+def _windowed(
     g: int, N: int, k: int, syn: np.ndarray, config: SearchConfig
-) -> tuple[int, ...]:
-    """Extract a weight-``k`` witness for a row the batch screens have
-    proven killable, following the scalar path's exact sequence:
-    windowed extraction first, full MITM witness search on a miss."""
+) -> tuple[int, ...] | None:
+    """The scalar path's first try at a weight-``k`` kill: the
+    windowed extraction (``None`` on a miss or past its envelope)."""
     try:
-        witness = windowed_witness(
+        return windowed_witness(
             g, N, k, window=min(config.witness_window, N), syn=syn
         )
     except EnvelopeError:
-        witness = None
-    if witness is None:
-        witness = find_witness(
-            g,
-            N,
-            k,
-            syn=syn,
-            mem_elems=config.mem_elems,
-            stream_elems=config.stream_elems,
-        )
+        return None
+
+
+def _full_witness(
+    g: int, N: int, k: int, syn: np.ndarray, config: SearchConfig
+) -> tuple[int, ...]:
+    """The scalar path's fallback for a row the batch screens have
+    proven killable but the windowed extraction missed."""
+    witness = find_witness(
+        g,
+        N,
+        k,
+        syn=syn,
+        mem_elems=config.mem_elems,
+        stream_elems=config.stream_elems,
+    )
     assert witness is not None, "batch screen asserted existence"
     return witness
 
@@ -102,15 +114,46 @@ def _keyed_kills(
     cand: np.ndarray,
     g_alive: np.ndarray,
     N: int,
+    start: int,
     config: SearchConfig,
 ) -> Kills:
-    """Weight-``k`` kills among the ``cand`` rows from the uint64-table
-    screens (weights 4 and 5)."""
-    screen = weight4_exists if k == 4 else weight5_exists
-    return [
-        (row, _witness_for(int(g_alive[row]), N, k, keys.tables[row], config))
-        for row in np.flatnonzero(screen(keys, cand) & cand).tolist()
-    ]
+    """Weight-``k`` kills among the ``cand`` rows (weights 4 and 5),
+    each with the scalar path's witness.
+
+    Weight 4 screens first and extracts witnesses for its hits.
+    Weight 5 proves by the windowed witness first: its candidates are
+    the rows not divisible by ``x + 1``, which hold no HD-6 survivor,
+    so most die there, and only the misses go to the screen -- whose
+    hits then take the full search directly, as the scalar path does.
+    (At weight 4 every survivor is a candidate, and a windowed search
+    per survivor per stage costs more than the screen it would skip.)
+    Both screens ask only pairs reaching ``start``, the previous
+    stage's window, which every candidate passed at this weight.
+    """
+    tables = keys.tables
+    if k == 4:
+        rows = np.flatnonzero(weight4_exists(keys, cand, start) & cand)
+        kills = []
+        for row in rows.tolist():
+            g = int(g_alive[row])
+            witness = _windowed(g, N, k, tables[row], config)
+            if witness is None:
+                witness = _full_witness(g, N, k, tables[row], config)
+            kills.append((row, witness))
+        return kills
+    kills, missed = [], np.zeros_like(cand)
+    for row in np.flatnonzero(cand).tolist():
+        witness = _windowed(int(g_alive[row]), N, k, tables[row], config)
+        if witness is None:
+            missed[row] = True
+        else:
+            kills.append((row, witness))
+    screened = weight5_exists(keys, missed, start) & missed
+    for row in np.flatnonzero(screened).tolist():
+        kills.append(
+            (row, _full_witness(int(g_alive[row]), N, k, tables[row], config))
+        )
+    return kills
 
 
 def _screen_batch_packed(
@@ -141,6 +184,9 @@ def _screen_batch_packed(
     )
     sweep = ValueSweep(g_all, r, capacity)
     lanes = np.arange(B)
+    # Every row alive at a stage passed the previous one at every
+    # weight below hd, so the pair screens resume at its window.
+    prev_N = 0
 
     for n in config.filter_lengths:
         if len(alive_slot) == 0:
@@ -198,7 +244,7 @@ def _screen_batch_packed(
                 if keys is None:
                     tables = sweep.values(lanes, N, np.uint64)
                     keys = BatchKeys(tables, r)
-                hits = _keyed_kills(k, keys, cand, g_alive, N, config)
+                hits = _keyed_kills(k, keys, cand, g_alive, N, prev_N, config)
             for row, wit in hits:
                 kill_weight[row] = k
                 witnesses[row] = wit
@@ -258,6 +304,7 @@ def _screen_batch_packed(
                 lanes = np.arange(len(alive_slot))
         stage_span.annotate(killed=kills.get(n, 0))
         stage_span.end()
+        prev_N = N
 
     # Survivors get their final-length tables as slices of the sweep
     # buffer, kept in the narrow sweep dtype: confirm_survivor widens

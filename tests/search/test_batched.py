@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gf2.order import order_of_x
@@ -289,12 +289,7 @@ class TestKernelProperties:
         # by default and forced-hashed alike: syn[a] ^ syn[b] ^ 1 is a
         # single (weight 4) or another pair (weight 5), 1 <= a < b.
         tables = uint64_tables(gs, n)
-        expect4, expect5 = [], []
-        for row in tables.tolist():
-            singles = set(row)
-            pairs = {row[a] ^ row[b] for a in range(1, n) for b in range(a + 1, n)}
-            expect4.append(any(v ^ 1 in singles for v in pairs))
-            expect5.append(any(v ^ 1 in pairs for v in pairs))
+        expect4, expect5 = pair_equations(tables, n)
         r = gs[0].bit_length() - 1
         rows = np.ones(len(gs), dtype=bool)
         for tiny in (False, True):
@@ -303,6 +298,76 @@ class TestKernelProperties:
                 assert keys.hashed or not tiny
                 assert weight4_exists(keys, rows).tolist() == expect4
                 assert weight5_exists(keys, rows).tolist() == expect5
+
+    @given(
+        same_degree_batches(min_width=3),
+        st.integers(min_value=5, max_value=90),
+        st.integers(min_value=0, max_value=90),
+        st.sampled_from([64, 1 << 17]),
+    )
+    # The first new solution ends at position n_prev itself: weight 4
+    # {0, 50, 75, 77} for 0x134E1, and a weight-5 equation for 0x1980D.
+    @example(gs=[0x134E1], n=78, n_prev=77, block=64)
+    @example(gs=[0x1980D], n=55, n_prev=54, block=64)
+    @settings(max_examples=60, deadline=None)
+    def test_resumed_screens_match_full_window(self, gs, n, n_prev, block):
+        # A row the brute force shows clean in an n_prev window needs
+        # only the pairs reaching n_prev: the screens resumed there
+        # give the full window's answer, in tiny blocks and in one.
+        n_prev = min(n_prev, n)
+        tables = uint64_tables(gs, n)
+        keys = BatchKeys(tables, gs[0].bit_length() - 1)
+        before, full = pair_equations(tables, n_prev), pair_equations(tables, n)
+        with mock.patch.object(hd_batched, "_PAIR_BLOCK", block):
+            for screen, dirty, expect in zip(
+                (weight4_exists, weight5_exists), before, full
+            ):
+                clean = ~np.array(dirty, dtype=bool)
+                got = screen(keys, clean, n_prev)
+                assert got[clean].tolist() == np.array(expect)[clean].tolist()
+
+
+def pair_equations(tables: np.ndarray, N: int) -> tuple[list[bool], list[bool]]:
+    """Brute force of the anchored pair equations in the first ``N``
+    positions of each row, for weight 4 (``syn[a] ^ syn[b] ^ 1`` a
+    single) and weight 5 (another pair), ``1 <= a < b < N``."""
+    expect4, expect5 = [], []
+    for row in tables[:, :N].tolist():
+        singles = set(row)
+        pairs = {row[a] ^ row[b] for a in range(1, N) for b in range(a + 1, N)}
+        expect4.append(any(v ^ 1 in singles for v in pairs))
+        expect5.append(any(v ^ 1 in pairs for v in pairs))
+    return expect4, expect5
+
+
+def test_rows_retire_at_their_first_hit(monkeypatch):
+    # One batch in blocks of at most 1,024 pairs.  A codeword is found
+    # at the block holding its second-largest position (the pair's b;
+    # the largest can be the single).  0x10811's first weight-4
+    # codeword ends at position 16, inside the first block; 0x134E1's
+    # only one in the window is {0, 50, 75, 77}, reached in the last
+    # block; 0x128CD has none.  (All three are divisible by x + 1 with
+    # orders beyond the window: no weight-2 or weight-3 codeword.)
+    gs, N = [0x10811, 0x134E1, 0x128CD], 78
+    tables = uint64_tables(gs, N)
+    assert [pair_equations(tables, n)[0] for n in (17, 77, 78)] == [
+        [True, False, False], [True, False, False], [True, True, False],
+    ]
+    monkeypatch.setattr(hd_batched, "_PAIR_BLOCK", 1024)
+    keys = BatchKeys(tables, 16)
+    asked = []
+    contains = keys.contains
+
+    def spy(query_keys):
+        asked.append((query_keys[:, 0, 0] >> np.uint64(16)).tolist())
+        return contains(query_keys)
+
+    keys.contains = spy
+    assert weight4_exists(keys, np.ones(3, dtype=bool)).tolist() == [True, True, False]
+    # Row 0 leaves after the first block; rows 1 and 2 are asked to the
+    # end, and only row 1 is condemned.
+    assert len(asked) >= 3
+    assert asked == [[0, 1, 2]] + [[1, 2]] * (len(asked) - 1)
 
 
 @pytest.mark.parametrize("r", [8, 32, 64])
@@ -366,9 +431,44 @@ class TestMembershipEngines:
 
     def test_width12_hd6_identical(self, monkeypatch):
         engines = self.spy(monkeypatch)
-        cfg = SearchConfig.for_bits(12, 6, 200)
+        # An 8-position witness window misses weight-5 codewords the
+        # driver must then screen for, so pair filters get built.
+        cfg = SearchConfig.for_bits(12, 6, 200, witness_window=8)
         packed = search_chunk(cfg, 0, 256)
         scalar = search_chunk(replace(cfg, backend="scalar"), 0, 256)
         assert_identical(packed, scalar)
         assert {keys.hashed for keys in engines} == {False, True}
         assert {r.hd for r in packed.records if not r.survived} >= {4, 5}
+
+
+def test_weight5_windowed_miss_killed_by_full_search(monkeypatch):
+    # An 8-position witness window misses the weight-5 codewords of
+    # some rows at the 37-bit stage: the screen condemns them and the
+    # full search alone supplies their witnesses -- the scalar path's
+    # witnesses, with no second windowed search.
+    cfg = SearchConfig.for_bits(12, 6, 200, witness_window=8)
+    windowed, full = [], []
+
+    def spy(log, fn):
+        def call(g, N, k, **kwargs):
+            witness = fn(g, N, k, **kwargs)
+            log.append((g, N, k, witness))
+            return witness
+
+        return call
+
+    monkeypatch.setattr(
+        search_packed, "windowed_witness", spy(windowed, search_packed.windowed_witness)
+    )
+    monkeypatch.setattr(
+        search_packed, "find_witness", spy(full, search_packed.find_witness)
+    )
+    packed = search_chunk(cfg, 0, 256)
+    assert_identical(packed, search_chunk(replace(cfg, backend="scalar"), 0, 256))
+    by_full = {(g, N): wit for g, N, k, wit in full if k == 5}
+    assert by_full
+    for g, N in by_full:
+        assert [wit for g2, N2, k, wit in windowed if (g2, N2, k) == (g, N, 5)] == [None]
+    killed = {r.poly: r for r in packed.records if not r.survived and r.hd == 5}
+    for (g, N), wit in by_full.items():
+        assert killed[g].witness == wit and killed[g].filtered_at_bits == N - 12
