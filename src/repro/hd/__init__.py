@@ -81,7 +81,6 @@ from repro.hd.breakpoints import (
     max_length_for_hd,
     hd_breakpoint_table,
     refute_hd_at,
-    increasing_length_filter,
 )
 from repro.hd.bounds import max_theoretical_hd, hamming_bound_ok
 from repro.hd.reference import (
@@ -125,7 +124,6 @@ __all__ = [
     "max_length_for_hd",
     "hd_breakpoint_table",
     "refute_hd_at",
-    "increasing_length_filter",
     "enumerate_weights_reference",
     "first_undetected_reference",
     "check_parity_invariant",

@@ -34,7 +34,7 @@ from repro.hd.cost import (
     EnvelopeError,
 )
 from repro.hd.jump import SpanCache, first_failure_jump
-from repro.hd.mitm import exists_weight_k, find_witness, windowed_witness
+from repro.hd.mitm import find_witness, windowed_witness
 from repro.hd.syndromes import extend_syndrome_table, syndrome_table
 
 import numpy as np
@@ -299,26 +299,21 @@ def _refute_weights(
     """The ascending-``k`` refutation loop over weights
     ``k_min .. hd-1``, given a ready length-``N`` syndrome table.
 
-    Shared between :func:`refute_hd_at` (from ``k_min=3``) and the
-    packed screening backend, whose vectorized kernels handle the
-    weights below ``k_min`` and delegate the tail here.
+    Shared between :func:`refute_hd_at` (from ``k_min=3``), the scalar
+    screen's cascade and the packed screening backend, whose
+    vectorized kernels handle the weights below ``k_min`` and delegate
+    the tail here.  Each weight the windowed witness misses costs one
+    exact scan: :func:`~repro.hd.mitm.find_witness` both decides it and
+    names the witness.
     """
     for k in range(k_min, hd):
         if k % 2 == 1 and divisible_by_x_plus_1(g):
             continue
-        try:
-            witness = windowed_witness(
-                g, N, k, window=min(witness_window, N), syn=syn
-            )
-        except EnvelopeError:
-            witness = None
-        if witness is None:
-            if exists_weight_k(
-                g, N, k, syn=syn, mem_elems=mem_elems, stream_elems=stream_elems
-            ):
-                witness = find_witness(
-                    g, N, k, syn=syn, mem_elems=mem_elems, stream_elems=stream_elems
-                )
+        witness = windowed_witness(
+            g, N, k, window=min(witness_window, N), syn=syn
+        ) or find_witness(
+            g, N, k, syn=syn, mem_elems=mem_elems, stream_elems=stream_elems
+        )
         if witness is not None:
             return k, witness
     return None
@@ -367,65 +362,3 @@ def refute_hd_at(
         mem_elems=mem_elems,
         stream_elems=stream_elems,
     )
-
-
-def increasing_length_filter(
-    candidates: list[int],
-    lengths: list[int],
-    hd_target: int,
-    *,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """The paper's filter cascade: screen candidate polynomials for
-    "HD >= hd_target" at each length in ascending order, discarding
-    failures before moving to the (more expensive) next length.
-
-    Returns ``(survivors, stage_counts)`` where ``stage_counts`` is
-    ``[(length, survivors_after_stage), ...]`` -- the measurement the
-    §4.1 discussion is about (most candidates die cheaply at short
-    lengths).
-
-    Each surviving candidate carries its syndrome table (and its
-    order of ``x``) from stage to stage: ascending lengths *extend*
-    the table rather than rebuild it, so the LFSR cost of each prefix
-    is paid once per candidate, and killed candidates release their
-    tables immediately.  Peak memory is ``8 * (n_last + r)`` bytes per
-    candidate still alive at the final length.
-    """
-    lengths = sorted(lengths)
-    survivors = list(candidates)
-    stage_counts: list[tuple[int, int]] = []
-    syn_by_g: dict[int, "np.ndarray"] = {}
-    order_by_g: dict[int, int] = {}
-    for n in lengths:
-        still: list[int] = []
-        for g in survivors:
-            N = n + degree(g)
-            order = order_by_g.get(g)
-            if order is None:
-                order = order_by_g[g] = order_of_x(g)
-            if order <= N - 1:
-                refuted = True
-            else:
-                syn = syn_by_g.get(g)
-                syn = (
-                    syndrome_table(g, N)
-                    if syn is None
-                    else extend_syndrome_table(g, syn, N)
-                )
-                syn_by_g[g] = syn
-                refuted = _refute_weights(
-                    g, hd_target, N, syn,
-                    mem_elems=mem_elems, stream_elems=stream_elems,
-                ) is not None
-            if refuted:
-                syn_by_g.pop(g, None)
-                order_by_g.pop(g, None)
-            else:
-                still.append(g)
-        survivors = still
-        stage_counts.append((n, len(survivors)))
-        if not survivors:
-            break
-    return survivors, stage_counts

@@ -15,17 +15,20 @@ holds):
    which deliberately did not exploit it.
 3. a *windowed witness* probe -- cheap, and conclusive when it finds
    (and re-verifies) a codeword, which it does almost immediately in
-   dense regimes;
+   dense regimes; a miss, including a probe past its own envelope, is
+   ``None`` and decides nothing;
 4. the full anchored meet-in-the-middle check, which is exact in both
    directions but subject to the work envelope.
 
-If neither 3 nor 4 can decide (envelope exceeded and no witness), an
-:class:`EnvelopeError` propagates -- the library never guesses.
+If neither 3 nor 4 can decide (no witness, and the full check exceeds
+the envelope), an :class:`EnvelopeError` propagates -- the library
+never guesses.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from math import comb
 
 import numpy as np
 
@@ -140,17 +143,9 @@ def _weight_k_exists(
         window = min(witness_window, N)
         # Keep the windowed side within a small memory budget by
         # shrinking the window for larger k.
-        while window > k:
-            from math import comb
-
-            if comb(window - 1, k - 2) <= 30_000_000:
-                break
+        while window > k and comb(window - 1, k - 2) > 30_000_000:
             window //= 2
-        try:
-            witness = windowed_witness(g, N, k, window=window, syn=syn)
-        except EnvelopeError:
-            witness = None
-        if witness is not None:
+        if windowed_witness(g, N, k, window=window, syn=syn) is not None:
             return True
     # Exact two-sided answer.
     return exists_weight_k(

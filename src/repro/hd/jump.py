@@ -17,10 +17,11 @@ same polynomial.  This module replaces that engine:
   (:func:`~repro.hd.mitm.windowed_witness` with a per-weight window
   sized so the materialized side stays under
   :data:`_WINDOWED_SIDE_BUDGET` elements).  Hits are re-verified
-  against the exact big-int syndrome, so a hit is proof; a miss costs
-  one bounded sort and falls back to the *same* collect-all scan the
-  old engine ran at the same window -- the worst case is the old
-  engine plus a rounding error.
+  against the exact big-int syndrome, so a hit is proof; a miss --
+  ``None``, also when the probe is past its own envelope -- costs one
+  bounded side and falls back to the *same* collect-all scan the old
+  engine ran at the same window -- the worst case is the old engine
+  plus a rounding error.
 * On a windowed hit, :func:`refine_span` **binary-searches** the
   minimal span instead of collect-all-scanning the overshot window:
   each windowed hit at the midpoint shrinks the upper bound to that
@@ -125,7 +126,7 @@ class SpanCache:
 
 
 #: Cap on the materialized windowed-witness side, C(window-1, k-2).
-#: Keeps every windowed probe to one bounded sort: the default
+#: Keeps every windowed probe to one bounded side: the default
 #: 400-bit window is fine for k <= 4 but balloons to C(399, 3) at
 #: weight 5, which would dwarf the collect-all scan it tries to skip.
 _WINDOWED_SIDE_BUDGET = 100_000
@@ -133,30 +134,13 @@ _WINDOWED_SIDE_BUDGET = 100_000
 
 def _probe_window(k: int, n: int) -> int:
     """Largest windowed-witness restriction window (<= 400, <= n)
-    whose side stays within :data:`_WINDOWED_SIDE_BUDGET`."""
+    whose side stays within :data:`_WINDOWED_SIDE_BUDGET`.  A probe
+    with it returns a verified weight-``k`` witness within ``n`` bits
+    or an inconclusive ``None``."""
     w = min(400, n)
     while w > k + 2 and comb(w - 1, k - 2) > _WINDOWED_SIDE_BUDGET:
         w -= max(1, w // 8)
     return w
-
-
-def _windowed_probe(
-    g: int,
-    window: int,
-    k: int,
-    syn: np.ndarray,
-    *,
-    mem_elems: int,
-) -> tuple[int, ...] | None:
-    """Budgeted windowed-witness probe: a verified weight-``k``
-    witness within ``window`` bits, or an *inconclusive* ``None``."""
-    try:
-        return windowed_witness(
-            g, window, k,
-            window=_probe_window(k, window), syn=syn, mem_elems=mem_elems,
-        )
-    except EnvelopeError:
-        return None
 
 
 def refine_span(
@@ -185,7 +169,9 @@ def refine_span(
     hi = hi_span
     while hi > lo + 1:
         mid = (lo + hi) // 2
-        witness = _windowed_probe(g, mid, k, syn, mem_elems=mem_elems)
+        witness = windowed_witness(
+            g, mid, k, window=_probe_window(k, mid), syn=syn, mem_elems=mem_elems
+        )
         if witness is None:
             break
         hi = max(witness) + 1
@@ -246,7 +232,10 @@ def first_failure_jump(
             # no new ground affordable: cap
             return None, cleared, True
         syn = cache.table(window)
-        witness = _windowed_probe(g, window, k, syn, mem_elems=mem_elems)
+        witness = windowed_witness(
+            g, window, k,
+            window=_probe_window(k, window), syn=syn, mem_elems=mem_elems,
+        )
         if witness is not None:
             # The previous window (cleared + r bits) was verified
             # empty, so the minimal span lies in (lo, span(witness)];

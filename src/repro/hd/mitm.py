@@ -38,6 +38,13 @@ Two generation strategies, chosen by shape:
   recover positions.  This is what makes weight-14 checks at 40-bit
   windows (Table 1's top rows) instantaneous.
 
+One private scan runs every exact check -- :func:`exists_weight_k`,
+:func:`find_witness` and :func:`minimal_codeword_span`: it checks the
+envelope, builds the side, streams the large side through the side's
+membership test and counts the ``mitm.*`` metrics, while each check
+only says what to do with a chunk's hits (stop at the first, expand
+and verify them in order, or keep the shortest span).
+
 The side keeps its rank order (only a hashed filter holds a sorted
 copy, for confirming its hits).  A hit expands to its subsets by
 scanning the side for entries equal to its value, which yields them
@@ -55,8 +62,9 @@ middle: the side holds the (k-3)-subsets ``T`` and is asked for
 seen once with ``c`` its largest position -- the ``T`` below ``c`` are
 a levelwise prefix of the side, so a hit scans only that prefix.  At
 width 32 that builds ``C(399, 2)`` pairs where the whole side was
-``C(399, 3)`` triples.  Its envelope guard still prices the whole side:
-a raise sends callers to :func:`find_witness`, whose witness differs.
+``C(399, 3)`` triples.  Its envelope guard still prices the whole side,
+and past it the answer is a miss: ``None`` sends callers to
+:func:`find_witness`, whose witness differs.
 """
 
 from __future__ import annotations
@@ -333,7 +341,7 @@ def _stream_side(
 
 
 # ---------------------------------------------------------------------------
-# public checks
+# the exact scan
 # ---------------------------------------------------------------------------
 
 
@@ -341,6 +349,78 @@ def _split(k: int) -> tuple[int, int]:
     s_total = k - 1
     s_small = s_total // 2
     return s_small, s_total - s_small
+
+
+def _scan(
+    g: int,
+    N: int,
+    k: int,
+    syn: np.ndarray,
+    visit: Callable[[_Side, _Chunk, np.ndarray], object],
+    *,
+    chunk_elems: int,
+    mem_elems: int,
+    stream_elems: int,
+    want_max: bool = False,
+) -> object:
+    """The one exact weight-``k`` scan (``k >= 3``) of an ``N``-bit
+    window, behind :func:`exists_weight_k`, :func:`find_witness` and
+    :func:`minimal_codeword_span`.
+
+    Checks the envelope, builds the small side, streams the large side
+    through its membership test and hands every chunk with hits to
+    ``visit(side, chunk, hits)``.  The first answer that is not
+    ``None`` ends the scan -- the early bailout -- and is returned;
+    ``None`` means every chunk was visited.
+    """
+    metrics = obs_metrics.active()
+    metrics.inc("mitm.exists.calls")
+    check_envelope(N, k, mem_elems, stream_elems)
+    s_small, s_large = _split(k)
+    side = _Side(syn, s_small, 1, N, 1, degree(g))
+    for chunk in _stream_side(
+        syn, s_large, 1, N, chunk_elems, want_max=want_max
+    ):
+        metrics.inc("mitm.chunks_streamed")
+        metrics.inc("mitm.elements_streamed", len(chunk.values))
+        hits = np.flatnonzero(side.keys.contains(chunk.values))
+        if len(hits) == 0:
+            continue
+        answer = visit(side, chunk, hits)
+        if answer is not None:
+            metrics.inc("mitm.early_bailouts")
+            return answer
+    return None
+
+
+def _hit_ranks(
+    side: _Side, chunk: _Chunk, hits: np.ndarray
+) -> Iterator[tuple[int, list[int]]]:
+    """Each of a chunk's ``hits`` in stream order, as its offset in the
+    chunk and the ascending ranks of the side entries it matched, all
+    found in one shared pass over the side."""
+    values = chunk.values[hits]
+    ranks = side.expand(values)
+    for flat, value in zip(hits.tolist(), values.tolist()):
+        yield flat, ranks[value]
+
+
+def _codeword(
+    g: int, k: int, small: tuple[int, ...], large: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """The anchored positions ``{0} | small | large`` if they are ``k``
+    distinct positions of a codeword (verified against the exact
+    big-int syndrome), else ``None``."""
+    flat_set = {0} | set(small) | set(large)
+    if len(flat_set) != k:
+        return None
+    positions = tuple(sorted(flat_set))
+    return positions if syndrome_of_positions(g, positions) == 0 else None
+
+
+# ---------------------------------------------------------------------------
+# public checks
+# ---------------------------------------------------------------------------
 
 
 def exists_weight_k(
@@ -361,8 +441,10 @@ def exists_weight_k(
     window; otherwise a cross-side position overlap could masquerade
     as a weight-k hit.
 
-    Raises :class:`EnvelopeError` rather than exceeding the configured
-    memory/stream envelope.
+    The scan stops at the first chunk with a hit, without expanding
+    it -- the savings the filter cascade banks on in the dense
+    regime.  Raises :class:`EnvelopeError` rather than exceeding the
+    configured memory/stream envelope.
 
     >>> exists_weight_k(0b10011, 8, 3)   # x^4+x+1: the generator itself
     True
@@ -372,24 +454,13 @@ def exists_weight_k(
         return False
     if syn is None:
         syn = syndrome_table(g, N)
-    metrics = obs_metrics.active()
-    metrics.inc("mitm.exists.calls")
     if k == 2:
         # Duplicate syndromes <=> x^(j-i) == 1 <=> order(x) <= N-1.
         return len(np.unique(syn)) < N
-    check_envelope(N, k, mem_elems, stream_elems)
-    s_small, s_large = _split(k)
-    side = _Side(syn, s_small, 1, N, 1, degree(g))
-    for chunk in _stream_side(syn, s_large, 1, N, chunk_elems):
-        metrics.inc("mitm.chunks_streamed")
-        metrics.inc("mitm.elements_streamed", len(chunk.values))
-        if side.keys.contains(chunk.values).any():
-            # Early bailout: a hit ends the scan without streaming the
-            # rest of the C(N-1, t) side -- the savings the filter
-            # cascade banks on in the dense regime.
-            metrics.inc("mitm.early_bailouts")
-            return True
-    return False
+    return _scan(
+        g, N, k, syn, lambda side, chunk, hits: True,
+        chunk_elems=chunk_elems, mem_elems=mem_elems, stream_elems=stream_elems,
+    ) is not None
 
 
 def find_witness(
@@ -405,10 +476,14 @@ def find_witness(
     """Like :func:`exists_weight_k` but returns the positions of a
     weight-``k`` codeword (anchored at 0), or ``None``.
 
-    Every witness is re-verified against the exact big-int syndrome
-    before being returned; candidate matches whose sides share a
-    position (possible only when the ascending-``k`` precondition was
-    violated) are rejected and the scan continues.
+    The witness is the first verified one in scan order: hits in
+    stream order, each hit's side entries in rank order.  Every
+    witness is re-verified against the exact big-int syndrome before
+    being returned; candidate matches whose sides share a position
+    (possible only when the ascending-``k`` precondition was
+    violated) are rejected and the scan continues.  Callers that need
+    a witness for a weight they have not yet decided call this alone:
+    ``None`` is the exact "absent".
     """
     N = codeword_bits
     if k < 2 or N < k:
@@ -422,26 +497,20 @@ def find_witness(
             return None
         where = np.flatnonzero(syn == dup[0])[:2]
         return (int(where[0]), int(where[1]))
-    check_envelope(N, k, mem_elems, stream_elems)
-    s_small, s_large = _split(k)
-    side = _Side(syn, s_small, 1, N, 1, degree(g))
-    for chunk in _stream_side(syn, s_large, 1, N, chunk_elems):
-        hits = np.flatnonzero(side.keys.contains(chunk.values))
-        if len(hits) == 0:
-            continue
-        values = chunk.values[hits]
-        ranks = side.expand(values)
-        for flat, value in zip(hits.tolist(), values.tolist()):
-            large_part = chunk.resolve(flat)
-            for rank in ranks[value]:
-                small_part = side.positions_at(rank)
-                flat_set = set(small_part) | set(large_part) | {0}
-                if len(flat_set) != k:
-                    continue
-                positions = tuple(sorted(flat_set))
-                if syndrome_of_positions(g, positions) == 0:
+
+    def first_codeword(side: _Side, chunk: _Chunk, hits: np.ndarray):
+        for flat, ranks in _hit_ranks(side, chunk, hits):
+            large = chunk.resolve(flat)
+            for rank in ranks:
+                positions = _codeword(g, k, side.positions_at(rank), large)
+                if positions is not None:
                     return positions
-    return None
+        return None
+
+    return _scan(
+        g, N, k, syn, first_codeword,
+        chunk_elems=chunk_elems, mem_elems=mem_elems, stream_elems=stream_elems,
+    )
 
 
 def windowed_witness(
@@ -461,8 +530,8 @@ def windowed_witness(
     Far above a breakpoint the number of weight-k codewords grows like
     ``C(N, k) / 2**r``, so even this thin slice of the search space
     contains many -- a hit is returned (verified) almost immediately.
-    A ``None`` result proves nothing; callers must fall back to
-    :func:`exists_weight_k`.
+    A ``None`` result proves nothing; callers fall back to the exact
+    scan (:func:`find_witness` or :func:`exists_weight_k`).
 
     The witness returned is fixed by one rule, whichever way it is
     searched: the smallest ``b`` in ``[1, N)`` for which some ``S``
@@ -476,9 +545,10 @@ def windowed_witness(
     window is so short that the (k-3)-subsets outnumber the
     (k-2)-subsets.
 
-    The envelope guard still prices the whole ``C(window - 1, k - 2)``
-    side even where the split never builds it: a raise sends callers
-    to :func:`find_witness`, whose witness differs, so moving the guard
+    Past its envelope the search is not run and the answer is a miss,
+    ``None``.  The guard still prices the whole ``C(window - 1, k - 2)``
+    side even where the split never builds it: a miss sends callers to
+    :func:`find_witness`, whose witness differs, so moving the guard
     would change which witness a record carries.
     """
     N = codeword_bits
@@ -486,9 +556,7 @@ def windowed_witness(
         return None
     window = min(window, N)
     if comb(window - 1, k - 2) > min(mem_elems, LEVELWISE_CAP):
-        raise EnvelopeError(
-            f"windowed witness side C({window - 1},{k - 2}) exceeds memory envelope"
-        )
+        return None
     if syn is None:
         syn = syndrome_table(g, N)
     metrics = obs_metrics.active()
@@ -592,38 +660,33 @@ def minimal_codeword_span(
 
         order = order_of_x(g)
         return order + 1 if order + 1 <= N else None
-    check_envelope(N, k, mem_elems, stream_elems)
-    s_small, s_large = _split(k)
-    side = _Side(syn, s_small, 1, N, 1, degree(g))
     best: int | None = None
-    for chunk in _stream_side(syn, s_large, 1, N, chunk_elems, want_max=True):
-        hits = np.flatnonzero(side.keys.contains(chunk.values))
+
+    def shortest(side: _Side, chunk: _Chunk, hits: np.ndarray) -> None:
+        nonlocal best
         assert chunk.elem_max is not None
         # The large side's max position alone is a lower bound on a
         # hit's span: hits that cannot beat the best so far are dropped
         # before their one shared pass over the side.
-        spans_lb = chunk.elem_max[hits] + 1
         if best is not None:
-            keep = spans_lb < best
-            hits, spans_lb = hits[keep], spans_lb[keep]
+            hits = hits[chunk.elem_max[hits] + 1 < best]
         if len(hits) == 0:
-            continue
-        values = chunk.values[hits]
-        ranks = side.expand(values)
-        for flat, value, lb in zip(
-            hits.tolist(), values.tolist(), spans_lb.tolist()
-        ):
-            if best is not None and lb >= best:
+            return
+        for flat, ranks in _hit_ranks(side, chunk, hits):
+            if best is not None and chunk.elem_max[flat] + 1 >= best:
                 continue
-            large_part = chunk.resolve(flat)
-            for rank in ranks[value]:
-                small_part = side.positions_at(rank)
-                flat_set = {0} | set(small_part) | set(large_part)
-                if len(flat_set) != k:
-                    continue
-                span = max(large_part[-1], small_part[-1]) + 1
+            large = chunk.resolve(flat)
+            for rank in ranks:
+                small = side.positions_at(rank)
+                span = max(large[-1], small[-1]) + 1
                 if best is not None and span >= best:
                     continue
-                if syndrome_of_positions(g, tuple(sorted(flat_set))) == 0:
+                if _codeword(g, k, small, large) is not None:
                     best = span
+
+    _scan(
+        g, N, k, syn, shortest,
+        chunk_elems=chunk_elems, mem_elems=mem_elems, stream_elems=stream_elems,
+        want_max=True,
+    )
     return best

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.gf2.poly import degree
 from repro.gf2.order import order_of_x
-from repro.hd.breakpoints import _refute_weights, refute_hd_at  # noqa: F401
+from repro.hd.breakpoints import _refute_weights
 from repro.hd.cost import DEFAULT_MEM_ELEMS, DEFAULT_STREAM_ELEMS
 from repro.hd.hamming import _ascending_weights
 from repro.hd.invariants import WeightMonitor

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gf2.poly import degree
 from repro.hd.weights import weight_profile
 from repro.search.census import fewest_taps
 from repro.search.exhaustive import SearchConfig, search_all
@@ -37,11 +36,6 @@ class OptimizationResult:
     def winner(self) -> int:
         """The top-ranked polynomial."""
         return self.ranked[0]
-
-
-def _default_cascade(bits: int) -> tuple[int, ...]:
-    lengths = sorted({max(8, bits // 8), max(12, bits // 2), bits})
-    return tuple(lengths)
 
 
 def rank_achievers(
@@ -96,11 +90,8 @@ def best_for_length(
         )
     examined_total = 0
     for target in range(hd_ceiling, 2, -1):
-        cfg = SearchConfig(
-            width=width,
-            target_hd=target,
-            filter_lengths=_default_cascade(data_word_bits),
-            confirm_weights=confirm_weights,
+        cfg = SearchConfig.for_bits(
+            width, target, data_word_bits, confirm_weights=confirm_weights
         )
         result = search_all(cfg)
         examined_total += result.examined

@@ -78,36 +78,6 @@ from repro.search.space import canonical_mask, index_range_polys
 Kills = list[tuple[int, tuple[int, ...]]]
 
 
-def _windowed(
-    g: int, N: int, k: int, syn: np.ndarray, config: SearchConfig
-) -> tuple[int, ...] | None:
-    """The scalar path's first try at a weight-``k`` kill: the
-    windowed extraction (``None`` on a miss or past its envelope)."""
-    try:
-        return windowed_witness(
-            g, N, k, window=min(config.witness_window, N), syn=syn
-        )
-    except EnvelopeError:
-        return None
-
-
-def _full_witness(
-    g: int, N: int, k: int, syn: np.ndarray, config: SearchConfig
-) -> tuple[int, ...]:
-    """The scalar path's fallback for a row the batch screens have
-    proven killable but the windowed extraction missed."""
-    witness = find_witness(
-        g,
-        N,
-        k,
-        syn=syn,
-        mem_elems=config.mem_elems,
-        stream_elems=config.stream_elems,
-    )
-    assert witness is not None, "batch screen asserted existence"
-    return witness
-
-
 def _keyed_kills(
     k: int,
     keys: BatchKeys,
@@ -131,28 +101,31 @@ def _keyed_kills(
     stage's window, which every candidate passed at this weight.
     """
     tables = keys.tables
+    window = min(config.witness_window, N)
     if k == 4:
-        rows = np.flatnonzero(weight4_exists(keys, cand, start) & cand)
-        kills = []
-        for row in rows.tolist():
-            g = int(g_alive[row])
-            witness = _windowed(g, N, k, tables[row], config)
-            if witness is None:
-                witness = _full_witness(g, N, k, tables[row], config)
-            kills.append((row, witness))
-        return kills
+        cand = weight4_exists(keys, cand, start) & cand
     kills, missed = [], np.zeros_like(cand)
     for row in np.flatnonzero(cand).tolist():
-        witness = _windowed(int(g_alive[row]), N, k, tables[row], config)
+        witness = windowed_witness(
+            int(g_alive[row]), N, k, window=window, syn=tables[row]
+        )
         if witness is None:
             missed[row] = True
         else:
             kills.append((row, witness))
-    screened = weight5_exists(keys, missed, start) & missed
-    for row in np.flatnonzero(screened).tolist():
-        kills.append(
-            (row, _full_witness(int(g_alive[row]), N, k, tables[row], config))
+    if k == 5:
+        missed = weight5_exists(keys, missed, start) & missed
+    # A row the screen proved killable that the windowed witness
+    # missed takes the full search, as on the scalar path.
+    for row in np.flatnonzero(missed).tolist():
+        witness = find_witness(
+            int(g_alive[row]), N, k,
+            syn=tables[row],
+            mem_elems=config.mem_elems,
+            stream_elems=config.stream_elems,
         )
+        assert witness is not None, "batch screen asserted existence"
+        kills.append((row, witness))
     return kills
 
 

@@ -131,9 +131,11 @@ def _pool_under_chaos(config, path, events):
     # quarantined after its budget instead of wedging the run.
     second, run = pool(path, events, **settings, max_attempts=3)
     second.resume()
+    resumed_at = len(events.records)
     poison = min(set(range(CHUNKS)) - second.campaign.chunks_done)
     second.faults = FaultPlan(poison_chunks={poison})
     run()
+    second_session = events.records[resumed_at:]
     assert second.queue.finished and not second.queue.all_done
     assert second.queue.quarantined_ids == [poison]
     assert poison not in second.campaign.chunks_done
@@ -155,9 +157,12 @@ def _pool_under_chaos(config, path, events):
     assert crash["chunks"] == [grant["chunk"]]
     assert crash["respawn"] not in (None, victim)
     events.first("worker.hello", worker=crash["respawn"])
-    # Each of the poison chunk's three attempts killed its child.
+    # Each of the poison chunk's three attempts killed its child.  Only
+    # the second session's crashes count: session 1's victim may have
+    # died holding the chunk that later became the poison.
     poisoned = [
-        f for f in events.fields("worker.crash") if f["chunks"] == [poison]
+        f for name, f in second_session
+        if name == "worker.crash" and f["chunks"] == [poison]
     ]
     assert len(poisoned) == 3
     duplicated = {

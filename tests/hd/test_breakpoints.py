@@ -12,12 +12,13 @@ from repro.hd.breakpoints import (
     BreakpointTable,
     first_failure_length,
     hd_breakpoint_table,
-    increasing_length_filter,
     max_length_for_hd,
     refute_hd_at,
 )
+from repro.hd import mitm
 from repro.hd.syndromes import is_undetected_pattern
 from repro.hd.weights import brute_force_weights
+from repro.search.exhaustive import SearchConfig, _screen_candidate
 
 gen_polys = st.integers(min_value=0b100101, max_value=(1 << 10) - 1).filter(
     lambda p: p & 1
@@ -133,15 +134,69 @@ class TestRefute:
         out = refute_hd_at(0x107, 3, 150)
         assert out is not None and out[0] == 2
 
+    def test_windowed_miss_streams_each_exact_side_once(self, monkeypatch):
+        # An 8-position witness window misses 0x1F99's weight-4 codeword
+        # at 40 bits, so the kill comes from the exact scan -- which
+        # must stream the weight-4 side once, not once to decide the
+        # weight and again to name the witness.
+        streamed = []
+
+        def spy(syn, s, *args, **kwargs):
+            streamed.append(s)
+            return stream_side(syn, s, *args, **kwargs)
+
+        stream_side = mitm._stream_side
+        monkeypatch.setattr(mitm, "_stream_side", spy)
+        out = refute_hd_at(0x1F99, 5, 40, witness_window=8)
+        assert out == (4, (0, 7, 8, 47))
+        # Weight 3 (large side of 1 position) is cleared, weight 4
+        # (pairs) is killed: one scan each.
+        assert streamed == [1, 2]
+
+
+def scalar_cascade(
+    candidates: list[int], lengths: list[int], hd: int
+) -> tuple[list[int], dict[int, int]]:
+    """The scalar screen's cascade over ``candidates``: its survivors,
+    and how many candidates it killed at each length."""
+    config = SearchConfig(
+        width=degree(candidates[0]),
+        target_hd=hd,
+        filter_lengths=tuple(lengths),
+        backend="scalar",
+    )
+    survivors, kills = [], dict.fromkeys(lengths, 0)
+    for g in candidates:
+        record, _ = _screen_candidate(g, config)
+        if record is None:
+            survivors.append(g)
+        else:
+            kills[record.filtered_at_bits] += 1
+            # The kill is the refutation at the length it died at.
+            assert refute_hd_at(g, hd, record.filtered_at_bits) == (
+                record.hd, record.witness
+            )
+    return survivors, kills
+
+
+def per_length_refutation(
+    candidates: list[int], lengths: list[int], hd: int
+) -> tuple[list[int], dict[int, int]]:
+    """The same cascade by independent per-length refutations."""
+    survivors, kills = list(candidates), {}
+    for n in lengths:
+        still = [g for g in survivors if refute_hd_at(g, hd, n) is None]
+        kills[n] = len(survivors) - len(still)
+        survivors = still
+    return survivors, kills
+
 
 class TestCascade:
     def test_filter_matches_direct(self):
         candidates = [(1 << 8) | (i << 1) | 1 for i in range(40, 80)]
-        survivors, stages = increasing_length_filter(candidates, [16, 60], 4)
+        survivors, kills = scalar_cascade(candidates, [16, 60], 4)
+        assert (survivors, kills) == per_length_refutation(
+            candidates, [16, 60], 4
+        )
         for g in candidates:
-            direct = refute_hd_at(g, 4, 60) is None
-            assert (g in survivors) == direct
-        assert [n for n, _ in stages] == [16, 60]
-        # survivor counts decrease monotonically
-        counts = [c for _, c in stages]
-        assert counts == sorted(counts, reverse=True)
+            assert (g in survivors) == (refute_hd_at(g, 4, 60) is None)

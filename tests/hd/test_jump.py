@@ -25,7 +25,6 @@ from repro.hd.breakpoints import (
     FirstFailure,
     first_failure_detailed,
     first_failure_length,
-    increasing_length_filter,
     max_length_for_hd,
 )
 from repro.hd.cost import EnvelopeError, max_affordable_window
@@ -199,21 +198,13 @@ class TestRefineSpan:
 
 class TestIncreasingLengthFilter:
     def test_matches_per_length_refutation(self):
-        # The table-threading rewrite must keep survivors and stage
-        # counts identical to independent per-length refutations.
-        from repro.hd.breakpoints import refute_hd_at
+        # The scalar screen threads one syndrome table through its
+        # lengths; survivors and per-length kills must equal
+        # independent per-length refutations.
+        from tests.hd.test_breakpoints import per_length_refutation, scalar_cascade
 
         candidates = [(1 << 8) | (i << 1) | 1 for i in range(0, 128, 5)]
         lengths = [16, 40, 90]
-        survivors, stages = increasing_length_filter(candidates, lengths, 4)
-        expect = list(candidates)
-        expect_stages = []
-        for n in lengths:
-            expect = [
-                g for g in expect if refute_hd_at(g, 4, n) is None
-            ]
-            expect_stages.append((n, len(expect)))
-            if not expect:
-                break
-        assert survivors == expect
-        assert stages == expect_stages
+        assert scalar_cascade(candidates, lengths, 4) == per_length_refutation(
+            candidates, lengths, 4
+        )

@@ -3,7 +3,8 @@
 ``repro`` and ``repro.dist`` re-export names from across the tree.
 Loading them eagerly would make every search worker import the CRC
 service and the farm's asyncio/ssl stack; the namespaces resolve each
-name on first access instead (PEP 562).
+name on first access instead (PEP 562).  Every package namespace,
+lazy or not, must resolve each name its ``__all__`` lists.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import pytest
 
 import repro
 import repro.dist
+import repro.hd
+import repro.search
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -34,8 +37,12 @@ def test_search_import_leaves_service_and_farm_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("package", [repro, repro.dist], ids=["repro", "repro.dist"])
+PACKAGES = [repro, repro.dist, repro.hd, repro.search]
+
+
+@pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
 def test_every_export_resolves(package):
+    # A name deleted from a module but left in ``__all__`` fails here.
     for name in package.__all__:
         assert getattr(package, name) is not None
         assert name in dir(package)
