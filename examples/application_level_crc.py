@@ -18,9 +18,10 @@ polynomials for that role.  Two practical questions follow:
    HD outruns what is exactly computable).
 """
 
-from repro import koopman_to_full
-from repro.crc.stream import StreamingCrc, crc_combine
+from repro import CrcSession, koopman_to_full
+from repro.crc.stream import crc_combine
 from repro.crc.catalog import get_spec
+from repro.crc.engine import crc_bitwise
 from repro.network.stacked import same_poly_pitfall, stacked_hd
 
 G_LINK = koopman_to_full(0x82608EDB)    # the deployed Ethernet CRC
@@ -46,19 +47,17 @@ def main() -> None:
     fragments = [b"fragment-one|", b"fragment-two|", b"fragment-three"]
     whole = b"".join(fragments)
 
-    h = StreamingCrc(spec)
+    session = CrcSession(spec)
     for frag in fragments:
-        h.update(frag)
-    from repro.crc.engine import crc_bitwise
-
-    assert h.digest() == crc_bitwise(spec, whole)
+        session.add(frag)
+    assert session.value == crc_bitwise(spec, whole)
 
     crc = crc_bitwise(spec, fragments[0])
     for frag in fragments[1:]:
         crc = crc_combine(spec, crc, crc_bitwise(spec, frag), len(frag))
     assert crc == crc_bitwise(spec, whole)
     print(
-        "\nStreaming update() and O(log n) crc_combine() both reproduce "
+        "\nStreaming add() and O(log n) crc_combine() both reproduce "
         f"the one-shot CRC ({crc:#010x}) -- the plumbing an app-level "
         "check needs for scattered I/O."
     )

@@ -56,7 +56,6 @@ _EXPORTS = {
     "render_table1": "repro.analysis",
     "render_table2": "repro.analysis",
     "GF2Poly": "repro.gf2.ring",
-    "StreamingCrc": "repro.crc.stream",
     "crc_combine": "repro.crc.stream",
     "stacked_hd": "repro.network.stacked",
     "AdviceStore": "repro.service",

@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     observability.add_argument(
         "--metrics", action="store_true",
-        help="collect counters/timers while running and print them at "
+        help="collect counters/histograms while running and print them at "
              "the end; off by default",
     )
 

@@ -14,19 +14,13 @@ catalog of the paper's polynomials.
 """
 
 from repro.crc.spec import CRCSpec
-from repro.crc.engine import (
-    crc_bitwise,
-    crc_table,
-    make_table,
-    BitSerialRegister,
-)
+from repro.crc.engine import crc_bitwise, BitSerialRegister
 from repro.crc.backends import (
     BackendMismatch,
     available_backends,
     crc_compute,
     get_kernel,
     kernels_for,
-    register_backend,
 )
 from repro.crc.codeword import (
     append_fcs,
@@ -46,15 +40,12 @@ from repro.crc.catalog import (
 __all__ = [
     "CRCSpec",
     "crc_bitwise",
-    "crc_table",
-    "make_table",
     "BitSerialRegister",
     "BackendMismatch",
     "available_backends",
     "crc_compute",
     "get_kernel",
     "kernels_for",
-    "register_backend",
     "append_fcs",
     "check_fcs",
     "is_codeword",

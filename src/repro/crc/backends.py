@@ -4,7 +4,7 @@ The paper's premise is that polynomial *choice* must stay decoupled
 from implementation cost: any generator should run at line rate
 through table kernels.  Hand-maintaining one inner loop per engine
 per orientation (the seed's hand-written table, slice-by-4 and
-``StreamingCrc.update`` loops) is how orientation bugs breed,
+streaming-update loops) is how orientation bugs breed,
 so this module *generates* the kernels instead -- the software analog
 of amaranth's per-spec derivation of parallel CRC update logic.
 
@@ -15,7 +15,8 @@ first use and cached per ``(width, poly, refin)``:
     The bit-serial reference loop, emitted in the register's own
     orientation (reflected registers shift down, normal shift up).
 ``bytewise``
-    Classic 256-entry byte-table kernel.  *Any* width: narrow normal
+    Classic 256-entry byte-table kernel over :func:`_byte_table`, the
+    package's one CRC table.  *Any* width: narrow normal
     registers (width < 8) are kept left-aligned in a byte-wide working
     register internally, so the table method no longer has a width
     floor.  The default kernel: under CPython, slice-by-N unrolling
@@ -35,12 +36,12 @@ raises :class:`BackendMismatch` instead of ever being served.
 
 All kernels share one state convention, the *engine orientation*: the
 raw register is bit-reversed for ``refin`` specs and natural
-otherwise, matching :func:`repro.crc.stream.shift_operator`.  The
-helpers :func:`engine_init` / :func:`dress` / :func:`undress` move
-between that raw state and the dressed (init/refout/xorout) CRC value;
-``StreamingCrc``, ``crc_combine`` and the one-shot facades in
-:mod:`repro.crc.engine` all build on them, so there is exactly one
-place where orientation decisions live.
+otherwise, matching :func:`repro.crc.stream.advance`.  The helpers
+:func:`engine_init` / :func:`dress` / :func:`undress` move between
+that raw state and the dressed (init/refout/xorout) CRC value;
+:func:`crc_compute`, :class:`repro.service.session.CrcSession` and
+:func:`repro.crc.stream.crc_combine` all build on them, so there is
+exactly one place where orientation decisions live.
 """
 
 from __future__ import annotations
@@ -404,7 +405,7 @@ def _verify(width: int, poly: int, refin: bool, kernel: Kernel, ref: dict) -> Ke
 
 #: Builders in canonical order; each maps (width, poly, refin) to a
 #: Kernel or ``None`` when the backend cannot serve the spec (e.g. the
-#: numpy kernel without numpy).  Extendable via :func:`register_backend`.
+#: numpy kernel without numpy).
 _BUILDERS: dict[str, Callable[[int, int, bool], "Kernel | None"]] = {
     "bitwise": _gen_bitwise,
     "bytewise": _gen_bytewise,
@@ -418,18 +419,6 @@ _KERNELS: dict[tuple[int, int, bool], dict[str, Kernel]] = {}
 DEFAULT_BACKEND = "bytewise"
 #: One-shot buffers at least this long prefer the numpy kernel.
 WORDWISE_CUTOVER = 512
-
-
-def register_backend(
-    name: str, builder: Callable[[int, int, bool], "Kernel | None"]
-) -> None:
-    """Register an additional kernel builder.  The builder receives
-    ``(width, poly, refin)`` and returns a :class:`Kernel` (raw
-    engine-orientation ``process``) or ``None`` if unsupported; its
-    output is differential-tested like the built-ins.  Registering
-    invalidates the per-spec kernel cache."""
-    _BUILDERS[name] = builder
-    _KERNELS.clear()
 
 
 def kernels_for(spec: CRCSpec) -> dict[str, Kernel]:

@@ -101,7 +101,7 @@ CATALOG: dict[str, CRCSpec] = {
         check=0xA1,
     ),
     # Narrower than a byte AND reflected: the combination that exposed
-    # the seed's StreamingCrc orientation bug (reflected register
+    # the seed's streaming orientation bug (reflected register
     # advanced through the normal-orientation reference, output
     # reflection skipped).  USB token CRC.
     "CRC-5/USB": CRCSpec(

@@ -16,8 +16,9 @@ first.
 
 from __future__ import annotations
 
+from repro.crc.backends import crc_compute
 from repro.crc.spec import CRCSpec
-from repro.crc.engine import crc_bitwise, crc_bits
+from repro.crc.engine import crc_bits
 from repro.gf2.poly import gf2_mod
 
 
@@ -30,7 +31,7 @@ def append_fcs(spec: CRCSpec, data: bytes) -> bytes:
     """
     if spec.width % 8:
         raise ValueError("append_fcs requires a byte-multiple CRC width")
-    fcs = crc_bitwise(spec, data)
+    fcs = crc_compute(spec, data)
     nbytes = spec.width // 8
     order = "little" if spec.refout else "big"
     return data + fcs.to_bytes(nbytes, order)
@@ -47,7 +48,7 @@ def check_fcs(spec: CRCSpec, frame: bytes) -> bool:
         return False
     data, fcs_bytes = frame[:-nbytes], frame[-nbytes:]
     order = "little" if spec.refout else "big"
-    return crc_bitwise(spec, data) == int.from_bytes(fcs_bytes, order)
+    return crc_compute(spec, data) == int.from_bytes(fcs_bytes, order)
 
 
 def codeword_from_message(spec: CRCSpec, message_bits: list[int]) -> list[int]:

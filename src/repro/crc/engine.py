@@ -1,22 +1,14 @@
-"""CRC computation engines.
-
-The reference engine lives here; the fast engines are *generated*:
+"""The bit-serial CRC reference.
 
 ``crc_bitwise``
     The textbook shift-register, one bit at a time.  Slow but obviously
     correct; the reference every generated kernel is differential-tested
-    against at construction (:mod:`repro.crc.backends`).
-``crc_table``
-    Facade over the backend registry's generated byte-table kernel.
-    Every spec -- any width, either orientation -- gets every kernel;
-    there is no hand-maintained inner loop per engine anymore, and no
-    "32-bit reflected only" restriction.
-
-All engines produce identical results for every spec (property-tested,
-and re-checked at kernel construction); the benchmark
-``bench_crc_engines.py`` sweeps their relative throughput per spec,
-standing in for the paper's concern that CRC choice must remain cheap
-to compute at line rate.
+    against at construction (:mod:`repro.crc.backends`, which holds the
+    byte table and every fast kernel -- one-shot CRCs go through its
+    :func:`~repro.crc.backends.crc_compute`).
+``crc_bits``
+    The same register over an arbitrary bit sequence, for data words
+    that are not a whole number of bytes (the paper's 12,112 bits).
 
 There is also :class:`BitSerialRegister`, a stateful model of the
 hardware LFSR with explicit feedback taps, used to demonstrate the
@@ -25,8 +17,6 @@ paper's observation that polynomials with few non-zero coefficients
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from repro.crc.spec import CRCSpec
 
@@ -48,7 +38,6 @@ def crc_bitwise(spec: CRCSpec, data: bytes) -> int:
     a set top bit triggers subtraction (XOR) of the generator.
     """
     register = spec.init
-    top = spec.topbit
     mask = spec.mask
     for byte in data:
         if spec.refin:
@@ -59,7 +48,6 @@ def crc_bitwise(spec: CRCSpec, data: bytes) -> int:
             register = (register << 1) & mask
             if feedback:
                 register ^= spec.poly
-    _ = top
     if spec.refout:
         register = _reflect(register, spec.width)
     return register ^ spec.xorout
@@ -80,52 +68,6 @@ def crc_bits(spec: CRCSpec, bits: list[int]) -> int:
         if feedback:
             register ^= spec.poly
     return register ^ spec.xorout
-
-
-@lru_cache(maxsize=128)
-def make_table(width: int, poly: int, refin: bool) -> tuple[int, ...]:
-    """Build the 256-entry lookup table for byte-at-a-time computation.
-
-    For reflected specs the table is built over the reflected
-    polynomial so the inner loop needs no per-byte reflection.
-
-    Requires ``width >= 8`` in *both* orientations: entries of this
-    table are plain ``width``-bit register values, and a register
-    narrower than a byte has no table of that shape.  (The seed only
-    guarded the normal branch, so a direct caller could get an
-    out-of-range reflected table.)  Narrow specs are fully served by
-    the generated kernels in :mod:`repro.crc.backends`, which keep
-    narrow normal registers left-aligned internally.
-    """
-    if width < 8:
-        raise ValueError("table method requires width >= 8")
-    table = []
-    if refin:
-        poly_r = _reflect(poly, width)
-        for byte in range(256):
-            crc = byte
-            for _ in range(8):
-                crc = (crc >> 1) ^ poly_r if crc & 1 else crc >> 1
-            table.append(crc)
-    else:
-        mask = (1 << width) - 1
-        top = 1 << (width - 1)
-        for byte in range(256):
-            crc = byte << (width - 8)
-            for _ in range(8):
-                crc = ((crc << 1) & mask) ^ (poly if crc & top else 0)
-            table.append(crc)
-    return tuple(table)
-
-
-def crc_table(spec: CRCSpec, data: bytes) -> int:
-    """Byte-at-a-time table-driven CRC via the generated ``bytewise``
-    kernel.  Any width, either orientation; matches
-    :func:`crc_bitwise` exactly (differential-tested at kernel
-    construction and property-tested in ``tests/crc/``)."""
-    from repro.crc import backends
-
-    return backends.crc_compute(spec, data, backend="bytewise")
 
 
 class BitSerialRegister:

@@ -23,7 +23,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crc.spec import CRCSpec
-from repro.crc.stream import Matrix, mat_mul, mat_pow, mat_vec, shift_operator
+
+Matrix = tuple[int, ...]  # column-major: matrix[i] = column i as a bitmask
+
+
+def mat_vec(matrix: Matrix, vector: int) -> int:
+    """Multiply a GF(2) matrix (column bitmasks) by a bit-vector."""
+    out = 0
+    col = 0
+    while vector:
+        if vector & 1:
+            out ^= matrix[col]
+        vector >>= 1
+        col += 1
+    return out
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """GF(2) matrix product ``a @ b`` (both column-major)."""
+    return tuple(mat_vec(a, col) for col in b)
+
+
+def identity(n: int) -> Matrix:
+    """The n x n identity."""
+    return tuple(1 << i for i in range(n))
+
+
+def mat_pow(matrix: Matrix, exp: int) -> Matrix:
+    """Matrix power by squaring."""
+    if exp < 0:
+        raise ValueError("negative exponent")
+    result = identity(len(matrix))
+    base = matrix
+    while exp:
+        if exp & 1:
+            result = mat_mul(base, result)
+        base = mat_mul(base, base)
+        exp >>= 1
+    return result
+
+
+def shift_operator(width: int, poly: int) -> Matrix:
+    """The one-zero-bit evolution matrix of a normal register: it
+    shifts up with top-bit feedback.  Column ``i`` is the image of
+    basis state ``1 << i``."""
+    mask = (1 << width) - 1
+    top = 1 << (width - 1)
+    cols = []
+    for i in range(width):
+        state = 1 << i
+        cols.append(((state << 1) & mask) ^ (poly if state & top else 0))
+    return tuple(cols)
 
 
 def input_operator(width: int, poly: int, datapath: int) -> Matrix:

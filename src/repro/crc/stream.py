@@ -1,117 +1,56 @@
-"""Streaming and compositional CRC computation.
+"""Compositional CRC computation: advancing and splicing registers.
 
-Real protocol stacks rarely see a message as one buffer: they update
-CRCs incrementally, splice pre-computed CRCs of fragments together
-(scatter/gather, packet coalescing), and patch CRCs after in-place
-header rewrites.  This module provides those operations for any
-:class:`~repro.crc.spec.CRCSpec`:
+Real protocol stacks rarely see a message as one buffer: they splice
+pre-computed CRCs of fragments together (scatter/gather, packet
+coalescing) and patch CRCs after in-place header rewrites.  Streaming
+itself is :class:`repro.service.session.CrcSession`, one raw register
+advanced by a generated registry kernel; this module adds the two
+operations that need no data:
 
-* :class:`StreamingCrc` -- the classic ``update()/digest()`` interface,
-  running on a generated registry kernel
-  (:mod:`repro.crc.backends`) rather than its own copy of the inner
-  loop.  (The seed's hand-copied narrow-path loop held a real
-  orientation bug: reflected specs with ``width < 8`` stored the
-  register in reflected orientation but advanced it through the
-  *normal*-orientation reference, then skipped the output reflection
-  entirely -- wrong CRCs for any non-palindromic register.)
+* :func:`advance` -- the register after ``k`` zero input bits: one
+  multiplication by the syndrome ``x**k mod G``
+  (:func:`repro.gf2.poly.x_pow_mod`), ``O(log k)`` polynomial
+  products;
 * :func:`crc_combine` -- zlib-style ``crc32_combine``: merge
-  ``crc(A)`` and ``crc(B)`` into ``crc(A || B)`` in O(log len(B))
-  using GF(2) matrix exponentiation of the shift operator;
-* :func:`shift_operator` / :func:`advance` -- the underlying linear
-  algebra: the register-evolution matrix for feeding ``k`` zero bits,
-  exposed because the hardware analysis (:mod:`repro.crc.parallel`)
-  and the combine trick share it.
+  ``crc(A)`` and ``crc(B)`` into ``crc(A || B)`` from ``len(B)``
+  alone, by one advance.
 
-All operations agree bit-for-bit with one-shot computation
-(property-tested in ``tests/crc/test_stream.py`` and
-``tests/crc/test_backends.py``).  The engine-orientation conventions
--- what "raw register" means per spec, and how init/refout/xorout
-dress it -- live in :mod:`repro.crc.backends`; this module only adds
-the linear-algebra layer on top.
+Both agree bit-for-bit with one-shot computation for every catalog
+spec (``tests/crc/test_stream.py``, ``tests/crc/test_backends.py``).
+The engine-orientation conventions -- what "raw register" means per
+spec, and how init/refout/xorout dress it -- live in
+:mod:`repro.crc.backends`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from repro.crc.backends import dress, engine_init, get_kernel, undress
+from repro.crc.backends import dress, engine_init, undress
 from repro.crc.engine import _reflect
 from repro.crc.spec import CRCSpec
-
-# Engine-orientation helpers: single implementation in backends; the
-# old private names remain as aliases for the linear-algebra callers.
-_engine_init = engine_init
-_dress = dress
-_undress = undress
-
-Matrix = tuple[int, ...]  # column-major: matrix[i] = column i as a bitmask
-
-
-def mat_vec(matrix: Matrix, vector: int) -> int:
-    """Multiply a GF(2) matrix (column bitmasks) by a bit-vector."""
-    out = 0
-    col = 0
-    while vector:
-        if vector & 1:
-            out ^= matrix[col]
-        vector >>= 1
-        col += 1
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """GF(2) matrix product ``a @ b`` (both column-major)."""
-    return tuple(mat_vec(a, col) for col in b)
-
-
-def identity(n: int) -> Matrix:
-    """The n x n identity."""
-    return tuple(1 << i for i in range(n))
-
-
-def mat_pow(matrix: Matrix, exp: int) -> Matrix:
-    """Matrix power by squaring."""
-    if exp < 0:
-        raise ValueError("negative exponent")
-    result = identity(len(matrix))
-    base = matrix
-    while exp:
-        if exp & 1:
-            result = mat_mul(base, result)
-        base = mat_mul(base, base)
-        exp >>= 1
-    return result
-
-
-@lru_cache(maxsize=64)
-def shift_operator(width: int, poly: int, refin: bool = False) -> Matrix:
-    """The one-zero-bit register evolution matrix, in the engine's own
-    orientation: for normal specs the register shifts up with top-bit
-    feedback; for reflected specs it shifts down with low-bit feedback
-    of the reflected polynomial.  Column ``i`` is the image of basis
-    state ``1 << i``."""
-    mask = (1 << width) - 1
-    cols = []
-    if refin:
-        poly_r = _reflect(poly, width)
-        for i in range(width):
-            state = 1 << i
-            state = (state >> 1) ^ (poly_r if state & 1 else 0)
-            cols.append(state)
-    else:
-        top = 1 << (width - 1)
-        for i in range(width):
-            state = 1 << i
-            state = ((state << 1) & mask) ^ (poly if state & top else 0)
-            cols.append(state)
-    return tuple(cols)
+from repro.gf2.poly import gf2_mulmod, x_pow_mod
 
 
 def advance(spec: CRCSpec, register: int, zero_bits: int) -> int:
     """Evolve an engine-orientation register through ``zero_bits``
-    zero input bits in O(log zero_bits) matrix work."""
-    op = mat_pow(shift_operator(spec.width, spec.poly, spec.refin), zero_bits)
-    return mat_vec(op, register)
+    zero input bits.
+
+    A normal register's bit ``i`` is the coefficient of ``x**i`` in
+    the running remainder, and one zero bit multiplies it by ``x``
+    modulo the generator, so ``k`` zero bits multiply it by
+    ``x**k mod G``.  A reflected register is the same polynomial
+    bit-reversed: reflect in, multiply, reflect out.
+
+    >>> from repro.crc.catalog import get_spec
+    >>> from repro.crc.backends import get_kernel
+    >>> s = get_spec("CRC-32/IEEE-802.3")
+    >>> advance(s, 0x1234, 8 * 1500) == get_kernel(s).process(0x1234, bytes(1500))
+    True
+    """
+    g = spec.full_poly
+    if spec.refin:
+        register = _reflect(register, spec.width)
+    register = gf2_mulmod(register, x_pow_mod(zero_bits, g), g)
+    return _reflect(register, spec.width) if spec.refin else register
 
 
 def crc_combine(spec: CRCSpec, crc_a: int, crc_b: int, len_b_bytes: int) -> int:
@@ -122,7 +61,7 @@ def crc_combine(spec: CRCSpec, crc_a: int, crc_b: int, len_b_bytes: int) -> int:
     Linearity argument: for fixed data ``B`` the register map is
     affine, ``out = L(in) ^ c_B`` with ``L`` the advance-by-len(B)
     operator.  ``crc(B)`` gives ``c_B = raw_B ^ L(init)``, so
-    ``raw(A||B) = L(raw_A) ^ raw_B ^ L(init)``.
+    ``raw(A||B) = L(raw_A) ^ raw_B ^ L(init) = L(raw_A ^ init) ^ raw_B``.
 
     >>> from repro.crc.catalog import get_spec
     >>> from repro.crc.engine import crc_bitwise
@@ -137,54 +76,6 @@ def crc_combine(spec: CRCSpec, crc_a: int, crc_b: int, len_b_bytes: int) -> int:
         return crc_a
     raw_a = undress(spec, crc_a)
     raw_b = undress(spec, crc_b)
-    combined = (
-        advance(spec, raw_a, 8 * len_b_bytes)
-        ^ raw_b
-        ^ advance(spec, engine_init(spec), 8 * len_b_bytes)
+    return dress(
+        spec, advance(spec, raw_a ^ engine_init(spec), 8 * len_b_bytes) ^ raw_b
     )
-    return dress(spec, combined)
-
-
-class StreamingCrc:
-    """Incremental CRC with the familiar update()/digest() shape.
-
-    The state is one raw engine-orientation register advanced by a
-    generated registry kernel -- the same kernels the one-shot facades
-    use, so the streaming path cannot drift from them.  ``backend``
-    selects the kernel by registry name (default: the registry's
-    table-driven default).
-
-    ``digest()`` may be called at any point; the stream can continue
-    afterwards.  ``copy()`` forks the state (useful for trial
-    checksums of speculative suffixes).
-
-    >>> from repro.crc.catalog import get_spec
-    >>> s = get_spec("CRC-32/IEEE-802.3")
-    >>> h = StreamingCrc(s)
-    >>> h.update(b"123"); h.update(b"456789")
-    >>> h.digest() == 0xCBF43926
-    True
-    """
-
-    def __init__(self, spec: CRCSpec, backend: str = "auto") -> None:
-        self.spec = spec
-        self._process = get_kernel(spec, backend).process
-        self._register = engine_init(spec)
-        self.length = 0
-
-    def update(self, data: bytes) -> None:
-        """Absorb more message bytes."""
-        self._register = self._process(self._register, data)
-        self.length += len(data)
-
-    def digest(self) -> int:
-        """CRC of everything absorbed so far."""
-        return dress(self.spec, self._register)
-
-    def copy(self) -> "StreamingCrc":
-        clone = StreamingCrc.__new__(StreamingCrc)
-        clone.spec = self.spec
-        clone._process = self._process
-        clone._register = self._register
-        clone.length = self.length
-        return clone

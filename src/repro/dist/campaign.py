@@ -442,7 +442,7 @@ class CampaignCore:
             # Worker metrics merge once per computed chunk, like the
             # record: a replay re-merges no numbers.
             self.metrics.merge(obs.get("metrics"))
-            self.metrics.observe_hist("chunk.seconds", result.elapsed_seconds)
+            self.metrics.observe("chunk.seconds", result.elapsed_seconds)
         merge_span.end()
         root.annotate(attempt=attempt)
         root.end()

@@ -15,6 +15,10 @@ Modules
 -------
 ``poly``
     Core arithmetic: multiply, divmod, gcd, modular exponentiation.
+    ``x_pow_mod(n, g)`` -- the syndrome ``x**n mod g`` by
+    square-and-multiply in ``O(log n)`` products -- is the one scalar
+    jump along the syndrome sequence: the HD layer's ``syndrome_at``
+    and the CRC layer's ``advance``/``crc_combine`` both call it.
 ``irreducible``
     Rabin irreducibility test and irreducible-polynomial enumeration.
 ``intfactor``
@@ -29,10 +33,6 @@ Modules
     Conversions between the paper's implicit-+1 hex notation, the
     conventional MSB-first notation, reflected notation, exponent
     lists, and factorization-class signatures.
-``matpow``
-    GF(2) matrix powers of the companion matrix: ``O(r**2 log n)``
-    jumps along the syndrome sequence (length-jumping for breakpoint
-    bisection and cross-validation).
 """
 
 from repro.gf2.poly import (
@@ -49,16 +49,6 @@ from repro.gf2.poly import (
     is_palindrome,
 )
 from repro.gf2.irreducible import is_irreducible, irreducibles
-from repro.gf2.matpow import (
-    PowerLadder,
-    companion_matrix,
-    identity_matrix,
-    ladder_for,
-    mat_mul,
-    mat_pow,
-    mat_square,
-    mat_vec,
-)
 from repro.gf2.order import order_of_x, is_primitive
 from repro.gf2.factorize import factorize, factor_degrees
 from repro.gf2.notation import (
@@ -88,14 +78,6 @@ __all__ = [
     "is_palindrome",
     "is_irreducible",
     "irreducibles",
-    "PowerLadder",
-    "companion_matrix",
-    "identity_matrix",
-    "ladder_for",
-    "mat_mul",
-    "mat_pow",
-    "mat_square",
-    "mat_vec",
     "order_of_x",
     "is_primitive",
     "factorize",

@@ -33,10 +33,10 @@ Three engines are provided:
 
 Breakpoint extraction (:mod:`repro.hd.breakpoints`) runs on the
 :mod:`repro.hd.jump` engine: shared extend-only syndrome tables,
-verified early-exit straddle probes, and windowed-witness bisection,
-with GF(2) companion-matrix power ladders
-(:mod:`repro.gf2.matpow`) providing ``O(r**2 log n)`` random access
-to the syndrome sequence as an independent cross-check oracle.
+verified early-exit straddle probes, and windowed-witness bisection.
+Random access to the syndrome sequence (``syndrome_at`` and
+``syndrome_window``) is :func:`repro.gf2.poly.x_pow_mod`:
+``O(log n)`` polynomial products, no table prefix.
 
 Exactness contract: every public result is exact.  Shortcuts (parity
 of (x+1)-divisible polynomials, order-of-x for weight 2) are theorems,

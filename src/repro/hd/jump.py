@@ -32,17 +32,16 @@ same polynomial.  This module replaces that engine:
   overshot the breakpoint by up to ``growth == 2``) this scans up to
   ``growth**2 == 4`` times fewer pairs for weight 4.
 
-:func:`syndrome_at` / :func:`syndrome_window` expose the underlying
-:mod:`repro.gf2.matpow` machinery: companion-matrix power ladders jump
-the LFSR ``n`` positions in ``O(r**2 log n)``, so a far window of
-syndromes costs ``O(r**2 log start + count)`` instead of
-``O(start + count)``.  MITM probes inherently read the whole prefix
-(every position below the window is a potential error position), so
-the production cascade keeps linear tables; the jump is the
-*independent oracle* -- the tests use it to
-cross-validate sweep-built tables at randomly chosen far positions,
-and it serves any caller that needs a distant syndrome slice without
-the prefix.
+:func:`syndrome_at` / :func:`syndrome_window` give random access to the
+syndrome sequence through :func:`repro.gf2.poly.x_pow_mod`:
+square-and-multiply reaches ``x**n mod g`` in ``O(log n)`` polynomial
+products, so a far window of syndromes costs ``O(log start + count)``
+instead of ``O(start + count)``.  MITM probes inherently read the
+whole prefix (every position below the window is a potential error
+position), so the production cascade keeps linear tables; the jump
+serves the tests, which cross-validate sweep-built tables at randomly
+chosen far positions, and any caller that needs a distant syndrome
+slice without the prefix.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ from math import comb
 
 import numpy as np
 
-from repro.gf2.matpow import ladder_for
-from repro.gf2.poly import degree
+from repro.gf2.poly import degree, x_pow_mod
 from repro.hd.cost import (
     DEFAULT_MEM_ELEMS,
     DEFAULT_STREAM_ELEMS,
@@ -60,27 +58,26 @@ from repro.hd.cost import (
     max_affordable_window,
 )
 from repro.hd.mitm import minimal_codeword_span, windowed_witness
-from repro.hd.syndromes import extend_syndrome_table, syndrome_table
+from repro.hd.syndromes import _fill, extend_syndrome_table, syndrome_table
 
 
 def syndrome_at(g: int, n: int) -> int:
-    """``x**n mod g`` in ``O(r**2 log n)`` via the cached power ladder.
+    """``x**n mod g`` -- :func:`~repro.gf2.poly.x_pow_mod` in the
+    HD layer's argument order.
 
     >>> from repro.hd.syndromes import syndrome_table
     >>> g = 0x104C11DB7
     >>> syndrome_at(g, 9999) == int(syndrome_table(g, 10000)[9999])
     True
     """
-    return ladder_for(g).syndrome_at(n)
+    return x_pow_mod(n, g)
 
 
 def syndrome_window(g: int, start: int, count: int) -> np.ndarray:
     """``syndrome_table(g, start + count)[start:]`` without the prefix.
 
-    One matrix jump lands on position ``start``; a local LFSR sweep
-    emits the ``count`` positions after it.  Exact for any ``start``
-    (the ladder is exact arithmetic), and the only way to reach a far
-    window in sublinear time.
+    One :func:`syndrome_at` jump lands on position ``start``; the
+    table's LFSR loop emits the ``count`` positions from there.
 
     >>> from repro.hd.syndromes import syndrome_table
     >>> g = 0b1011
@@ -89,18 +86,7 @@ def syndrome_window(g: int, start: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    r = degree(g)
-    low = g & ((1 << r) - 1)
-    top = 1 << (r - 1)
-    out = np.empty(count, dtype=np.uint64)
-    acc = ladder_for(g).syndrome_at(start)
-    for i in range(count):
-        out[i] = acc
-        if acc & top:
-            acc = ((acc ^ top) << 1) ^ low
-        else:
-            acc <<= 1
-    return out
+    return _fill(g, np.empty(count, dtype=np.uint64), 0, syndrome_at(g, start))
 
 
 class SpanCache:

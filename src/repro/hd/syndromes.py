@@ -18,34 +18,43 @@ import numpy as np
 from repro.gf2.poly import degree, gf2_mod
 
 
-def syndrome_table(g: int, n_positions: int) -> np.ndarray:
-    """Return ``uint64`` array ``S`` with ``S[i] = x**i mod g``.
+def _fill(g: int, out: np.ndarray, start: int, acc: int) -> np.ndarray:
+    """Write the syndromes ``acc, x*acc, x**2*acc, ... mod g`` into
+    ``out[start:]`` and return ``out``.
 
-    Requires ``degree(g) <= 64`` so remainders fit a machine word (any
-    CRC width through 64 bits -- the paper's r=32 comfortably, and
-    also the degree-64 *combined* generators of stacked link+app CRC
-    analysis).  Computed with the standard LFSR recurrence
-    ``r_{i+1} = (r_i << 1) ^ (g if top bit set)``.
-
-    >>> syndrome_table(0b1011, 4).tolist()   # x^3+x+1
-    [1, 2, 4, 3]
+    The one LFSR loop of the package, ``r_{i+1} = (r_i << 1) ^ (g if
+    top bit set)``, in plain Python: one shift and at most one XOR per
+    position.  Requires ``degree(g) <= 64`` so remainders fit a
+    machine word.
     """
     r = degree(g)
     if not 1 <= r <= 64:
         raise ValueError(f"generator degree {r} outside supported range 1..64")
-    if n_positions < 0:
-        raise ValueError("n_positions must be non-negative")
     low = g & ((1 << r) - 1)  # generator without its top term
     top = 1 << (r - 1)
-    out = np.empty(n_positions, dtype=np.uint64)
-    acc = 1
-    for i in range(n_positions):
+    for i in range(start, len(out)):
         out[i] = acc
         if acc & top:
             acc = ((acc ^ top) << 1) ^ low
         else:
             acc <<= 1
     return out
+
+
+def syndrome_table(g: int, n_positions: int) -> np.ndarray:
+    """Return ``uint64`` array ``S`` with ``S[i] = x**i mod g``.
+
+    Requires ``degree(g) <= 64`` so remainders fit a machine word (any
+    CRC width through 64 bits -- the paper's r=32 comfortably, and
+    also the degree-64 *combined* generators of stacked link+app CRC
+    analysis).
+
+    >>> syndrome_table(0b1011, 4).tolist()   # x^3+x+1
+    [1, 2, 4, 3]
+    """
+    if n_positions < 0:
+        raise ValueError("n_positions must be non-negative")
+    return _fill(g, np.empty(n_positions, dtype=np.uint64), 0, 1)
 
 
 def extend_syndrome_table(g: int, table: np.ndarray, new_len: int) -> np.ndarray:
@@ -54,25 +63,12 @@ def extend_syndrome_table(g: int, table: np.ndarray, new_len: int) -> np.ndarray
     old_len = len(table)
     if new_len <= old_len:
         return table[:new_len]
-    r = degree(g)
-    low = g & ((1 << r) - 1)
-    top = 1 << (r - 1)
     out = np.empty(new_len, dtype=np.uint64)
     out[:old_len] = table
-    acc = int(table[old_len - 1]) if old_len else 1
-    if old_len:
-        # advance one step past the last stored syndrome
-        if acc & top:
-            acc = ((acc ^ top) << 1) ^ low
-        else:
-            acc <<= 1
-    for i in range(old_len, new_len):
-        out[i] = acc
-        if acc & top:
-            acc = ((acc ^ top) << 1) ^ low
-        else:
-            acc <<= 1
-    return out
+    if not old_len:
+        return _fill(g, out, 0, 1)
+    # restart from the last stored syndrome, rewriting it unchanged
+    return _fill(g, out, old_len - 1, int(table[-1]))
 
 
 def syndrome_of_positions(g: int, positions: list[int] | tuple[int, ...]) -> int:

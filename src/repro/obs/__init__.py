@@ -10,7 +10,7 @@ the distributed substrate (:mod:`repro.dist`), the search driver
   (schema-versioned, monotonic timestamps, append-across-resumes,
   crash-durable), written by the ``--events PATH`` flag on the
   ``campaign`` and ``search`` CLI commands.
-* :mod:`repro.obs.metrics` -- counters/gauges/timers with per-process
+* :mod:`repro.obs.metrics` -- counters/gauges/histograms with per-process
   collection and additive cross-process merge; worker subprocesses
   ship snapshots back with their chunk results.
 * :mod:`repro.obs.report` -- ``repro report events.jsonl``: the event
@@ -49,7 +49,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_METRICS,
     NullMetrics,
-    TimerStat,
     active,
     install,
     uninstall,
@@ -74,7 +73,6 @@ __all__ = [
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
-    "TimerStat",
     "Histogram",
     "Tracer",
     "NullTracer",

@@ -1,10 +1,12 @@
 """Fixed-bucket log2 latency histograms.
 
-:class:`~repro.obs.metrics.TimerStat`'s four-number summary (count /
-total / min / max) can say *that* requests got slow, but not *which*
-requests: a p99 regression hides completely inside an unchanged mean.
-This module adds the missing shape.  A :class:`Histogram` counts
-observations into **fixed power-of-two buckets** -- bucket ``i`` holds
+A four-number summary (count / total / min / max) can say *that*
+requests got slow, but not *which* requests: a p99 regression hides
+completely inside an unchanged mean.  This module keeps the shape as
+well; it is the metrics registry's one instrument for durations
+(:meth:`~repro.obs.metrics.MetricsRegistry.observe` and
+:meth:`~repro.obs.metrics.MetricsRegistry.time`).  A
+:class:`Histogram` counts observations into **fixed power-of-two buckets** -- bucket ``i`` holds
 values in ``(2^(i-1+MIN_EXP), 2^(i+MIN_EXP)]`` seconds, spanning ~1 us
 to ~64 s plus an overflow bucket -- so campaigns and services report
 p50/p95/p99 chunk and request latencies instead of only means.

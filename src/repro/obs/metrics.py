@@ -1,4 +1,4 @@
-"""Lightweight metrics registry: counters, gauges, timers.
+"""Lightweight metrics registry: counters, gauges, histograms.
 
 Where :mod:`repro.obs.events` records *what happened*,  this module
 counts *where the cycles go*: candidates screened, cascade-stage
@@ -19,15 +19,16 @@ ruled by the disabled-path cost:
   :meth:`~MetricsRegistry.snapshot` back with its chunk result; the
   parallel pool merges snapshots into the parent registry at chunk
   completion (:meth:`~MetricsRegistry.merge`).  Merging is pure
-  addition (counters/timers) or last-write (gauges), so the merged
+  addition (counters/histograms) or last-write (gauges), so the merged
   registry of a killed-and-resumed campaign equals the sum of its
   sessions.
 
 Metric names are dotted strings (``"search.candidates"``); the
-catalog lives in docs/OBSERVABILITY.md.  Four instrument kinds:
-counters, gauges, timers (four-number summaries), and fixed-bucket
-log2 latency histograms (:mod:`repro.obs.hist`), whose merge is
-bucket-exact across processes.
+catalog lives in docs/OBSERVABILITY.md.  Three instrument kinds:
+counters, gauges, and fixed-bucket log2 histograms
+(:mod:`repro.obs.hist`), whose merge is bucket-exact across
+processes.  Every duration -- a chunk's wall time, a service
+request's latency -- is one histogram observation.
 """
 
 from __future__ import annotations
@@ -37,69 +38,6 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from repro.obs.hist import Histogram
-
-
-class TimerStat:
-    """Aggregate of observed durations: count / total / min / max.
-
-    A four-number summary rather than a histogram: enough to read
-    throughput and spot stragglers, cheap enough to merge by
-    addition.
-    """
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(
-        self,
-        count: int = 0,
-        total: float = 0.0,
-        min_: float = float("inf"),
-        max_: float = 0.0,
-    ) -> None:
-        self.count = count
-        self.total = total
-        self.min = min_
-        self.max = max_
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        if seconds < self.min:
-            self.min = seconds
-        if seconds > self.max:
-            self.max = seconds
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "total": round(self.total, 6),
-            "min": round(self.min, 6) if self.count else 0.0,
-            "max": round(self.max, 6),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, float]) -> "TimerStat":
-        return cls(
-            count=int(d["count"]),
-            total=float(d["total"]),
-            min_=float(d["min"]) if d["count"] else float("inf"),
-            max_=float(d["max"]),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TimerStat):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __repr__(self) -> str:
-        return (
-            f"TimerStat(count={self.count}, total={self.total:.6f}, "
-            f"min={self.min if self.count else 0.0:.6f}, max={self.max:.6f})"
-        )
 
 
 class NullMetrics:
@@ -119,18 +57,11 @@ class NullMetrics:
     def gauge(self, name: str, value: float) -> None:  # noqa: ARG002
         return None
 
-    def observe(self, name: str, seconds: float) -> None:  # noqa: ARG002
-        return None
-
-    def observe_hist(self, name: str, value: float) -> None:  # noqa: ARG002
+    def observe(self, name: str, value: float) -> None:  # noqa: ARG002
         return None
 
     @contextmanager
     def time(self, name: str) -> Iterator[None]:  # noqa: ARG002
-        yield
-
-    @contextmanager
-    def time_hist(self, name: str) -> Iterator[None]:  # noqa: ARG002
         yield
 
     def snapshot(self) -> dict[str, Any] | None:
@@ -152,7 +83,6 @@ class MetricsRegistry(NullMetrics):
     def __init__(self) -> None:
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, float] = {}
-        self.timers: dict[str, TimerStat] = {}
         self.hists: dict[str, Histogram] = {}
 
     def inc(self, name: str, by: int = 1) -> None:
@@ -163,12 +93,13 @@ class MetricsRegistry(NullMetrics):
         """Set gauge ``name`` to the latest observed ``value``."""
         self.gauges[name] = value
 
-    def observe(self, name: str, seconds: float) -> None:
-        """Record one duration under timer ``name``."""
-        timer = self.timers.get(name)
-        if timer is None:
-            timer = self.timers[name] = TimerStat()
-        timer.observe(seconds)
+    def observe(self, name: str, value: float) -> None:
+        """Count one observation (seconds, for a duration) into log2
+        histogram ``name`` (see :mod:`repro.obs.hist`)."""
+        hist = self.hists.get(name)
+        if hist is None:
+            hist = self.hists[name] = Histogram()
+        hist.observe(value)
 
     @contextmanager
     def time(self, name: str) -> Iterator[None]:
@@ -179,23 +110,6 @@ class MetricsRegistry(NullMetrics):
         finally:
             self.observe(name, time.perf_counter() - t0)
 
-    def observe_hist(self, name: str, value: float) -> None:
-        """Count one observation into log2 histogram ``name`` (see
-        :mod:`repro.obs.hist`)."""
-        hist = self.hists.get(name)
-        if hist is None:
-            hist = self.hists[name] = Histogram()
-        hist.observe(value)
-
-    @contextmanager
-    def time_hist(self, name: str) -> Iterator[None]:
-        """Context manager timing its body into :meth:`observe_hist`."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe_hist(name, time.perf_counter() - t0)
-
     # -- cross-process aggregation -------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
@@ -204,7 +118,6 @@ class MetricsRegistry(NullMetrics):
         snap: dict[str, Any] = {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "timers": {k: t.to_dict() for k, t in self.timers.items()},
         }
         if self.hists:
             snap["hists"] = {k: h.to_dict() for k, h in self.hists.items()}
@@ -213,10 +126,12 @@ class MetricsRegistry(NullMetrics):
     def merge(self, snapshot: "dict[str, Any] | MetricsRegistry | None") -> None:
         """Fold another registry's snapshot into this one.
 
-        Counters and timers add; gauges take the incoming value
+        Counters and histograms add; gauges take the incoming value
         (last-write-wins -- gauges are instantaneous readings, not
         accumulations).  ``None`` merges as empty, so callers can pass
-        a worker's snapshot through unconditionally.
+        a worker's snapshot through unconditionally; keys this
+        registry does not keep (such as older logs' ``timers``) are
+        ignored.
         """
         if snapshot is None:
             return
@@ -226,16 +141,6 @@ class MetricsRegistry(NullMetrics):
             self.inc(name, value)
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name, value)
-        for name, d in snapshot.get("timers", {}).items():
-            incoming = TimerStat.from_dict(d)
-            timer = self.timers.get(name)
-            if timer is None:
-                self.timers[name] = incoming
-            else:
-                timer.count += incoming.count
-                timer.total += incoming.total
-                timer.min = min(timer.min, incoming.min)
-                timer.max = max(timer.max, incoming.max)
         for name, d in snapshot.get("hists", {}).items():
             hist = self.hists.get(name)
             if hist is None:
@@ -250,12 +155,6 @@ class MetricsRegistry(NullMetrics):
             lines.append(f"  {name} = {self.counters[name]}")
         for name in sorted(self.gauges):
             lines.append(f"  {name} = {self.gauges[name]:g}")
-        for name in sorted(self.timers):
-            t = self.timers[name]
-            lines.append(
-                f"  {name}: n={t.count} total={t.total:.3f}s "
-                f"mean={t.mean * 1000:.2f}ms max={t.max * 1000:.2f}ms"
-            )
         for name in sorted(self.hists):
             h = self.hists[name]
             lines.append(

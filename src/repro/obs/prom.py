@@ -8,8 +8,6 @@ instant* -- no second collection path, no drift.  The mapping:
 * counters -> ``counter`` samples (dotted names flattened to
   underscores: ``service.request.ping`` -> ``service_request_ping``);
 * gauges -> ``gauge`` samples;
-* timers (:class:`~repro.obs.metrics.TimerStat`) -> the Prometheus
-  summary-shaped pair ``<name>_count`` / ``<name>_sum``;
 * histograms (:mod:`repro.obs.hist`) -> a ``histogram`` family:
   cumulative ``<name>_bucket{le="..."}`` series over the fixed log2
   bounds plus ``le="+Inf"``, and ``<name>_sum`` / ``<name>_count``.
@@ -66,12 +64,6 @@ def render_prometheus(registry: NullMetrics) -> str:
         name = metric_name(dotted)
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {_fmt(registry.gauges[dotted])}")
-    for dotted in sorted(registry.timers):
-        timer = registry.timers[dotted]
-        name = metric_name(dotted)
-        lines.append(f"# TYPE {name} summary")
-        lines.append(f"{name}_count {timer.count}")
-        lines.append(f"{name}_sum {_fmt(timer.total)}")
     for dotted in sorted(registry.hists):
         hist = registry.hists[dotted]
         name = metric_name(dotted)

@@ -19,7 +19,7 @@ granularity real protocol stacks consume it:
   newline-delimited JSON over TCP (or stdin/stdout for CI pipelines)
   answering ``verify`` / ``checksum`` / ``advise`` / ``hd`` requests,
   instrumented through :mod:`repro.obs` (``service.request.*``
-  counters, per-op latency timers) with a graceful SIGTERM/SIGINT
+  counters, per-op latency histograms) with a graceful SIGTERM/SIGINT
   drain in the style of the campaign pool.
 
 Protocol reference, cache semantics and ops notes: docs/SERVICE.md.

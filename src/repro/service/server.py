@@ -291,7 +291,7 @@ class CrcService:
                 request,
             )
         try:
-            with self.metrics.time_hist(f"service.latency.{op}"):
+            with self.metrics.time(f"service.latency.{op}"):
                 body = fn(request)
         except ProtocolError as exc:
             return self._error(exc.code, str(exc), request)

@@ -27,6 +27,9 @@ Design points:
   :func:`repro.crc.stream.crc_combine` -- scatter/gather reassembly
   without touching payload bytes.
 
+It is the package's one streaming CRC state: the backend gate, the
+examples and the CRC service all stream through it.
+
 Every operation agrees bit-for-bit with one-shot
 :func:`~repro.crc.backends.crc_compute` (``tests/service/test_session.py``
 property-tests this across the catalog).
@@ -167,8 +170,8 @@ class CrcSession:
     def combine(self, other: "CrcSession") -> "CrcSession":
         """The session that would result from absorbing this session's
         input followed by ``other``'s -- computed from the two CRC
-        values and ``other``'s length alone, in O(log len) matrix work,
-        never touching the data (scatter/gather reassembly).
+        values and ``other``'s length alone, in O(log len) polynomial
+        products, never touching the data (scatter/gather reassembly).
 
         Both sessions must share a spec; neither operand is mutated.
         """

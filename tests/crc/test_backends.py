@@ -3,9 +3,9 @@
 Every registered backend of every catalog spec must agree with the
 bit-serial reference -- on the published check vectors, on random data
 split at random chunk boundaries (including empty fragments), and
-through ``StreamingCrc`` / ``crc_combine``.  Plus a regression test
-that reproduces the seed's narrow-reflected ``StreamingCrc``
-orientation bug against the exact old update/digest logic.
+through ``CrcSession`` / ``crc_combine``.  Plus a regression test
+that reproduces the seed's narrow-reflected streaming orientation bug
+against the exact old update/digest logic.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ from repro.crc.backends import (
     engine_init,
     get_kernel,
     kernels_for,
-    register_backend,
     undress,
-    _BUILDERS,
-    _KERNELS,
+    _reference,
+    _verify,
 )
 from repro.crc.catalog import CATALOG
 from repro.crc.engine import _reflect, crc_bitwise
 from repro.crc.spec import CRCSpec
-from repro.crc.stream import StreamingCrc, crc_combine
+from repro.crc.stream import crc_combine
+from repro.service.session import CrcSession
 
 SPEC_IDS = sorted(CATALOG)
 
@@ -85,11 +85,11 @@ class TestDifferential:
         ref = crc_bitwise(spec, data)
         for backend in available_backends(spec):
             assert crc_compute(spec, data, backend=backend) == ref, backend
-        h = StreamingCrc(spec)
+        session = CrcSession(spec)
         for chunk in chunks:
-            h.update(chunk)
-        assert h.digest() == ref
-        assert h.length == len(data)
+            session.add(chunk)
+        assert session.value == ref
+        assert session.length == len(data)
 
     @given(
         st.sampled_from(SPEC_IDS),
@@ -128,10 +128,8 @@ class TestMixedReflection:
     def test_umts_streaming_digest(self):
         spec = CATALOG["CRC-12/UMTS"]
         assert spec.refin != spec.refout
-        h = StreamingCrc(spec)
-        h.update(b"1234")
-        h.update(b"56789")
-        assert h.digest() == spec.check == 0xDAF
+        session = CrcSession(spec).add(b"1234").add(b"56789")
+        assert session.value == spec.check == 0xDAF
 
     def test_umts_combine(self):
         spec = CATALOG["CRC-12/UMTS"]
@@ -147,7 +145,7 @@ class TestMixedReflection:
 
 
 # ---------------------------------------------------------------------------
-# regression: the seed's narrow-reflected StreamingCrc bug
+# regression: the seed's narrow-reflected streaming bug
 # ---------------------------------------------------------------------------
 
 
@@ -177,10 +175,10 @@ class TestNarrowReflectedRegression:
 
     def test_new_streaming_is_right_on_crc5_usb(self):
         spec = CATALOG["CRC-5/USB"]
-        h = StreamingCrc(spec)
+        session = CrcSession(spec)
         for chunk in (b"123", b"", b"456789"):
-            h.update(chunk)
-        assert h.digest() == spec.check == 0x19
+            session.add(chunk)
+        assert session.value == spec.check == 0x19
 
     @given(st.binary(min_size=1, max_size=60))
     @settings(max_examples=100, deadline=None)
@@ -189,9 +187,7 @@ class TestNarrowReflectedRegression:
         # is a 5-bit palindrome; the new path must match the reference
         # everywhere.
         spec = CATALOG["CRC-5/USB"]
-        h = StreamingCrc(spec)
-        h.update(data)
-        assert h.digest() == crc_bitwise(spec, data)
+        assert CrcSession(spec).add(data).value == crc_bitwise(spec, data)
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +226,10 @@ class TestRegistry:
 
     def test_bad_backend_rejected_at_construction(self):
         # A kernel that computes the wrong thing must never be served.
-        def broken_builder(width, poly, refin):
-            return Kernel("broken", lambda reg, data: reg ^ 1, "# broken")
-
-        register_backend("broken", broken_builder)
-        try:
-            with pytest.raises(BackendMismatch):
-                kernels_for(CATALOG["CRC-8/ATM-HEC"])
-        finally:
-            del _BUILDERS["broken"]
-            _KERNELS.clear()
-        # registry recovers once the bad builder is gone
-        assert "bytewise" in available_backends(CATALOG["CRC-8/ATM-HEC"])
+        broken = Kernel("broken", lambda reg, data: reg ^ 1, "# broken")
+        key = CATALOG["CRC-8/ATM-HEC"].kernel_key
+        with pytest.raises(BackendMismatch, match="broken kernel"):
+            _verify(*key, broken, _reference(*key))
 
     def test_narrow_specs_have_table_kernels(self):
         # The point of codegen: width-5 reflected and width-12 mixed

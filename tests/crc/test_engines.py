@@ -1,9 +1,10 @@
 """Engine equivalence and check-value tests.
 
-The engines (bit-serial reference plus the generated table facade)
-must agree bit for bit on every spec and input --
+The engines (bit-serial reference plus the generated kernels behind
+``crc_compute``) must agree bit for bit on every spec and input --
 property-tested -- and match the published check values for deployed
-CRCs (independent ground truth).
+CRCs (independent ground truth).  The byte table every table kernel
+reads (``backends._byte_table``) is checked here too.
 """
 
 from __future__ import annotations
@@ -12,14 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crc.backends import _byte_table, available_backends, crc_compute
 from repro.crc.catalog import CATALOG
-from repro.crc.engine import (
-    BitSerialRegister,
-    crc_bits,
-    crc_bitwise,
-    crc_table,
-    make_table,
-)
+from repro.crc.engine import BitSerialRegister, crc_bits, crc_bitwise
 from repro.crc.spec import CRCSpec
 
 SPEC_IDS = sorted(CATALOG)
@@ -33,7 +29,7 @@ class TestCheckValues:
 
     def test_table(self, name):
         spec = CATALOG[name]
-        assert crc_table(spec, b"123456789") == spec.check
+        assert crc_compute(spec, b"123456789", backend="bytewise") == spec.check
 
 
 class TestEngineEquivalence:
@@ -42,7 +38,8 @@ class TestEngineEquivalence:
     def test_all_engines_agree(self, name, data):
         spec = CATALOG[name]
         ref = crc_bitwise(spec, data)
-        assert crc_table(spec, data) == ref
+        for backend in available_backends(spec):
+            assert crc_compute(spec, data, backend=backend) == ref, backend
 
     @given(st.binary(min_size=0, max_size=64))
     def test_bits_vs_bytes(self, data):
@@ -55,27 +52,31 @@ class TestEngineEquivalence:
 
 class TestTableConstruction:
     def test_table_entry_zero(self):
-        t = make_table(32, 0x04C11DB7, False)
-        assert t[0] == 0
+        for refin in (False, True):
+            assert _byte_table(32, 0x04C11DB7, refin)[0] == 0
 
     def test_table_is_linear(self):
         # T[a ^ b] == T[a] ^ T[b]: the table is a linear map.
-        t = make_table(16, 0x1021, False)
+        t = _byte_table(16, 0x1021, False)
         for a, b in [(1, 2), (3, 5), (0x55, 0xAA), (17, 200)]:
             assert t[a ^ b] == t[a] ^ t[b]
 
     def test_reflected_table_linear(self):
-        t = make_table(32, 0x04C11DB7, True)
+        t = _byte_table(32, 0x04C11DB7, True)
         for a, b in [(1, 2), (3, 5), (0x55, 0xAA)]:
             assert t[a ^ b] == t[a] ^ t[b]
 
-    def test_narrow_width_rejected(self):
-        # Both orientations: the seed raised only for the normal branch
-        # and silently built a width-5 reflected table.
-        with pytest.raises(ValueError):
-            make_table(5, 0x05, False)
-        with pytest.raises(ValueError):
-            make_table(5, 0x05, True)
+    def test_narrow_width_is_left_aligned(self):
+        # A width-5 normal table is the width-8 table of ``poly << 3``:
+        # the register works left-aligned in a byte.  Reflected narrow
+        # registers need no alignment; both stay linear.
+        assert _byte_table(5, 0x05, False) == _byte_table(8, 0x05 << 3, False)
+        for refin in (False, True):
+            t = _byte_table(5, 0x05, refin)
+            assert t[0] == 0
+            for a, b in [(1, 2), (3, 5), (0x55, 0xAA)]:
+                assert t[a ^ b] == t[a] ^ t[b]
+        assert max(_byte_table(5, 0x05, True)) < 1 << 5
 
 
 class TestLinearityOfCrc:

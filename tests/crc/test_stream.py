@@ -1,4 +1,7 @@
-"""Streaming / combine CRC tests."""
+"""Streaming / advance / combine CRC tests, and the bit-matrix algebra
+of the parallel realization (``repro.crc.parallel``) tied to the same
+syndromes ``x**k mod G``.  Streaming is ``CrcSession``; its service
+behaviour is in ``tests/service/test_session.py``."""
 
 from __future__ import annotations
 
@@ -6,18 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crc.backends import get_kernel
 from repro.crc.catalog import CATALOG
 from repro.crc.engine import crc_bitwise
-from repro.crc.stream import (
-    StreamingCrc,
-    advance,
-    crc_combine,
-    identity,
-    mat_mul,
-    mat_pow,
-    mat_vec,
-    shift_operator,
-)
+from repro.crc.parallel import identity, mat_mul, mat_pow, mat_vec, shift_operator
+from repro.crc.stream import advance, crc_combine
+from repro.service.session import CrcSession
 
 SPEC_IDS = sorted(CATALOG)
 
@@ -97,7 +94,19 @@ class TestAdvance:
             spec, crc_bitwise(spec, data), crc_bitwise(spec, bytes(zeros)), zeros
         )
         assert via_combine == padded
-        _ = advance  # exercised through crc_combine
+
+    @pytest.mark.parametrize("name", SPEC_IDS)
+    @given(st.integers(min_value=0, max_value=(1 << 32) - 1),
+           st.integers(min_value=0, max_value=4000))
+    @settings(max_examples=25, deadline=None)
+    def test_advance_equals_kernel_over_zero_bytes(self, name, register, m):
+        # Every catalog spec: both orientations, widths 5 through 32.
+        spec = CATALOG[name]
+        register &= spec.mask
+        kernel = get_kernel(spec, "bytewise")
+        assert advance(spec, register, 8 * m) == kernel.process(
+            register, bytes(m)
+        )
 
 
 class TestStreaming:
@@ -107,26 +116,26 @@ class TestStreaming:
     def test_split_updates_match_oneshot(self, name, data, cut):
         spec = CATALOG[name]
         cut = min(cut, len(data))
-        h = StreamingCrc(spec)
-        h.update(data[:cut])
-        h.update(data[cut:])
-        assert h.digest() == crc_bitwise(spec, data)
+        h = CrcSession(spec)
+        h.add(data[:cut])
+        h.add(data[cut:])
+        assert h.value == crc_bitwise(spec, data)
         assert h.length == len(data)
 
     def test_digest_mid_stream(self):
         spec = CATALOG["CRC-32/IEEE-802.3"]
-        h = StreamingCrc(spec)
-        h.update(b"123456789")
-        assert h.digest() == 0xCBF43926
-        h.update(b"more")
-        assert h.digest() == crc_bitwise(spec, b"123456789more")
+        h = CrcSession(spec)
+        h.add(b"123456789")
+        assert h.value == 0xCBF43926
+        h.add(b"more")
+        assert h.value == crc_bitwise(spec, b"123456789more")
 
     def test_copy_forks(self):
         spec = CATALOG["CRC-16/CCITT-FALSE"]
-        h = StreamingCrc(spec)
-        h.update(b"shared")
-        fork = h.copy()
-        h.update(b"-a")
-        fork.update(b"-b")
-        assert h.digest() == crc_bitwise(spec, b"shared-a")
-        assert fork.digest() == crc_bitwise(spec, b"shared-b")
+        h = CrcSession(spec)
+        h.add(b"shared")
+        fork = h.fork()
+        h.add(b"-a")
+        fork.add(b"-b")
+        assert h.value == crc_bitwise(spec, b"shared-a")
+        assert fork.value == crc_bitwise(spec, b"shared-b")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gf2.poly import (
@@ -143,11 +143,29 @@ class TestPowMod:
             expected = gf2_mulmod(expected, 0b10, m)
         assert gf2_powmod(0b10, e % 20, m) == expected
 
-    def test_exponent_addition_law(self):
-        m = 0x104C11DB7
-        a = x_pow_mod(1000, m)
-        b = x_pow_mod(234, m)
-        assert gf2_mulmod(a, b, m) == x_pow_mod(1234, m)
+    @given(
+        st.integers(min_value=1, max_value=64).flatmap(
+            lambda r: st.integers(min_value=1 << r, max_value=(2 << r) - 1)
+        ),
+        st.integers(min_value=0, max_value=10**15),
+        st.integers(min_value=0, max_value=10**15),
+    )
+    @example(0x104C11DB7, 1000, 234)
+    @settings(max_examples=100, deadline=None)
+    def test_exponent_addition_law(self, m, a, b):
+        # The far-n reach of the one scalar jump: every generator of
+        # degree 1..64, lengths far past any syndrome table.
+        assert x_pow_mod(a + b, m) == gf2_mulmod(
+            x_pow_mod(a, m), x_pow_mod(b, m), m
+        )
+
+    def test_x_to_its_order_is_one(self, paper_polys):
+        from repro.gf2.order import order_of_x
+
+        for poly in paper_polys.values():
+            g = poly.full
+            n = order_of_x(g)
+            assert x_pow_mod(n, g) == 1, poly.label
 
 
 class TestSqrtDerivative:

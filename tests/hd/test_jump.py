@@ -3,10 +3,11 @@ identity against the collect-all reference.
 
 Two layers of guarantees:
 
-* ``syndrome_at`` / ``syndrome_window`` (matrix jump + local LFSR)
-  must equal slices of ``syndrome_table`` / ``extend_syndrome_table``
-  at arbitrary lengths -- the LFSR sweep and the GF(2) matrix ladder
-  are independent implementations of the same recurrence.
+* ``syndrome_at`` / ``syndrome_window`` (``x_pow_mod`` jump + local
+  LFSR) must equal slices of ``syndrome_table`` /
+  ``extend_syndrome_table`` at arbitrary lengths -- the LFSR sweep
+  and square-and-multiply are independent computations of the same
+  sequence.
 * ``first_failure_jump`` (windowed probes + span bisection) must give
   the same ``(n, cleared, capped)`` as probing every geometric window
   with ``minimal_codeword_span`` -- the engine it replaced.
@@ -67,7 +68,7 @@ class TestRandomAccess:
             np.testing.assert_array_equal(window, table[start:])
         else:
             # Too far to sweep linearly in a test: check the endpoints
-            # against the (independently tested) ladder.
+            # against the jump itself (tested against the sweep above).
             for i in (0, count - 1) if count else ():
                 assert int(window[i]) == syndrome_at(g, start + i)
 

@@ -30,6 +30,8 @@ class TestSyndromeTable:
     def test_width_bounds(self):
         with pytest.raises(ValueError):
             syndrome_table(0b1, 4)  # degree 0
+        with pytest.raises(ValueError):
+            syndrome_table(1 << 65 | 1, 4)  # wider than a machine word
 
     @given(gen_polys, st.integers(min_value=1, max_value=300))
     @settings(max_examples=100, deadline=None)

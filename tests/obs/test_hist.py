@@ -163,17 +163,21 @@ class TestMergeExactness:
         for worker_values in ([0.001, 0.5, 3.0], [0.002], []):
             worker = MetricsRegistry()
             for v in worker_values:
-                worker.observe_hist("chunk.seconds", v)
+                worker.observe("chunk.seconds", v)
             parent.merge(worker.snapshot())
             all_values.extend(worker_values)
         assert_bucket_exact(parent.hists["chunk.seconds"], hist_of(all_values))
 
     def test_old_snapshots_without_hists_still_merge(self):
         """Snapshots from before histograms existed carry no 'hists'
-        key; merging them must keep working (mixed-version fleets)."""
+        key, and their durations sit under 'timers', which is no
+        longer kept; merging them must keep working (mixed-version
+        fleets)."""
         parent = MetricsRegistry()
-        parent.observe_hist("chunk.seconds", 0.1)
-        parent.merge({"counters": {"x": 1}, "gauges": {}, "timers": {}})
+        parent.observe("chunk.seconds", 0.1)
+        parent.merge({"counters": {"x": 1}, "gauges": {}, "timers": {
+            "chunk.seconds": {"count": 1, "total": 0.2, "min": 0.2, "max": 0.2},
+        }})
         assert parent.counters["x"] == 1
         assert parent.hists["chunk.seconds"].count == 1
 

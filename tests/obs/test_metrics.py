@@ -7,11 +7,11 @@ import pickle
 import timeit
 
 from repro.obs import metrics as obs_metrics
+from repro.obs.hist import Histogram
 from repro.obs.metrics import (
     NULL_METRICS,
     MetricsRegistry,
     NullMetrics,
-    TimerStat,
     active,
     install,
     uninstall,
@@ -36,9 +36,9 @@ class TestRecording:
         reg = MetricsRegistry()
         for s in (0.2, 0.1, 0.4):
             reg.observe("work", s)
-        t = reg.timers["work"]
+        t = reg.hists["work"]
         assert t.count == 3
-        assert abs(t.total - 0.7) < 1e-9
+        assert abs(t.sum - 0.7) < 1e-9
         assert t.min == 0.1 and t.max == 0.4
         assert abs(t.mean - 0.7 / 3) < 1e-9
 
@@ -46,8 +46,8 @@ class TestRecording:
         reg = MetricsRegistry()
         with reg.time("body"):
             pass
-        assert reg.timers["body"].count == 1
-        assert reg.timers["body"].total >= 0.0
+        assert reg.hists["body"].count == 1
+        assert reg.hists["body"].sum >= 0.0
 
     def test_time_records_even_when_body_raises(self):
         reg = MetricsRegistry()
@@ -56,7 +56,7 @@ class TestRecording:
                 raise RuntimeError
         except RuntimeError:
             pass
-        assert reg.timers["boom"].count == 1
+        assert reg.hists["boom"].count == 1
 
 
 class TestSnapshotAndMerge:
@@ -68,7 +68,8 @@ class TestSnapshotAndMerge:
         snap = reg.snapshot()
         assert pickle.loads(pickle.dumps(snap)) == snap
         assert snap["counters"] == {"c": 3}
-        assert snap["timers"]["t"]["count"] == 1
+        assert snap["hists"]["t"]["count"] == 1
+        assert "timers" not in snap
 
     def test_merge_adds_counters_and_timers_lastwrites_gauges(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -77,7 +78,7 @@ class TestSnapshotAndMerge:
         a.merge(b.snapshot())
         assert a.counters["n"] == 5
         assert a.gauges["g"] == 9.0
-        t = a.timers["t"]
+        t = a.hists["t"]
         assert t.count == 2 and t.min == 0.1 and t.max == 0.3
 
     def test_merge_accepts_registry_none_and_empty(self):
@@ -103,14 +104,17 @@ class TestSnapshotAndMerge:
         for s in reversed(snaps):
             rev.merge(s)
         assert fwd.counters == rev.counters
-        assert fwd.timers == rev.timers
+        assert fwd.hists == rev.hists
 
     def test_timerstat_round_trips_through_dict(self):
-        t = TimerStat()
-        t.observe(0.5)
-        t.observe(0.1)
-        assert TimerStat.from_dict(t.to_dict()) == t
-        empty = TimerStat.from_dict(TimerStat().to_dict())
+        # A timer is the histogram ``observe`` records into.
+        reg = MetricsRegistry()
+        reg.observe("t", 0.5)
+        reg.observe("t", 0.1)
+        t = reg.hists["t"]
+        assert Histogram.from_dict(t.to_dict()) == t
+        assert Histogram.from_dict(reg.snapshot()["hists"]["t"]) == t
+        empty = Histogram.from_dict(Histogram().to_dict())
         empty.observe(2.0)  # from_dict of empty must keep min semantics
         assert empty.min == 2.0
 
@@ -153,7 +157,7 @@ class TestActiveRegistry:
         finally:
             uninstall()
         assert reg.counters["search.candidates"] == res.examined
-        assert reg.timers["search.chunk_seconds"].count == 1
+        assert reg.hists["search.chunk_seconds"].count == 1
 
 
 class TestDisabledPath:

@@ -50,7 +50,7 @@ class TestRendering:
         assert "# TYPE service_request_ping counter" in text
         assert sample(text, "service_request_ping") == 3
         assert "# TYPE pool_workers gauge" in text
-        assert "# TYPE service_latency_hd summary" in text
+        assert "# TYPE service_latency_hd histogram" in text
         assert sample(text, "service_latency_hd_count") == 1
         assert text.endswith("\n")
         assert CONTENT_TYPE.startswith("text/plain")
@@ -59,7 +59,7 @@ class TestRendering:
         reg = MetricsRegistry()
         values = [0.0005, 0.002, 0.002, 0.7, 100.0]  # last overflows
         for v in values:
-            reg.observe_hist("service.latency.checksum", v)
+            reg.observe("service.latency.checksum", v)
         text = render_prometheus(reg)
         assert "# TYPE service_latency_checksum histogram" in text
 
@@ -83,7 +83,7 @@ class TestRendering:
 
     def test_le_labels_are_exact_bounds(self):
         reg = MetricsRegistry()
-        reg.observe_hist("h", 0.001)
+        reg.observe("h", 0.001)
         text = render_prometheus(reg)
         for bound in BUCKET_BOUNDS:
             assert f'le="{bound!r}"' in text

@@ -68,8 +68,7 @@ def synthetic_stream():
          "stage_kills": {"40": 9}, "duplicate": False},
         {"v": 1, "seq": 7, "t": 2.2, "event": "lease.renew", "chunks": 2},
         {"v": 1, "seq": 8, "t": 3.0, "event": "metrics.snapshot",
-         "metrics": {"counters": {"search.candidates": 40}, "gauges": {},
-                     "timers": {}}},
+         "metrics": {"counters": {"search.candidates": 40}, "gauges": {}}},
         {"v": 1, "seq": 9, "t": 3.0, "event": "campaign.end", "elapsed": 3.0,
          "completions": 3, "examined": 40, "survivors": 5},
     ]

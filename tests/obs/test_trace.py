@@ -188,9 +188,13 @@ class TestKillAndResumeIntegrity:
                 checkpoint_every=1, **kw,
             )
 
+        # Both first-generation children die holding their first lease,
+        # so no chunk completes before a kill: the stop count cannot
+        # be reached by the children racing past the fault.
         with EventLog(events_path) as events:
             first = make(
-                events=events, faults=FaultPlan(net_kill_after={"pool-0": 1})
+                events=events,
+                faults=FaultPlan(net_kill_after={"pool-0": 0, "pool-1": 0}),
             )
             assert first.collect_traces  # auto-on: events are attached
             first.run(stop_after=4)

@@ -22,9 +22,11 @@ FAST_MODULES = [
     "repro.gf2.notation",
     "repro.gf2.ring",
     "repro.crc.spec",
+    "repro.crc.backends",
     "repro.crc.codeword",
     "repro.crc.stream",
     "repro.hd.cost",
+    "repro.hd.jump",
     "repro.hd.syndromes",
     "repro.hd.mitm",
     "repro.hd.invariants",

@@ -16,9 +16,13 @@ import sys
 import pytest
 
 import repro
+import repro.crc
 import repro.dist
+import repro.gf2
 import repro.hd
+import repro.obs
 import repro.search
+import repro.service
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -37,7 +41,10 @@ def test_search_import_leaves_service_and_farm_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-PACKAGES = [repro, repro.dist, repro.hd, repro.search]
+PACKAGES = [
+    repro, repro.crc, repro.dist, repro.gf2, repro.hd, repro.obs,
+    repro.search, repro.service,
+]
 
 
 @pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)

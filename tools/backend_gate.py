@@ -5,9 +5,13 @@ The CI-sized sibling of ``benchmarks/bench_crc_engines.py``: for each
 catalog spec, run the published ``b"123456789"`` check vector plus a
 handful of adversarial buffers (empty, single byte, chunk-split,
 multi-KiB) through every registered backend and assert exact agreement
-with the bit-serial reference.  The registry already differential-tests
-each kernel at construction; this gate re-proves it end to end through
-the public API (`make backend-gate`, wired into CI alongside tier-1).
+with the bit-serial reference.  The same reference checks what is
+built on the kernels: a ``CrcSession`` fed at an awkward 97-byte
+split, ``crc_combine`` of the two halves, and the
+``append_fcs``/``check_fcs`` round trip (byte-multiple widths only).
+The registry already differential-tests each kernel at construction;
+this gate re-proves it end to end through the public API
+(`make backend-gate`, wired into CI alongside tier-1).
 
 Exit status 0 iff every backend of every spec tells the same story.
 """
@@ -18,8 +22,13 @@ import sys
 
 from repro.crc.backends import available_backends, crc_compute
 from repro.crc.catalog import CATALOG
+from repro.crc.codeword import append_fcs, check_fcs
 from repro.crc.engine import crc_bitwise
-from repro.crc.stream import StreamingCrc
+from repro.crc.stream import crc_combine
+from repro.service.session import CrcSession
+
+#: The awkward split point: not a word, block or table boundary.
+SPLIT = 97
 
 VECTORS = (
     b"",
@@ -46,14 +55,25 @@ def main() -> int:
                         f"{name}/{backend}: {got:#x} != {ref:#x} "
                         f"({len(data)} bytes)"
                     )
-        # streaming at an awkward split must match one-shot
-        h = StreamingCrc(spec)
+        # streaming and combining at an awkward split must match one-shot
         long = VECTORS[-1]
-        h.update(long[:97])
-        h.update(b"")
-        h.update(long[97:])
-        if h.digest() != crc_bitwise(spec, long):
-            failures.append(f"{name}: StreamingCrc split digest mismatch")
+        head, tail = long[:SPLIT], long[SPLIT:]
+        ref = crc_bitwise(spec, long)
+        session = CrcSession(spec).add(head).add(b"").add(tail)
+        if session.value != ref:
+            failures.append(f"{name}: CrcSession split value mismatch")
+        combined = crc_combine(
+            spec, crc_bitwise(spec, head), crc_bitwise(spec, tail), len(tail)
+        )
+        if combined != ref:
+            failures.append(f"{name}: crc_combine split mismatch")
+        if spec.width % 8 == 0:
+            order = "little" if spec.refout else "big"
+            frame = append_fcs(spec, long)
+            if frame != long + ref.to_bytes(spec.width // 8, order) or (
+                not check_fcs(spec, frame)
+            ):
+                failures.append(f"{name}: append_fcs/check_fcs round trip")
         print(f"{name:22s} {len(backends)} backends OK "
               f"({', '.join(backends)})")
     if failures:
