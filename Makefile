@@ -20,23 +20,27 @@ test-all:
 # census -- then a smoke parallel campaign through the CLI (width 8,
 # 2 subprocesses, checkpoint + resume), a resume of the pool's
 # checkpoint by `repro serve` (the pool and the farm read one format),
-# and the docs-check that executes every fenced python block in
-# README.md and docs/*.md.
+# a check that no more than two segment logs (the live generation's
+# and .prev's) sit beside the checkpoint, and the docs-check that
+# executes every fenced python block in README.md and docs/*.md.
+SMOKE_CKPT = /tmp/repro-smoke-campaign.json
+
 verify:
 	PYTHONPATH=src $(PY) -m pytest -x -q tests/
-	rm -f /tmp/repro-smoke-campaign.json /tmp/repro-smoke-campaign.json.prev
+	rm -f $(SMOKE_CKPT) $(SMOKE_CKPT).prev $(SMOKE_CKPT).*.log
 	PYTHONPATH=src $(PY) -m repro campaign --width 8 --target-hd 4 \
 	    --bits 100 --parallel 2 --chunk-size 8 \
-	    --checkpoint /tmp/repro-smoke-campaign.json
+	    --checkpoint $(SMOKE_CKPT)
 	PYTHONPATH=src $(PY) -m repro campaign --width 8 --target-hd 4 \
 	    --bits 100 --parallel 2 --chunk-size 8 \
-	    --checkpoint /tmp/repro-smoke-campaign.json --resume \
+	    --checkpoint $(SMOKE_CKPT) --resume \
 	    | grep -q "0 chunks computed"
 	PYTHONPATH=src $(PY) -m repro serve --width 8 --target-hd 4 \
 	    --bits 100 --chunk-size 8 \
-	    --checkpoint /tmp/repro-smoke-campaign.json --resume \
+	    --checkpoint $(SMOKE_CKPT) --resume \
 	    | grep -q "0 chunks computed"
-	rm -f /tmp/repro-smoke-campaign.json /tmp/repro-smoke-campaign.json.prev
+	test $$(ls $(SMOKE_CKPT).*.log | wc -l) -le 2
+	rm -f $(SMOKE_CKPT) $(SMOKE_CKPT).prev $(SMOKE_CKPT).*.log
 	$(PY) tools/check_docs.py
 
 docs-check:

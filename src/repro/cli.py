@@ -620,7 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-size", type=int, default=64)
     p.add_argument("--checkpoint", type=str, default=None,
                    help="write campaign progress here (periodically "
-                        "and at exit)")
+                        "and at exit): a small manifest at PATH, the "
+                        "previous one at PATH.prev, and the records in "
+                        "append-only logs PATH.<16 hex>.log beside it")
     p.add_argument("--resume", action="store_true",
                    help="load --checkpoint first and skip its "
                         "completed chunks (falls back to the rotated "
@@ -664,7 +666,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "at a third of this)")
     p.add_argument("--checkpoint", type=str, default=None,
                    help="write campaign progress here every "
-                        "--checkpoint-every completions and at exit")
+                        "--checkpoint-every completions and at exit: a "
+                        "small manifest at PATH, the previous one at "
+                        "PATH.prev, and the records in append-only logs "
+                        "PATH.<16 hex>.log beside it")
     p.add_argument("--checkpoint-every", type=int, default=8,
                    help="completions between periodic checkpoints")
     p.add_argument("--resume", action="store_true",

@@ -11,8 +11,10 @@ runs on one host.  :class:`CampaignCore` is its coordinator half:
   and backoff hooks;
 * the :class:`~repro.search.records.CampaignRecord`, the tracer, the
   progress tracker and the per-chunk spans;
-* format-3 checkpoint save (with the cadence and the fault plan's
-  corruption injection) and :meth:`~CampaignCore.resume`;
+* format-4 checkpoint save -- one appended log frame of what merged
+  since the last save, behind a small rotated manifest -- with the
+  cadence and the fault plan's corruption injection, and
+  :meth:`~CampaignCore.resume`;
 * SIGTERM/SIGINT install and restore, and the drain flag;
 * the merge bookkeeping for a delivered chunk
   (:meth:`~CampaignCore.deliver`);
@@ -229,12 +231,14 @@ class CampaignCore:
 
     def save_checkpoint(self, path: str | None = None) -> None:
         """Durably persist progress (defaults to ``checkpoint_path``):
-        format 3 with CRC self-checksum, fsync'd rename, rotated
-        ``.prev`` generation, and the current quarantine set."""
+        format 4, appending the chunks merged since this record's last
+        save to a CRC-32C-framed log, then publishing a CRC-checked
+        manifest by fsync'd rename with a rotated ``.prev`` generation
+        and the current quarantine set."""
         target = path or self.checkpoint_path
         if target is None:
             raise ValueError("no checkpoint path configured")
-        checkpoint_io.save(
+        written = checkpoint_io.save(
             target,
             self.campaign,
             self.config,
@@ -249,6 +253,8 @@ class CampaignCore:
             path=target,
             chunks_done=len(self.campaign.chunks_done),
             quarantined=self.queue.quarantined,
+            mode=written.mode,
+            bytes=written.bytes,
         )
         if (
             self.faults is not None
@@ -270,7 +276,9 @@ class CampaignCore:
         number of chunks skipped.
 
         Falls back to the rotated previous generation when the current
-        file is corrupt, emitting ``checkpoint.corrupt``.  Raises
+        file is corrupt, and keeps the intact frames before a damaged
+        one in the log, emitting ``checkpoint.corrupt`` either way: the
+        lost chunks are recomputed.  Raises
         :class:`~repro.dist.checkpoint.CheckpointMissing` when no
         generation exists, :class:`~repro.dist.checkpoint.CheckpointCorrupt`
         when none verifies, and :class:`CheckpointMismatch` on a
@@ -280,16 +288,16 @@ class CampaignCore:
         if target is None:
             raise ValueError("no checkpoint path configured")
         loaded = checkpoint_io.load(target, self.config, self.chunk_size)
-        if loaded.fell_back:
+        if loaded.corrupt_error is not None:
             self.events.emit(
                 "checkpoint.corrupt",
                 path=target,
                 fallback=loaded.source,
-                error=str(loaded.corrupt_error),
+                error=loaded.corrupt_error,
             )
             self._say(
-                f"checkpoint {target} unusable ({loaded.corrupt_error}); "
-                f"recovered from previous generation {loaded.source}"
+                f"checkpoint {target} damaged ({loaded.corrupt_error}); "
+                f"recovered what {loaded.source} still holds"
             )
         campaign = loaded.campaign
         foreign = [

@@ -47,7 +47,7 @@ Robustness model -- every failure is somebody's everyday:
 * duplicated frames are absorbed by the same idempotence; delayed
   replies are discarded by ``seq`` matching;
 * a drain signal (SIGTERM/SIGINT) stops leasing, answers in-flight
-  completions for ``drain_grace`` seconds, checkpoints (format 3),
+  completions for ``drain_grace`` seconds, checkpoints (format 4),
   and exits; ``resume`` picks the campaign back up;
 * per-worker fault budgets bench a host whose leases keep expiring,
   so one flaky machine cannot burn every chunk's retry budget.

@@ -29,6 +29,7 @@ client and event loop.
 from __future__ import annotations
 
 import asyncio
+import gc
 import multiprocessing
 import signal
 import time
@@ -137,6 +138,12 @@ class ParallelCoordinator(WorkServer):
         SIGTERM/SIGINT triggers a graceful drain.  Returns elapsed
         wall-clock seconds; check :attr:`interrupted` and
         ``queue.quarantined_ids`` afterwards."""
+        # A finished run is cyclic garbage (the queue's hooks and the
+        # tracebacks asyncio keeps reach the coordinator and its
+        # record), freed only by a full collection.  Collect before
+        # forking, so neither this process nor the children carry the
+        # records of earlier runs.
+        gc.collect()
         t0 = time.monotonic()
         self._spawned = 0
         self._death_streak = 0

@@ -57,6 +57,12 @@ class RunReport:
     lease_expiries: int = 0
     worker_crashes: int = 0
     checkpoint_writes: int = 0
+    #: Of ``checkpoint_writes``: how many appended a log frame and how
+    #: many compacted the record into a fresh log, and the bytes all
+    #: of them wrote.
+    checkpoint_appends: int = 0
+    checkpoint_compactions: int = 0
+    checkpoint_bytes: int = 0
     checkpoint_corruptions: int = 0
     duplicate_deliveries: int = 0
     quarantined_chunks: int = 0
@@ -275,6 +281,11 @@ class RunReport:
                 report.worker_crashes += 1
             elif event == "checkpoint.write":
                 report.checkpoint_writes += 1
+                if rec.get("mode") == "append":
+                    report.checkpoint_appends += 1
+                elif rec.get("mode") == "compact":
+                    report.checkpoint_compactions += 1
+                report.checkpoint_bytes += rec.get("bytes", 0)
             elif event == "checkpoint.corrupt":
                 report.checkpoint_corruptions += 1
             elif event == "chunk.quarantine":
@@ -346,7 +357,10 @@ class RunReport:
             f"  faults: {self.worker_crashes} worker crashes, "
             f"{self.duplicate_deliveries} duplicate deliveries, "
             f"{self.retry_backoffs} retry backoffs",
-            f"  checkpoints: {self.checkpoint_writes} written, "
+            f"  checkpoints: {self.checkpoint_writes} written "
+            f"({self.checkpoint_appends} appended, "
+            f"{self.checkpoint_compactions} compacted, "
+            f"{self.checkpoint_bytes} bytes), "
             f"{self.checkpoint_corruptions} corruption fallbacks",
         ]
         if self.quarantined_chunks:
@@ -450,6 +464,9 @@ class RunReport:
                 "lease_expiry_rate": round(self.lease_expiry_rate, 4),
                 "worker_crashes": self.worker_crashes,
                 "checkpoint_writes": self.checkpoint_writes,
+                "checkpoint_appends": self.checkpoint_appends,
+                "checkpoint_compactions": self.checkpoint_compactions,
+                "checkpoint_bytes": self.checkpoint_bytes,
                 "checkpoint_corruptions": self.checkpoint_corruptions,
                 "duplicate_deliveries": self.duplicate_deliveries,
                 "quarantined_chunks": self.quarantined_chunks,

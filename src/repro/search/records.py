@@ -101,19 +101,49 @@ class CampaignRecord:
     results: dict[int, PolyRecord] = field(default_factory=dict)
     chunks_done: set[int] = field(default_factory=set)
     candidates_examined: int = 0
+    #: The merges since the last :meth:`take_journal`, in order, as
+    #: ``(chunk_ids, records, examined)``: the arguments themselves,
+    #: never copies.  None until the first take, so a record nobody
+    #: checkpoints journals nothing.  Not serialized, not part of
+    #: equality.
+    _journal: list[tuple[tuple[int, ...], list[PolyRecord], int]] | None = (
+        field(default=None, init=False, repr=False, compare=False)
+    )
 
     def merge_chunk(
         self, chunk_id: int, records: list[PolyRecord], examined: int
     ) -> bool:
         """Merge one completed chunk.  Returns False (and changes
         nothing) if the chunk was already merged."""
-        if chunk_id in self.chunks_done:
+        return self.merge_chunks((chunk_id,), records, examined)
+
+    def merge_chunks(
+        self, chunk_ids: tuple[int, ...], records: list[PolyRecord],
+        examined: int,
+    ) -> bool:
+        """Merge several completed chunks as one unit: their records
+        and their ``examined`` total (a checkpoint frame replays this
+        way).  Returns False (and changes nothing) if any of them was
+        already merged."""
+        if not self.chunks_done.isdisjoint(chunk_ids):
             return False
         for rec in records:
             self.results[rec.poly] = rec
-        self.chunks_done.add(chunk_id)
+        self.chunks_done.update(chunk_ids)
         self.candidates_examined += examined
+        if self._journal is not None:
+            self._journal.append((chunk_ids, records, examined))
         return True
+
+    def take_journal(
+        self,
+    ) -> list[tuple[tuple[int, ...], list[PolyRecord], int]] | None:
+        """The merges since the previous call (None on the first, when
+        nothing was journaled), and a fresh journal for the next.  The
+        checkpoint writer appends what this returns instead of
+        re-encoding the whole record."""
+        taken, self._journal = self._journal, []
+        return taken
 
     @property
     def survivors(self) -> list[PolyRecord]:

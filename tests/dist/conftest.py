@@ -12,11 +12,13 @@ The obs suite's real campaigns import the same config from here.
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 from dataclasses import replace
 
 import pytest
 
+from repro.dist import checkpoint
 from repro.dist.net import WorkClient, WorkServer, WorkerKilled
 from repro.dist.pool import ParallelCoordinator
 from repro.dist.tasks import partition_space
@@ -79,6 +81,27 @@ def record_of(chunks) -> CampaignRecord:
             res = search_chunk(scalar, task.start_index, task.end_index)
             record.merge_chunk(task.chunk_id, res.records, res.examined)
     return record
+
+
+def write_format3(path, campaign, config, chunk_size, quarantined=()):
+    """Write ``campaign`` to ``path`` as the format-3 writer did: the
+    whole record in the identity envelope with a CRC-32C of its
+    canonical payload, on one line with ``"key": value`` spacing.  The
+    module no longer writes format 3 but still reads it."""
+    doc = {
+        "format": checkpoint.FORMAT_3,
+        "config": {
+            "width": config.width,
+            "target_hd": config.target_hd,
+            "final_length": config.final_length,
+            "chunk_size": chunk_size,
+        },
+        "campaign": campaign.to_json_dict(),
+        "quarantined": sorted(set(quarantined)),
+    }
+    doc["crc32"] = f"{checkpoint.payload_crc(doc):#010x}"
+    with open(path, "wb") as f:
+        f.write(json.dumps(doc, separators=(",", ": ")).encode("ascii"))
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ from repro.dist.net import WorkServer
 from repro.dist.transport import LoopbackTransport
 from repro.search.exhaustive import SearchConfig
 
+from tests.dist.conftest import write_format3
+
 CFG = SearchConfig(width=8, target_hd=4, filter_lengths=(16, 40),
                    confirm_weights=False)
 
@@ -37,12 +39,30 @@ def test_same_campaign_round_trips(tmp_path):
 
 
 def test_identity_recorded_in_envelope(tmp_path):
+    """A format-3 envelope, as its writer laid it out, still pins the
+    identity the resume checks."""
+    coord = unserved(config=CFG, chunk_size=8)
+    path = str(tmp_path / "campaign.json")
+    write_format3(path, coord.campaign, CFG, 8)
+    d = json.loads(open(path).read())
+    assert d["format"] == checkpoint_io.FORMAT_3
+    assert d["config"] == {
+        "width": 8, "target_hd": 4, "final_length": 40, "chunk_size": 8,
+    }
+    assert unserved(config=CFG, chunk_size=8).resume(path) == 0
+    with pytest.raises(CheckpointMismatch, match="chunk_size"):
+        unserved(config=CFG, chunk_size=64).resume(path)
+
+
+def test_identity_recorded_in_manifest(tmp_path):
     path = write_checkpoint(tmp_path)
     d = json.loads(open(path).read())
     assert d["format"] == checkpoint_io.FORMAT
     assert d["config"] == {
         "width": 8, "target_hd": 4, "final_length": 40, "chunk_size": 8,
     }
+    # The records live in the log the manifest names, beside it.
+    assert (tmp_path / d["log"]).is_file()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
-"""Format-3 checkpoint durability: CRC self-check, generation
-rotation, corruption fallback, and legacy-format migration."""
+"""Checkpoint durability: format-3 reads (CRC self-check, any JSON
+layout) on files a test helper writes in the format-3 writer's layout,
+and the guarantees the format-4 writer keeps -- generation rotation,
+corruption fallback, rotation safety, legacy-format migration.  The
+format-4 manifest and log themselves are ``test_checkpoint_v4.py``'s."""
 
 from __future__ import annotations
 
@@ -22,6 +25,8 @@ from repro.dist.faults import corrupt_file
 from repro.search.exhaustive import SearchConfig, search_chunk
 from repro.search.records import CampaignRecord, PolyRecord
 
+from tests.dist.conftest import write_format3
+
 CFG = SearchConfig(width=6, target_hd=4, filter_lengths=(8, 20),
                    confirm_weights=False)
 CHUNK = 8
@@ -42,11 +47,15 @@ def save(path, campaign, quarantined=()):
     checkpoint_io.save(str(path), campaign, CFG, CHUNK, quarantined)
 
 
+def save_v3(path, campaign, quarantined=()):
+    write_format3(str(path), campaign, CFG, CHUNK, quarantined)
+
+
 class TestFormat3:
     def test_round_trips_with_crc(self, tmp_path):
         path = tmp_path / "c.json"
         campaign = make_campaign([0, 1])
-        save(path, campaign, quarantined=[3])
+        save_v3(path, campaign, quarantined=[3])
         loaded = checkpoint_io.load(str(path), CFG, CHUNK)
         assert loaded.format_version == 3
         assert not loaded.fell_back
@@ -56,7 +65,7 @@ class TestFormat3:
 
     def test_crc_covers_canonical_payload(self, tmp_path):
         path = tmp_path / "c.json"
-        save(path, make_campaign([0]))
+        save_v3(path, make_campaign([0]))
         doc = json.loads(path.read_text())
         assert int(doc["crc32"], 16) == checkpoint_io.payload_crc(doc)
         # The checksum field itself is excluded from the covered bytes.
@@ -64,7 +73,7 @@ class TestFormat3:
 
     def test_any_byte_flip_is_detected(self, tmp_path):
         path = tmp_path / "c.json"
-        save(path, make_campaign([0, 1, 2]))
+        save_v3(path, make_campaign([0, 1, 2]))
         raw = bytearray(path.read_bytes())
         # Change one digit of a count: the file stays perfectly valid
         # JSON (a structural parse would accept the silently-wrong
@@ -79,7 +88,7 @@ class TestFormat3:
 
     def test_truncated_file_is_corrupt(self, tmp_path):
         path = tmp_path / "c.json"
-        save(path, make_campaign([0]))  # first save: no .prev to fall back on
+        save_v3(path, make_campaign([0]))  # no .prev to fall back on
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])  # torn write
         with pytest.raises(CheckpointCorrupt):
@@ -260,11 +269,15 @@ class TestRotationSafety:
         assert not os.path.exists(previous_path(str(path)))
 
     def test_written_file_uses_key_colon_space_layout(self, tmp_path):
+        """The format-3 writer's single-line layout still reads."""
         path = tmp_path / "c.json"
-        save(path, make_campaign([0]))
+        save_v3(path, make_campaign([0]))
         raw = path.read_bytes()
         assert b'"candidates_examined": ' in raw
         assert b"\n" not in raw
+        loaded = checkpoint_io.load(str(path), CFG, CHUNK)
+        assert loaded.format_version == 3
+        assert loaded.campaign.to_json() == make_campaign([0]).to_json()
 
 
 class TestOlderLayouts:
@@ -287,7 +300,7 @@ class TestOlderLayouts:
 
     def test_whitespace_is_not_part_of_the_format(self, tmp_path):
         path = tmp_path / "c.json"
-        save(path, make_campaign([0, 1]), quarantined=[2])
+        save_v3(path, make_campaign([0, 1]), quarantined=[2])
         doc = json.loads(path.read_text())
         for layout in ({"indent": 1}, {"indent": 4}, {"separators": (",", ":")}):
             path.write_text(json.dumps(doc, **layout))

@@ -171,6 +171,15 @@ class TestRealCampaigns:
         assert rep.complete
         assert rep.candidates_examined == runner.campaign.candidates_examined
         assert rep.checkpoint_writes == runner.stats.checkpoints_written == 2
+        # The first save compacts, the second appends what merged since.
+        assert (rep.checkpoint_compactions, rep.checkpoint_appends) == (1, 1)
+        logs = list(tmp_path.glob("c.json.*.log"))
+        assert len(logs) == 1
+        manifests = [tmp_path / "c.json", tmp_path / "c.json.prev"]
+        assert rep.checkpoint_bytes == logs[0].stat().st_size + sum(
+            m.stat().st_size for m in manifests
+        )
+        assert "1 appended, 1 compacted" in rep.render()
 
     def test_acceptance_killed_and_resumed_campaign(self, tmp_path):
         """ISSUE acceptance: a --parallel 2 campaign with a hard-killed

@@ -61,3 +61,27 @@ class TestCampaignRecord:
         assert c2.chunks_done == {3}
         assert c2.candidates_examined == 7
         assert c2.results == c.results
+
+    def test_merge_journal_holds_references_outside_equality(self):
+        c = CampaignRecord(width=8, data_word_bits=100, target_hd=4)
+        c.merge_chunk(5, [make_record(0x1F5)], 1)
+        assert c.take_journal() is None  # nothing journaled before
+        recs = [make_record()]
+        c.merge_chunk(0, recs, 10)
+        c.merge_chunk(0, recs, 10)  # a replay journals nothing
+        ((ids, journaled, examined),) = c.take_journal()
+        assert ids == (0,) and examined == 10
+        assert journaled is recs  # the caller's list, not a copy
+        assert c.take_journal() == []
+        twin = CampaignRecord.from_json(c.to_json())
+        assert twin == c
+        assert "journal" not in c.to_json()
+
+    def test_merge_chunks_is_all_or_nothing(self):
+        c = CampaignRecord(width=8, data_word_bits=100, target_hd=4)
+        c.merge_chunk(1, [make_record()], 5)
+        other = make_record(0x11D, survived=False)
+        assert not c.merge_chunks((0, 1), [other], 9)
+        assert c.chunks_done == {1} and 0x11D not in c.results
+        assert c.merge_chunks((0, 2), [other], 9)
+        assert c.chunks_done == {0, 1, 2} and c.candidates_examined == 14

@@ -227,6 +227,48 @@ class TestCommands:
         assert "16/16 chunks done" in out
         assert "16 chunks computed" in out
 
+    def test_campaign_resume_upgrades_a_format3_checkpoint(
+        self, tmp_path, capsys
+    ):
+        """A checkpoint from the format-3 writer resumes, the campaign
+        finishes on a fresh run's record, and what it leaves is a
+        format-4 manifest with the format-3 file as ``.prev``."""
+        import os
+        import shutil
+
+        from repro.dist import checkpoint
+        from repro.search.exhaustive import SearchConfig
+
+        legacy = os.path.join(
+            os.path.dirname(__file__), "dist", "data",
+            "checkpoint_v3_indent1.json",
+        )
+        cfg = SearchConfig.for_bits(6, 4, 20)
+        flags = ["campaign", "--width", "6", "--target-hd", "4",
+                 "--bits", "20", "--chunk-size", "8"]
+        fresh = str(tmp_path / "fresh.json")
+        assert main(flags + ["--checkpoint", fresh]) == 0
+        ckpt = str(tmp_path / "old.json")
+        shutil.copyfile(legacy, ckpt)
+        assert main(flags + ["--checkpoint", ckpt, "--resume",
+                             "--retry-quarantined"]) == 0
+        out = capsys.readouterr().out
+        assert "resumed from" in out and "2 chunks skipped" in out
+        now = checkpoint.load(ckpt, cfg, 8)
+        assert now.format_version == 4 and not now.fell_back
+        prev = checkpoint.load(checkpoint.previous_path(ckpt), cfg, 8)
+        assert prev.format_version == 3
+        # The fixture's two chunks were screened under a (8, 20)
+        # cascade, so their kills name 20 bits where the CLI's
+        # (8, 12, 20) names 12: the resume keeps what it loaded.
+        want = checkpoint.load(fresh, cfg, 8).campaign
+        assert set(prev.campaign.results) < set(want.results)
+        want.results.update(prev.campaign.results)
+        assert now.campaign.to_json() == want.to_json()
+        with open(legacy, "rb") as f:
+            assert open(checkpoint.previous_path(ckpt), "rb").read() == \
+                f.read()
+
     def test_crc(self, capsys):
         assert main(["crc", "CRC-32/IEEE-802.3",
                      "--hex", "313233343536373839"]) == 0
