@@ -18,19 +18,24 @@ test-all:
 # kernels on the pool and the farm, fault-free and under chaos, every
 # record byte-equal to the scalar reference) and the packed-vs-scalar
 # census -- then a smoke parallel campaign through the CLI (width 8,
-# 2 subprocesses, checkpoint + resume), a resume of the pool's
+# 2 subprocesses, checkpoint + resume) whose event log must show one
+# `worker.bye` per process and no `worker.crash` (a run ends with its
+# children saying goodbye, not killed), a resume of the pool's
 # checkpoint by `repro serve` (the pool and the farm read one format),
 # a check that no more than two segment logs (the live generation's
 # and .prev's) sit beside the checkpoint, and the docs-check that
 # executes every fenced python block in README.md and docs/*.md.
 SMOKE_CKPT = /tmp/repro-smoke-campaign.json
+SMOKE_EVENTS = /tmp/repro-smoke-campaign.jsonl
 
 verify:
 	PYTHONPATH=src $(PY) -m pytest -x -q tests/
-	rm -f $(SMOKE_CKPT) $(SMOKE_CKPT).prev $(SMOKE_CKPT).*.log
+	rm -f $(SMOKE_CKPT) $(SMOKE_CKPT).prev $(SMOKE_CKPT).*.log $(SMOKE_EVENTS)
 	PYTHONPATH=src $(PY) -m repro campaign --width 8 --target-hd 4 \
 	    --bits 100 --parallel 2 --chunk-size 8 \
-	    --checkpoint $(SMOKE_CKPT)
+	    --checkpoint $(SMOKE_CKPT) --events $(SMOKE_EVENTS)
+	test $$(grep -c '"event":"worker.bye"' $(SMOKE_EVENTS)) -eq 2
+	! grep -q '"event":"worker.crash"' $(SMOKE_EVENTS)
 	PYTHONPATH=src $(PY) -m repro campaign --width 8 --target-hd 4 \
 	    --bits 100 --parallel 2 --chunk-size 8 \
 	    --checkpoint $(SMOKE_CKPT) --resume \
@@ -40,7 +45,7 @@ verify:
 	    --checkpoint $(SMOKE_CKPT) --resume \
 	    | grep -q "0 chunks computed"
 	test $$(ls $(SMOKE_CKPT).*.log | wc -l) -le 2
-	rm -f $(SMOKE_CKPT) $(SMOKE_CKPT).prev $(SMOKE_CKPT).*.log
+	rm -f $(SMOKE_CKPT) $(SMOKE_CKPT).prev $(SMOKE_CKPT).*.log $(SMOKE_EVENTS)
 	$(PY) tools/check_docs.py
 
 docs-check:

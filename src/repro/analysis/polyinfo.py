@@ -17,7 +17,6 @@ from repro.gf2.irreducible import is_irreducible
 from repro.gf2.notation import (
     class_signature,
     class_signature_str,
-    exponents,
     full_to_koopman,
     full_to_normal,
     full_to_reflected,
@@ -110,13 +109,3 @@ def report_for(full: int, breakpoints: BreakpointTable | None = None) -> PolyRep
         breakpoints=breakpoints,
     )
 
-
-def exponent_string(full: int) -> str:
-    """The paper's exponent-sum rendering, e.g. for checking its
-    expansion of 0xBA0DC66B in §5."""
-    return poly_str(full)
-
-
-def paper_exponents(full: int) -> list[int]:
-    """Exponents with non-zero coefficients, high to low."""
-    return exponents(full)

@@ -12,11 +12,8 @@ This package reproduces that system:
 * :mod:`repro.dist.tasks` / :mod:`repro.dist.queue` -- leased work
   units over dense candidate-index ranges, with at-least-once delivery
   and idempotent completion.
-* :mod:`repro.dist.campaign` -- the one campaign engine:
-  :class:`~repro.dist.campaign.CampaignCore` owns the queue and its
-  hooks, the idempotently-mergeable
-  :class:`~repro.search.records.CampaignRecord`, checkpoint/resume,
-  signal drain, per-chunk spans and the run's books.
+* :mod:`repro.dist.campaign` -- the worker side: one chunk computed
+  under per-chunk metrics and tracing, and the drain-signal helpers.
 * :mod:`repro.dist.faults` -- deterministic fault injection (worker
   deaths, duplicate deliveries, stragglers, severed and lossy wires,
   poison chunks, checkpoint rot, a scheduled SIGTERM) used by the test
@@ -25,14 +22,17 @@ This package reproduces that system:
   of the 2001 fleet, reproducing the campaign-scale arithmetic (why
   2**30 polynomials at ~2/s/CPU takes a summer, and why Castagnoli's
   special-purpose hardware would have needed 3600+ years).
-* :mod:`repro.dist.net` -- the one executor: that engine behind the
-  ``repro-work/1`` protocol (``repro serve`` / ``repro work``), with
-  worker-held leases, a reaper, reconnect-and-resend and per-worker
-  books.
-* :mod:`repro.dist.pool` -- that executor on one host, which
+* :mod:`repro.dist.net` -- the one campaign engine,
+  :class:`~repro.dist.net.WorkServer`: the queue and its hooks, the
+  idempotently-mergeable :class:`~repro.search.records.CampaignRecord`,
+  checkpoint/resume, signal drain, per-chunk spans and the run's
+  counters, behind the ``repro-work/1`` protocol (``repro serve`` /
+  ``repro work``), with worker-held leases, a reaper,
+  reconnect-and-resend and per-worker books.
+* :mod:`repro.dist.pool` -- that engine on one host, which
   ``repro campaign`` runs: a loopback ``WorkServer`` plus forked
   ``WorkClient`` children, whose deaths forfeit their leases at once
-  and are respawned.
+  and are respawned, and who say ``bye`` and exit when the run ends.
 """
 
 import importlib
@@ -44,8 +44,8 @@ _EXPORTS = {
     "SearchTask": "repro.dist.tasks",
     "TaskStatus": "repro.dist.tasks",
     "TaskQueue": "repro.dist.queue",
-    "CampaignCore": "repro.dist.campaign",
-    "CampaignStats": "repro.dist.campaign",
+    "CampaignStats": "repro.dist.net",
+    "WorkServer": "repro.dist.net",
     "CheckpointMismatch": "repro.dist.checkpoint",
     "FaultPlan": "repro.dist.faults",
     "FarmSpec": "repro.dist.farm",

@@ -1,11 +1,12 @@
 """The multi-host campaign tier: ``repro serve`` / ``repro work``.
 
 The paper's numbers came from ~80 workstations grinding for three
-months; this module is the coordinator that shape of campaign needs.
-A :class:`WorkServer` owns the one :class:`~repro.dist.queue.TaskQueue`
-and :class:`~repro.search.records.CampaignRecord`; remote
-:class:`WorkClient` processes lease chunks over the ``repro-work/1``
-NDJSON protocol, compute them with
+months; this module is the coordinator that shape of campaign needs,
+and the one campaign engine.  A :class:`WorkServer` owns the
+:class:`~repro.dist.queue.TaskQueue`, the
+:class:`~repro.search.records.CampaignRecord`, checkpoint/resume and
+the drain; remote :class:`WorkClient` processes lease chunks over the
+``repro-work/1`` NDJSON protocol, compute them with
 :func:`~repro.dist.campaign.compute_chunk`, and mail the results --
 plus their obs snapshots, when the server asks for them -- home.  The
 process pool (:mod:`repro.dist.pool`) is this tier on one host: a
@@ -24,7 +25,8 @@ and ``worker``; the verbs are:
              configuration.
 ``lease``    claim the next chunk (reply: bounds + lease ``epoch``),
              or learn the queue is ``idle`` (retry later),
-             ``draining`` (coordinator is shutting down) or ``done``.
+             ``draining`` (coordinator is shutting down: a drain, or
+             the end of a ``stop_after`` session) or ``done``.
              An idle reply is held until one of the others can be
              given instead, for at most its ``retry_in``.
 ``renew``    heartbeat an in-flight lease.  A definitive ``lost``
@@ -46,6 +48,9 @@ Robustness model -- every failure is somebody's everyday:
   chunk was completed elsewhere meanwhile;
 * duplicated frames are absorbed by the same idempotence; delayed
   replies are discarded by ``seq`` matching;
+* a finished queue answers every worker ``done``; each says ``bye``
+  and exits, and the server waits for them (at most ``drain_grace``,
+  capped at two seconds) before it stops listening;
 * a drain signal (SIGTERM/SIGINT) stops leasing, answers in-flight
   completions for ``drain_grace`` seconds, checkpoints (format 4),
   and exits; ``resume`` picks the campaign back up;
@@ -57,31 +62,39 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import os
 import random
+import signal
 import socket
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.dist import checkpoint as checkpoint_io
 from repro.dist.campaign import (
-    CampaignCore,
-    CampaignStats,
     compute_chunk,
     install_drain_handlers,
     restore_handlers,
 )
-from repro.dist.faults import FaultPlan
-from repro.dist.queue import LeaseLost
-from repro.dist.tasks import SearchTask
+from repro.dist.checkpoint import CheckpointMismatch
+from repro.dist.faults import FaultPlan, corrupt_file
+from repro.dist.progress import ProgressTracker
+from repro.dist.queue import LeaseLost, TaskQueue
+from repro.dist.tasks import SearchTask, partition_space
 from repro.dist.transport import Connection, ConnectionLost, Transport
 from repro.net_common import FrameError
 from repro.obs.events import NULL_EVENTS, NullEventLog
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NULL_SPAN, NULL_TRACE, Tracer
 from repro.search.exhaustive import SearchConfig, SearchResult
-from repro.search.records import PolyRecord
+from repro.search.records import CampaignRecord, PolyRecord
 
 #: Protocol identifier exchanged in ``hello``; bump on wire changes.
 PROTOCOL = "repro-work/1"
+#: The shortest sleep, in seconds, of a worker told it is idle,
+#: whatever ``retry_in`` the server sent.
+IDLE_FLOOR = 0.02
 
 
 class WorkProtocolError(Exception):
@@ -178,25 +191,53 @@ class WorkerBook:
     last_seen: float = 0.0
 
 
-@dataclass
-class FarmStats(CampaignStats):
-    """The shared counters plus the farm's frame, protocol and
-    connection counters."""
+def _weak_hook(method: Callable[..., None]) -> Callable[..., None]:
+    """``method`` as a queue hook that does not keep its owner alive:
+    the engine and its queue then make no reference cycle, so a
+    finished engine is freed by reference counting."""
+    ref = weakref.WeakMethod(method)
 
+    def hook(*args: object) -> None:
+        bound = ref()
+        if bound is not None:
+            bound(*args)
+
+    return hook
+
+
+@dataclass
+class CampaignStats:
+    """The campaign's counters: the tests, the CLI summary lines and the
+    bench read them."""
+
+    completions: int = 0
+    duplicate_deliveries: int = 0
+    reassignments: int = 0
+    checkpoints_written: int = 0
+    skipped_from_checkpoint: int = 0
+    lease_expiries: int = 0
+    quarantined: int = 0
+    retry_backoffs: int = 0
     frame_errors: int = 0
     protocol_errors: int = 0
     connections: int = 0
 
 
-class WorkServer(CampaignCore):
-    """The asyncio campaign coordinator behind ``repro serve``.
+class WorkServer:
+    """The campaign engine: the asyncio coordinator behind ``repro
+    serve``, and, on a loopback port, behind ``repro campaign``.
 
-    The queue, the record, checkpoint/resume, signals and the merge of
-    every completion are the shared
-    :class:`~repro.dist.campaign.CampaignCore`; this class adds the
-    ``repro-work/1`` verbs over whatever
-    :class:`~repro.dist.transport.Transport` it is given, the
-    per-worker books, and the lease reaper.  One event loop, no locks:
+    It owns the :class:`~repro.dist.queue.TaskQueue` and its expiry,
+    quarantine and backoff hooks; the
+    :class:`~repro.search.records.CampaignRecord`, the tracer, the
+    progress tracker and the per-chunk spans; the format-4 checkpoint
+    (one appended log frame of what merged since the last save, behind
+    a small rotated manifest) with its cadence, its injected rot and
+    :meth:`resume`; the SIGTERM/SIGINT drain; and the merge of every
+    delivered chunk (:meth:`deliver`).  Chunks reach workers and come
+    back over the ``repro-work/1`` verbs, on whatever
+    :class:`~repro.dist.transport.Transport` it is given, with
+    per-worker books and a lease reaper.  One event loop, no locks:
     every dispatch mutates state between awaits.
     """
 
@@ -215,7 +256,6 @@ class WorkServer(CampaignCore):
         lease_duration: float = 30.0,
         max_attempts: int = 5,
         retry_backoff: float = 0.05,
-        backoff_cap: float = 30.0,
         checkpoint_path: str | None = None,
         checkpoint_every: int = 8,
         worker_fault_budget: int = 0,
@@ -243,34 +283,66 @@ class WorkServer(CampaignCore):
         self.faults = faults
         self.events = events
         self.collect_metrics = collect_metrics
+        if collect_traces is None:  # trace exactly when there is a log
+            collect_traces = events.enabled
+        self.collect_traces = collect_traces
         self.handle_signals = handle_signals
         self.log = log
         self.clock = clock
-        self.metrics = MetricsRegistry()
-        self.stats = FarmStats()
-        self.workers: dict[str, WorkerBook] = {}
-        self.address: str | None = None
-        self._open_connections = 0
-        #: Set by the completion that ends the serve loop, so
-        #: :meth:`serve` returns without waiting out its tick.
-        self._wake: asyncio.Event | None = None
-        #: Pulsed (set, then replaced) when a lease is forfeited, the
-        #: queue finishes or a drain begins: news for held ``lease``s.
-        self._news = asyncio.Event()
-        self._stop_after: int | None = None
-        self._init_core(
+        self.queue = TaskQueue(
+            partition_space(config.width, chunk_size),
             lease_duration=lease_duration,
             max_attempts=max_attempts,
             backoff_base=retry_backoff,
-            backoff_cap=backoff_cap,
-            collect_traces=collect_traces,
         )
+        self.queue.on_expire = _weak_hook(self._on_lease_expire)
+        self.queue.on_quarantine = _weak_hook(self._on_quarantine)
+        self.queue.on_backoff = _weak_hook(self._on_backoff)
+        self.campaign = CampaignRecord(
+            width=config.width,
+            data_word_bits=config.final_length,
+            target_hd=config.target_hd,
+        )
+        self.tracker = ProgressTracker(total_chunks=len(self.queue))
+        self.tracer = Tracer(events=events) if collect_traces else NULL_TRACE
+        self.metrics = MetricsRegistry()
+        self.stats = CampaignStats()
+        self.workers: dict[str, WorkerBook] = {}
+        self.address: str | None = None
+        #: Signal name ("SIGTERM"/"SIGINT") when the last run was
+        #: interrupted and drained; None after a run that finished.
+        self.interrupted: str | None = None
+        #: Open (root, stage) span handles per in-flight chunk id.
+        self._chunk_spans: dict[int, tuple] = {}
+        self._completions_since_checkpoint = 0
+        self._dirty_since_checkpoint = False
+        self._shutdown_signal: str | None = None
+        self._signals_installed = False
+        self._t0: float | None = None
+        self._open_connections = 0
+        #: Set by the completion that ends the serve loop, so
+        #: :meth:`serve` returns without waiting out its tick.
+        self._wake = asyncio.Event()
+        #: Pulsed (set, then replaced) when a lease is forfeited, the
+        #: session ends or a drain begins: news for held ``lease``s.
+        self._news = asyncio.Event()
+        self._stop_after: int | None = None
+
+    # -- queue observers -----------------------------------------------
 
     def _on_lease_expire(self, task: SearchTask, now: float) -> None:
-        """The shared expiry hook, plus the owner's fault books: a
-        worker whose leases keep expiring is benched.  The forfeited
-        chunk re-pends, which is news for held leases."""
-        super()._on_lease_expire(task, now)
+        """A worker forfeited its chunk: the lease expired, or its
+        owner released it (a crash, a drain).  The chunk re-pends,
+        which is news for held leases, and the owner's fault books
+        grow: a worker whose leases keep expiring is benched."""
+        self.stats.lease_expiries += 1
+        self.events.emit(
+            "lease.expire",
+            chunk=task.chunk_id,
+            owner=task.owner,
+            attempt=task.attempts,
+        )
+        self._close_chunk_spans(task.chunk_id, "expired")
         self._notify()
         book = self.workers.get(task.owner or "")
         if book is None:
@@ -287,6 +359,336 @@ class WorkServer(CampaignCore):
                 "worker.benched", worker=book.worker, faults=book.faults
             )
             self._say(f"worker {book.worker} benched after {book.faults} faults")
+
+    def _on_quarantine(self, task: SearchTask, now: float) -> None:
+        """A poison chunk exhausted its retry budget."""
+        self.stats.quarantined += 1
+        self._dirty_since_checkpoint = True
+        self.events.emit(
+            "chunk.quarantine", chunk=task.chunk_id, attempts=task.attempts
+        )
+        self._say(
+            f"chunk {task.chunk_id} quarantined after {task.attempts} "
+            "failed attempts"
+        )
+
+    def _on_backoff(self, task: SearchTask, delay: float) -> None:
+        self.stats.retry_backoffs += 1
+        self.events.emit(
+            "lease.backoff",
+            chunk=task.chunk_id,
+            attempt=task.attempts,
+            delay=round(delay, 6),
+        )
+
+    # -- checkpoint / resume -------------------------------------------
+
+    def save_checkpoint(self, path: str | None = None) -> None:
+        """Durably persist progress (defaults to ``checkpoint_path``):
+        format 4, appending the chunks merged since this record's last
+        save to a CRC-32C-framed log, then publishing a CRC-checked
+        manifest by fsync'd rename with a rotated ``.prev`` generation
+        and the current quarantine set."""
+        target = path or self.checkpoint_path
+        if target is None:
+            raise ValueError("no checkpoint path configured")
+        written = checkpoint_io.save(
+            target,
+            self.campaign,
+            self.config,
+            self.chunk_size,
+            self.queue.quarantined_ids,
+        )
+        self.stats.checkpoints_written += 1
+        self._completions_since_checkpoint = 0
+        self._dirty_since_checkpoint = False
+        self.events.emit(
+            "checkpoint.write",
+            path=target,
+            chunks_done=len(self.campaign.chunks_done),
+            quarantined=self.queue.quarantined,
+            mode=written.mode,
+            bytes=written.bytes,
+        )
+        if (
+            self.faults is not None
+            and self.faults.corrupt_checkpoint_after is not None
+            and self.stats.checkpoints_written
+            == self.faults.corrupt_checkpoint_after
+        ):
+            # Injected silent bit rot: no event -- real disks don't
+            # announce corruption either.  Detection is load's job.
+            corrupt_file(target, seed=self.stats.checkpoints_written)
+
+    def resume(
+        self, path: str | None = None, *, retry_quarantined: bool = False
+    ) -> int:
+        """Load a checkpoint written by a compatible campaign (by
+        ``repro campaign`` or ``repro serve``) and mark its chunks
+        done, and its quarantined chunks quarantined unless
+        ``retry_quarantined`` grants them a fresh budget.  Returns the
+        number of chunks skipped.
+
+        Falls back to the rotated previous generation when the current
+        file is corrupt, and keeps the intact frames before a damaged
+        one in the log, emitting ``checkpoint.corrupt`` either way: the
+        lost chunks are recomputed.  Raises
+        :class:`~repro.dist.checkpoint.CheckpointMissing` when no
+        generation exists, :class:`~repro.dist.checkpoint.CheckpointCorrupt`
+        when none verifies, and :class:`~repro.dist.checkpoint.CheckpointMismatch` on a
+        foreign checkpoint or a chunk outside this partition.
+        """
+        target = path or self.checkpoint_path
+        if target is None:
+            raise ValueError("no checkpoint path configured")
+        loaded = checkpoint_io.load(target, self.config, self.chunk_size)
+        if loaded.corrupt_error is not None:
+            self.events.emit(
+                "checkpoint.corrupt",
+                path=target,
+                fallback=loaded.source,
+                error=loaded.corrupt_error,
+            )
+            self._say(
+                f"checkpoint {target} damaged ({loaded.corrupt_error}); "
+                f"recovered what {loaded.source} still holds"
+            )
+        campaign = loaded.campaign
+        foreign = [
+            c
+            for c in sorted(campaign.chunks_done | loaded.quarantined)
+            if c not in self.queue
+        ]
+        if foreign:
+            raise CheckpointMismatch(
+                f"checkpoint {loaded.source} references chunks {foreign}, "
+                f"outside this campaign's {len(self.queue)}-chunk partition "
+                "(chunk_size mismatch?)"
+            )
+        skipped = 0
+        for chunk_id in campaign.chunks_done:
+            if self.queue.complete(chunk_id, "checkpoint", 0.0):
+                skipped += 1
+        restored = 0
+        if not retry_quarantined:
+            for chunk_id in sorted(loaded.quarantined):
+                if self.queue.mark_quarantined(chunk_id):
+                    restored += 1
+                    self.stats.quarantined += 1
+                    self.events.emit(
+                        "chunk.quarantine",
+                        chunk=chunk_id,
+                        attempts=0,
+                        restored=True,
+                    )
+        self.campaign = campaign
+        self.stats.skipped_from_checkpoint = skipped
+        self.events.emit(
+            "campaign.resume",
+            path=loaded.source,
+            skipped=skipped,
+            quarantined=restored,
+        )
+        return skipped
+
+    # -- signals / drain / logging -------------------------------------
+
+    def _begin_drain(self, signame: str) -> None:
+        if self._shutdown_signal is None:
+            self._shutdown_signal = signame
+
+    def _install_signal_handlers(self) -> dict:
+        previous = (
+            install_drain_handlers(self._begin_drain)
+            if self.handle_signals
+            else {}
+        )
+        self._signals_installed = bool(previous)
+        return previous
+
+    def _inject_kill_signal(self) -> None:
+        """Deliver the fault plan's scheduled SIGTERM to ourselves
+        (or set the drain flag where no handler could be installed)."""
+        if self._signals_installed:
+            os.kill(os.getpid(), signal.SIGTERM)
+        else:
+            self._begin_drain("SIGTERM")
+
+    def _say(self, message: str) -> None:
+        if self.log is not None:
+            self.log(message)
+
+    def _summary(self, elapsed: float) -> str:
+        return self.tracker.summary(elapsed) + " | " + self.queue.progress()
+
+    def _check_deadline(self, now: float) -> None:
+        if self.max_seconds is not None and now - self._t0 > self.max_seconds:
+            raise RuntimeError(
+                f"campaign exceeded {self.max_seconds}s: "
+                + self.queue.progress()
+            )
+
+    # -- per-chunk spans -----------------------------------------------
+
+    def _open_chunk_spans(self, task: SearchTask, stage: str, **attrs) -> None:
+        """Open the root ``chunk`` span at lease time, with the
+        ``stage`` child (dispatch, or the remote round trip) that the
+        worker's compute spans are adopted under."""
+        root = self.tracer.start(
+            "chunk", chunk=task.chunk_id, attempt=task.attempts, **attrs
+        )
+        child = self.tracer.start(
+            stage, parent=root.id, chunk=task.chunk_id, **attrs
+        )
+        self._chunk_spans[task.chunk_id] = (root, child)
+
+    def _close_chunk_spans(self, chunk_id: int, outcome: str) -> None:
+        """End an in-flight chunk's open spans on a non-delivery exit
+        (a dead worker's release, expiry, drain forfeit, stop)."""
+        root, child = self._chunk_spans.pop(chunk_id, (NULL_SPAN, NULL_SPAN))
+        child.annotate(outcome=outcome)
+        child.end()
+        root.annotate(outcome=outcome)
+        root.end()
+
+    # -- merging a delivered chunk -------------------------------------
+
+    def deliver(
+        self,
+        task: SearchTask,
+        result: SearchResult,
+        worker: str,
+        now: float,
+        obs: dict | None = None,
+    ) -> bool:
+        """Complete and merge one chunk result from ``worker``; True
+        when it was new.
+
+        Every delivery emits ``chunk.done``; the record, the metrics,
+        the ``chunk.seconds`` histogram and the books take the chunk
+        once, and a replay counts in ``stats.duplicate_deliveries``.
+        A new chunk also closes its spans (adopting the worker's
+        ``obs`` spans), drives the checkpoint cadence and, under a
+        fault plan, the scheduled SIGTERM.
+        """
+        chunk_id = task.chunk_id
+        attempt = task.attempts
+        spans = self._chunk_spans.pop(chunk_id, None)
+        obs = obs or {}
+        root = merge_span = NULL_SPAN
+        if spans is not None:
+            root, stage = spans
+            stage.end()
+            # The worker's compute spans slot in under the stage span,
+            # so the waterfall reads lease -> dispatch -> compute -> merge.
+            self.tracer.adopt(obs.get("spans"), parent=stage.id)
+            merge_span = self.tracer.start(
+                "chunk.merge", parent=root.id, chunk=chunk_id
+            )
+        self.queue.complete(chunk_id, worker, now)
+        new = self.campaign.merge_chunk(
+            chunk_id, result.records, result.examined
+        )
+        self.events.emit(
+            "chunk.done",
+            chunk=chunk_id,
+            attempt=attempt,
+            examined=result.examined,
+            survivors=len(result.survivors),
+            seconds=round(result.elapsed_seconds, 6),
+            stage_kills=result.stage_kills,
+            duplicate=not new,
+            worker=worker,
+        )
+        if new:
+            # Worker metrics merge once per computed chunk, like the
+            # record: a replay re-merges no numbers.
+            self.metrics.merge(obs.get("metrics"))
+            self.metrics.observe("chunk.seconds", result.elapsed_seconds)
+        merge_span.end()
+        root.annotate(attempt=attempt)
+        root.end()
+        if not new:
+            self.stats.duplicate_deliveries += 1
+            return False
+        if attempt > 1:
+            self.stats.reassignments += 1
+        self.stats.completions += 1
+        self._completions_since_checkpoint += 1
+        self._dirty_since_checkpoint = True
+        if self._t0 is not None:
+            self.tracker.observe(now - self._t0, self.queue.done)
+        if (
+            self.checkpoint_path is not None
+            and self._completions_since_checkpoint >= self.checkpoint_every
+        ):
+            self.save_checkpoint()
+        if (
+            self.faults is not None
+            and self.faults.kill_signal_after is not None
+            and self.stats.completions == self.faults.kill_signal_after
+        ):
+            self._inject_kill_signal()
+        return True
+
+    # -- start and end of a run ----------------------------------------
+
+    def _begin_run(self, now: float, **fields: object) -> None:
+        """Reset the per-run state and emit ``campaign.start``."""
+        self._t0 = now
+        self.interrupted = None
+        self._shutdown_signal = None
+        # Fresh tracker per run: a resumed or second run starts its own
+        # clock, and observe() forbids time regressing.
+        self.tracker = ProgressTracker(total_chunks=len(self.queue))
+        self.tracker.observe(0.0, self.queue.done)
+        self.events.emit(
+            "campaign.start",
+            backend=self.backend,
+            width=self.config.width,
+            target_hd=self.config.target_hd,
+            final_length=self.config.final_length,
+            chunk_size=self.chunk_size,
+            chunks=len(self.queue),
+            **fields,
+        )
+
+    def _end_session(self, previous_handlers: dict) -> None:
+        """Restore the signal handlers and close the spans of attempts
+        this session abandons (a ``stop_after`` exit, or an error
+        unwinding the loop), so every opened span reaches the log with
+        an outcome."""
+        restore_handlers(previous_handlers)
+        self._signals_installed = False
+        for chunk_id in list(self._chunk_spans):
+            self._close_chunk_spans(chunk_id, "stopped")
+
+    def _finish_run(self, elapsed: float) -> None:
+        """Final checkpoint, ``metrics.snapshot``, and
+        ``campaign.end`` or ``campaign.interrupted``."""
+        if self.checkpoint_path is not None and self._dirty_since_checkpoint:
+            self.save_checkpoint()
+        if self.collect_metrics:
+            self.events.emit("metrics.snapshot", metrics=self.metrics.snapshot())
+        if self._shutdown_signal is not None:
+            self.interrupted = self._shutdown_signal
+            self.events.emit(
+                "campaign.interrupted",
+                signal=self._shutdown_signal,
+                elapsed=round(elapsed, 6),
+                completions=self.stats.completions,
+                examined=self.campaign.candidates_examined,
+            )
+        else:
+            self.events.emit(
+                "campaign.end",
+                elapsed=round(elapsed, 6),
+                completions=self.stats.completions,
+                examined=self.campaign.candidates_examined,
+                survivors=len(self.campaign.survivors),
+                quarantined=self.queue.quarantined,
+            )
+        self._say(self._summary(elapsed))
 
     # -- protocol dispatch --------------------------------------------
 
@@ -432,8 +834,8 @@ class WorkServer(CampaignCore):
         if self.queue.finished:
             reply["done"] = True
             return reply
-        if self._shutdown_signal is not None:
-            reply["draining"] = True
+        if self._shutdown_signal is not None or self._campaign_over():
+            reply["draining"] = True  # a drain, or the end of a stop_after
             return reply
         if book.benched:
             reply.update(idle=True, benched=True, retry_in=self.lease_duration)
@@ -533,9 +935,8 @@ class WorkServer(CampaignCore):
             book.seconds += result.elapsed_seconds
         else:
             self._count("work.duplicate_completion")
-        if self.queue.finished:
-            self._notify()  # held leases answer "done"
-        if self._wake is not None and self._campaign_over():
+        if self._campaign_over():
+            self._notify()  # held leases answer "done" or "draining"
             self._wake.set()
         reply = self._base_reply(req, "complete")
         reply.update(merged=merged, done=self.queue.finished)
@@ -612,12 +1013,12 @@ class WorkServer(CampaignCore):
         campaign verdict (the CLI maps them to exit codes)."""
         t0 = self.clock()
         self._stop_after = stop_after
+        # Fresh events: a second serve runs on a new event loop.
         self._wake = asyncio.Event()
         self._news = asyncio.Event()
         self.address = await self.transport.listen(self._handle_connection)
         self._begin_run(
             t0,
-            self.backend,
             transport=type(self.transport).__name__,
             address=self.address,
             **self._start_fields(),
@@ -645,7 +1046,6 @@ class WorkServer(CampaignCore):
             if self._shutdown_signal is not None:
                 await self._drain()
             else:
-                # Give connected workers a beat to hear "done" and bye.
                 await self._quiesce(min(self.drain_grace, 2.0))
         finally:
             self._end_session(previous)
@@ -658,6 +1058,8 @@ class WorkServer(CampaignCore):
         return {}
 
     async def _quiesce(self, grace: float) -> None:
+        """Give connected workers up to ``grace`` seconds to hear
+        ``done`` or ``draining`` and say ``bye``."""
         deadline = self.clock() + grace
         while self._open_connections and self.clock() < deadline:
             await asyncio.sleep(0.01)
@@ -665,7 +1067,8 @@ class WorkServer(CampaignCore):
     async def _drain(self) -> None:
         """Signal-driven graceful shutdown: stop leasing (the lease op
         already answers ``draining``), give in-flight chunks
-        ``drain_grace`` seconds to complete, forfeit the rest."""
+        ``drain_grace`` seconds to complete and idle workers a beat to
+        say ``bye``, then forfeit the chunks still computing."""
         signame = self._shutdown_signal
         self._notify()  # held leases answer "draining"
         inflight = self.queue.leased
@@ -674,6 +1077,7 @@ class WorkServer(CampaignCore):
         deadline = self.clock() + self.drain_grace
         while self.queue.leased and self.clock() < deadline:
             await asyncio.sleep(0.02)
+        await self._quiesce(min(self.drain_grace, 1.0))
         now = self.clock()
         forfeited = self.queue.leased_ids
         for chunk_id in forfeited:
@@ -687,7 +1091,6 @@ class WorkServer(CampaignCore):
             forfeited=len(forfeited),
             grace=self.drain_grace,
         )
-        await self._quiesce(min(self.drain_grace, 1.0))
         self._say(
             f"drained {delivered} chunks, forfeited {len(forfeited)} -- "
             + self.queue.progress()
@@ -731,7 +1134,6 @@ class WorkClient:
         reconnect_base: float = 0.2,
         reconnect_cap: float = 10.0,
         max_connect_attempts: int = 8,
-        idle_floor: float = 0.02,
         faults: FaultPlan | None = None,
         handle_signals: bool = False,
         log: Callable[[str], None] | None = None,
@@ -744,7 +1146,6 @@ class WorkClient:
         self.reconnect_base = reconnect_base
         self.reconnect_cap = reconnect_cap
         self.max_connect_attempts = max_connect_attempts
-        self.idle_floor = idle_floor
         self.faults = faults
         self.handle_signals = handle_signals
         self.log = log
@@ -916,7 +1317,7 @@ class WorkClient:
             if reply.get("chunk") is None:
                 self.stats.idle_waits += 1
                 await asyncio.sleep(
-                    max(float(reply.get("retry_in", 0.05)), self.idle_floor)
+                    max(float(reply.get("retry_in", 0.05)), IDLE_FLOOR)
                 )
                 continue
             chunk = reply["chunk"]

@@ -5,10 +5,9 @@
 forked children, each running the same
 :class:`~repro.dist.net.WorkClient` that ``repro work`` runs.  Leases,
 renewals, the reaper, idempotent completion, checkpoint/resume and the
-SIGTERM drain are the farm's (and, below it, the shared
-:class:`~repro.dist.campaign.CampaignCore`'s); so are the per-worker
-books and the ``net_*`` fault dialect, keyed by the children's labels
-``pool-0``, ``pool-1``, ...
+SIGTERM drain are the farm's; so are the per-worker books and the
+``net_*`` fault dialect, keyed by the children's labels ``pool-0``,
+``pool-1``, ...
 
 What the launcher adds is one failure path.  A child that dies for
 any reason -- an exception, ``os._exit``, a signal -- is noticed the
@@ -20,6 +19,13 @@ respawns the child under a fresh label, so a label-keyed fault fires
 once.  After ``max_rebuild_streak`` deaths with no completion in
 between the campaign gives up.
 
+A run has one ending.  Children that hear ``done`` (the queue
+finished) or ``draining`` (a drain, or the end of a ``stop_after``
+session) say ``bye`` and exit 0 by themselves, and the coordinator
+waits for them.  Only a child still computing under a lease when the
+session ends -- after a drain's grace or at a ``stop_after`` -- is
+killed, in :meth:`ParallelCoordinator._end_session`.
+
 Children are forked, not spawned.  The server binds its port before
 the first fork, so children learn the address with no race, and each
 child drops the parent's drain handlers before starting its own
@@ -29,7 +35,6 @@ client and event loop.
 from __future__ import annotations
 
 import asyncio
-import gc
 import multiprocessing
 import signal
 import time
@@ -96,7 +101,6 @@ class ParallelCoordinator(WorkServer):
         collect_traces: bool | None = None,
         max_attempts: int = 5,
         retry_backoff: float = 0.05,
-        backoff_cap: float = 30.0,
         drain_grace: float = 5.0,
         max_rebuild_streak: int = 8,
         handle_signals: bool = True,
@@ -110,7 +114,6 @@ class ParallelCoordinator(WorkServer):
             lease_duration=lease_duration,
             max_attempts=max_attempts,
             retry_backoff=retry_backoff,
-            backoff_cap=backoff_cap,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
             drain_grace=drain_grace,
@@ -130,6 +133,9 @@ class ParallelCoordinator(WorkServer):
         self._children: dict[str, multiprocessing.Process] = {}
         self._spawned = 0
         self._death_streak = 0
+        #: ``stats.completions`` at the last death: a completion since
+        #: then breaks the streak.
+        self._completions_at_death = 0
         self._give_up: str | None = None
 
     def run(self, stop_after: int | None = None) -> float:
@@ -138,12 +144,6 @@ class ParallelCoordinator(WorkServer):
         SIGTERM/SIGINT triggers a graceful drain.  Returns elapsed
         wall-clock seconds; check :attr:`interrupted` and
         ``queue.quarantined_ids`` afterwards."""
-        # A finished run is cyclic garbage (the queue's hooks and the
-        # tracebacks asyncio keeps reach the coordinator and its
-        # record), freed only by a full collection.  Collect before
-        # forking, so neither this process nor the children carry the
-        # records of earlier runs.
-        gc.collect()
         t0 = time.monotonic()
         self._spawned = 0
         self._death_streak = 0
@@ -179,8 +179,9 @@ class ParallelCoordinator(WorkServer):
 
     def _on_child_exit(self, worker_id: str) -> None:
         """A child's sentinel fired.  A clean exit (it heard ``done``
-        or ``draining``) needs nothing; any other death forfeits the
-        worker's leases now and respawns it under a fresh label."""
+        or ``draining`` and said ``bye``) needs nothing; any other
+        death forfeits the worker's leases now and respawns it under a
+        fresh label."""
         proc = self._children.pop(worker_id)
         asyncio.get_running_loop().remove_reader(proc.sentinel)
         proc.join()
@@ -195,6 +196,9 @@ class ParallelCoordinator(WorkServer):
         for chunk_id in released:
             self._close_chunk_spans(chunk_id, "crashed")
             self.queue.release(chunk_id, worker_id, now)
+        if self.stats.completions != self._completions_at_death:
+            self._death_streak = 0  # real progress: the workers are healthy
+            self._completions_at_death = self.stats.completions
         self._death_streak += 1
         respawn = None
         if self._death_streak > self.max_rebuild_streak:
@@ -202,7 +206,7 @@ class ParallelCoordinator(WorkServer):
                 f"{self._death_streak} pool workers died in a row without "
                 "completing a chunk; giving up: " + self.queue.progress()
             )
-        elif not self.queue.finished and self._shutdown_signal is None:
+        elif not self._campaign_over() and self._shutdown_signal is None:
             respawn = self._spawn()
         self.events.emit(
             "worker.crash",
@@ -222,18 +226,17 @@ class ParallelCoordinator(WorkServer):
         if self._give_up is not None:
             raise RuntimeError(self._give_up)
 
-    def deliver(self, *args, **kwargs) -> bool:
-        new = super().deliver(*args, **kwargs)
-        if new:
-            self._death_streak = 0  # real progress: the workers are healthy
-        return new
-
     async def _quiesce(self, grace: float) -> None:
-        # Idle children hear "done" or "draining" at once (their leases
-        # are held), but a drained or stop_after run leaves children
-        # computing chunks nobody waits for: stop them all now.
-        self._stop_children()
-        await super()._quiesce(grace)
+        """Wait, for at most ``grace`` seconds, until every child left
+        is computing under a lease: the others heard ``done`` or
+        ``draining`` (at once, their leases being held) and exit by
+        themselves after their ``bye``."""
+        deadline = self.clock() + grace
+        while self.clock() < deadline:
+            computing = {self.queue.task(c).owner for c in self.queue.leased_ids}
+            if self._children.keys() <= computing:
+                return
+            await asyncio.sleep(0.01)
 
     def _end_session(self, previous_handlers: dict) -> None:
         # No child outlives the session, however it ended.
@@ -241,7 +244,9 @@ class ParallelCoordinator(WorkServer):
         super()._end_session(previous_handlers)
 
     def _stop_children(self) -> None:
-        """Kill and reap every child still running; no respawns."""
+        """Kill and reap the children still running: after a drain or
+        a ``stop_after``, those computing under a lease nobody waits
+        for; after an error, all of them.  No respawns."""
         loop = asyncio.get_running_loop()
         for proc in self._children.values():
             loop.remove_reader(proc.sentinel)

@@ -42,6 +42,10 @@ from typing import Callable
 
 from repro.dist.tasks import SearchTask, TaskStatus
 
+#: The longest re-lease backoff, in seconds, however many attempts a
+#: chunk has burned.
+BACKOFF_CAP = 30.0
+
 
 class LeaseLost(Exception):
     """A renewing worker's lease is definitively gone.
@@ -63,7 +67,7 @@ class TaskQueue:
     unlimited retry budget; a positive value quarantines a task whose
     that-many-th lease is forfeited.  ``backoff_base=0`` disables the
     re-lease backoff; a positive value delays attempt ``n+1`` by
-    ``backoff_base * 2**(n-1)`` seconds (capped at ``backoff_cap``)
+    ``backoff_base * 2**(n-1)`` seconds (capped at :data:`BACKOFF_CAP`)
     scaled by a deterministic jitter in [0.5, 1.5).
     """
 
@@ -74,7 +78,6 @@ class TaskQueue:
         *,
         max_attempts: int = 0,
         backoff_base: float = 0.0,
-        backoff_cap: float = 60.0,
     ):
         ids = [t.chunk_id for t in tasks]
         if len(set(ids)) != len(ids):
@@ -97,7 +100,6 @@ class TaskQueue:
         self.lease_duration = lease_duration
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         #: Optional observer invoked as ``on_expire(task, now)`` when a
         #: lease is forfeited (expiry or release) -- expiry happens
         #: lazily inside queue operations, so this hook is how the
@@ -157,7 +159,7 @@ class TaskQueue:
             return 0.0
         delay = min(
             self.backoff_base * (2 ** max(task.attempts - 1, 0)),
-            self.backoff_cap,
+            BACKOFF_CAP,
         )
         # Deterministic jitter: seeded by (chunk, attempt), so replayed
         # campaigns under the same fault schedule back off identically.
@@ -297,14 +299,6 @@ class TaskQueue:
         self._reclaim_expired(now)
 
     # -- progress ------------------------------------------------------
-
-    def next_lease_expiry(self) -> float | None:
-        """Earliest expiry among live leases, or None if nothing is
-        leased."""
-        return min(
-            (self._tasks[c].lease_expires_at for c in self._leased),
-            default=None,
-        )
 
     def next_wakeup(self, now: float) -> float | None:
         """Earliest instant at which the queue's state can change on

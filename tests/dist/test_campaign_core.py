@@ -1,7 +1,7 @@
 """One resume contract, held by the pool and by the farm.
 
-Both run one :class:`~repro.dist.campaign.CampaignCore`, so a
-checkpoint written by either resumes in the other with the same
+Both run one campaign engine, :class:`~repro.dist.net.WorkServer`,
+so a checkpoint written by either resumes in the other with the same
 semantics: the fallback to the ``.prev`` generation when the live file
 is corrupt, a :class:`CheckpointMismatch` for a chunk outside the
 partition, and quarantined chunks restored -- or recomputed under
