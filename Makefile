@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-all verify docs-check bench bench-e2e backend-gate service-smoke dash-smoke bench-full repro examples clean
+.PHONY: install test test-all verify docs-check bench bench-e2e service-smoke dash-smoke bench-full repro examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -60,11 +60,6 @@ bench:
 # even when failed > 0, so this is its automated guard.  bench/README.md.
 bench-e2e:
 	$(PY) -m pytest bench -q
-
-# Kernel-registry identity gate: every generated backend of every
-# catalog spec must agree with the bit-serial reference, end to end.
-backend-gate:
-	PYTHONPATH=src $(PY) tools/backend_gate.py
 
 # Serving-layer gate: spawn `repro serve-crc` on a loopback port,
 # run a scripted NDJSON session (every op + error paths), SIGTERM it,

@@ -36,6 +36,7 @@ import pytest
 from conftest import once
 from repro.gf2.notation import koopman_to_full
 from repro.gf2.poly import reciprocal
+from repro.hd import cost
 from repro.hd.batched import BatchKeys, weight4_exists, weight5_exists
 from repro.hd.hamming import hamming_distance
 from repro.hd.mitm import exists_weight_k, windowed_witness
@@ -104,9 +105,10 @@ def test_parity_shortcut_ablation(benchmark, record):
     }})
 
 
-def test_windowed_witness_ablation(benchmark, record):
-    """Disable the windowed fast path (window too small to ever hit)
-    and confirm identical HDs from the full checks, with timing."""
+def test_windowed_witness_ablation(benchmark, record, monkeypatch):
+    """Disable the windowed fast path (a 3-bit window, too small to
+    ever hit) and confirm identical HDs from the full checks, with
+    timing."""
     g = koopman_to_full(0x82608EDB)
     lengths = [400, 1000, 4000, 12112]
 
@@ -114,9 +116,11 @@ def test_windowed_witness_ablation(benchmark, record):
         t0 = time.perf_counter()
         fast = [hamming_distance(g, n) for n in lengths]
         t_fast = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        slow = [hamming_distance(g, n, witness_window=3) for n in lengths]
-        t_slow = time.perf_counter() - t0
+        with monkeypatch.context() as m:
+            m.setattr(cost, "WITNESS_WINDOW", 3)
+            t0 = time.perf_counter()
+            slow = [hamming_distance(g, n) for n in lengths]
+            t_slow = time.perf_counter() - t0
         return fast, slow, t_fast, t_slow
 
     fast, slow, t_fast, t_slow = once(benchmark, both)
@@ -194,7 +198,7 @@ def test_exists_weight6(benchmark, record):
     the first hit."""
     g = koopman_to_full(0xBA0DC66B)
     syn = syndrome_table(g, 3000)
-    expect = ref_exists(g, 3000, 6, 1 << 22)
+    expect = ref_exists(g, 3000, 6)
     assert expect
 
     def call():

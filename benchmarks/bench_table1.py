@@ -15,15 +15,17 @@ from conftest import once
 from repro.analysis.tables import render_table1
 from repro.crc.catalog import PAPER_POLYS
 from repro.gf2.order import hd2_data_word_limit
+from repro.hd import cost
 from repro.hd.breakpoints import hd_breakpoint_table
 
 N_MAX = 6000
 
 # Per-column weight ceiling: high enough to cover every claimed cell,
 # low enough that non-binding high-weight probes stay cheap.  The
-# bench-local work envelope is deliberately tight (~2.5e8 elements);
-# weights whose probes exceed it are recorded as capped, which never
-# affects the claimed cells (all bound by weights <= 6).
+# bench-local work envelope is deliberately tight (~2.5e8 elements,
+# set on repro.hd.cost for each column); weights whose probes exceed
+# it are recorded as capped, which never affects the claimed cells
+# (all bound by weights <= 6).
 HD_MAX = {
     "802.3": 15, "D419CC15": 15,
     "8F6E37A0": 12, "BA0DC66B": 12, "FA567D89": 12,
@@ -36,12 +38,13 @@ KEYS = sorted(PAPER_POLYS)
 
 
 @pytest.mark.parametrize("key", KEYS)
-def test_breakpoint_column(benchmark, key, record):
+def test_breakpoint_column(benchmark, key, record, monkeypatch):
     pp = PAPER_POLYS[key]
+    monkeypatch.setattr(cost, "MEM_ELEMS", BENCH_MEM)
+    monkeypatch.setattr(cost, "STREAM_ELEMS", BENCH_STREAM)
     table = once(
         benchmark, hd_breakpoint_table, pp.full,
         hd_max=HD_MAX[key], n_max=N_MAX,
-        mem_elems=BENCH_MEM, stream_elems=BENCH_STREAM,
     )
     measured_bands = {
         hd: (lo, hi) for hd, lo, hi in table.bands

@@ -10,7 +10,7 @@ purpose hardware and naive brute force.
 
 Part 2 runs a *live* scaled campaign (every 10-bit CRC polynomial)
 through the machinery ``repro campaign`` uses -- a coordinator
-leasing chunks to forked worker processes over the repro-work/1
+leasing chunks to forked worker processes over the repro-work/2
 protocol -- while a fault plan kills a worker holding a chunk,
 duplicates another's completion message and slows a third.  The
 campaign must finish with exactly the same survivors as a clean run,

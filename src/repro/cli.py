@@ -644,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", parents=[observability],
                        help="campaign coordinator: lease chunks to "
                             "`repro work` clients over TCP "
-                            "(repro-work/1 protocol)")
+                            "(repro-work/2 protocol)")
     p.add_argument("--width", type=int, default=10)
     p.add_argument("--target-hd", type=int, default=4)
     p.add_argument("--bits", type=int, default=200)

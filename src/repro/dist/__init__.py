@@ -26,7 +26,7 @@ This package reproduces that system:
   :class:`~repro.dist.net.WorkServer`: the queue and its hooks, the
   idempotently-mergeable :class:`~repro.search.records.CampaignRecord`,
   checkpoint/resume, signal drain, per-chunk spans and the run's
-  counters, behind the ``repro-work/1`` protocol (``repro serve`` /
+  counters, behind the ``repro-work/2`` protocol (``repro serve`` /
   ``repro work``), with worker-held leases, a reaper,
   reconnect-and-resend and per-worker books.
 * :mod:`repro.dist.pool` -- that engine on one host, which

@@ -6,7 +6,7 @@ and the one campaign engine.  A :class:`WorkServer` owns the
 :class:`~repro.dist.queue.TaskQueue`, the
 :class:`~repro.search.records.CampaignRecord`, checkpoint/resume and
 the drain; remote :class:`WorkClient` processes lease chunks over the
-``repro-work/1`` NDJSON protocol, compute them with
+``repro-work/2`` NDJSON protocol, compute them with
 :func:`~repro.dist.campaign.compute_chunk`, and mail the results --
 plus their obs snapshots, when the server asks for them -- home.  The
 process pool (:mod:`repro.dist.pool`) is this tier on one host: a
@@ -91,7 +91,7 @@ from repro.search.exhaustive import SearchConfig, SearchResult
 from repro.search.records import CampaignRecord, PolyRecord
 
 #: Protocol identifier exchanged in ``hello``; bump on wire changes.
-PROTOCOL = "repro-work/1"
+PROTOCOL = "repro-work/2"
 #: The shortest sleep, in seconds, of a worker told it is idle,
 #: whatever ``retry_in`` the server sent.
 IDLE_FLOOR = 0.02
@@ -235,7 +235,7 @@ class WorkServer:
     a small rotated manifest) with its cadence, its injected rot and
     :meth:`resume`; the SIGTERM/SIGINT drain; and the merge of every
     delivered chunk (:meth:`deliver`).  Chunks reach workers and come
-    back over the ``repro-work/1`` verbs, on whatever
+    back over the ``repro-work/2`` verbs, on whatever
     :class:`~repro.dist.transport.Transport` it is given, with
     per-worker books and a lease reaper.  One event loop, no locks:
     every dispatch mutates state between awaits.

@@ -28,11 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.gf2.poly import degree, divisible_by_x_plus_1
 from repro.gf2.order import order_of_x
-from repro.hd.cost import (
-    DEFAULT_MEM_ELEMS,
-    DEFAULT_STREAM_ELEMS,
-    EnvelopeError,
-)
+from repro.hd.cost import EnvelopeError
 from repro.hd.jump import SpanCache, first_failure_jump
 from repro.hd.mitm import find_witness, windowed_witness
 from repro.hd.syndromes import extend_syndrome_table, syndrome_table
@@ -64,8 +60,6 @@ def first_failure_detailed(
     *,
     n_max: int,
     exploit_parity: bool = True,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
     cache: SpanCache | None = None,
 ) -> FirstFailure:
     """Exact first-failure search with explicit envelope accounting.
@@ -87,13 +81,7 @@ def first_failure_detailed(
     if k == 2:
         n = order_of_x(g) + 1 - r
         return FirstFailure(n if n <= n_max else None, n_max)
-    n, cleared, capped = first_failure_jump(
-        g, k,
-        n_max=n_max,
-        mem_elems=mem_elems,
-        stream_elems=stream_elems,
-        cache=cache,
-    )
+    n, cleared, capped = first_failure_jump(g, k, n_max=n_max, cache=cache)
     return FirstFailure(n, cleared, capped=capped)
 
 
@@ -103,8 +91,6 @@ def first_failure_length(
     *,
     n_max: int,
     exploit_parity: bool = True,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
     cache: SpanCache | None = None,
 ) -> int | None:
     """Exact smallest data-word length at which some weight-``k`` error
@@ -120,8 +106,6 @@ def first_failure_length(
         g, k,
         n_max=n_max,
         exploit_parity=exploit_parity,
-        mem_elems=mem_elems,
-        stream_elems=stream_elems,
         cache=cache,
     )
     if out.capped:
@@ -222,8 +206,6 @@ def hd_breakpoint_table(
     hd_max: int = 6,
     n_max: int = 131072,
     exploit_parity: bool = True,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
 ) -> BreakpointTable:
     """Compute a polynomial's exact breakpoint table (one Table 1
     column) for weights ``2 .. hd_max`` through length ``n_max``.
@@ -231,7 +213,8 @@ def hd_breakpoint_table(
     Cost note: the expensive cells are weight-4 first-failures beyond
     ~16K bits (minutes); everything else is seconds.  Choose ``hd_max``
     / ``n_max`` to taste -- e.g. Figure 1 uses hd_max=8 with modest
-    lengths, the full Table 1 needs ``REPRO_FULL``-sized envelopes.
+    lengths.  Weights whose probes exceed the envelope of
+    :mod:`repro.hd.cost` are recorded as capped.
     """
     table = BreakpointTable(g=g, n_max=n_max)
     cache = SpanCache(g)  # one LFSR sweep feeds every weight's probes
@@ -240,8 +223,6 @@ def hd_breakpoint_table(
             g, k,
             n_max=n_max,
             exploit_parity=exploit_parity,
-            mem_elems=mem_elems,
-            stream_elems=stream_elems,
             cache=cache,
         )
         table.first_failure[k] = out.n
@@ -256,8 +237,6 @@ def max_length_for_hd(
     *,
     n_max: int = 131072,
     exploit_parity: bool = True,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
 ) -> int | None:
     """Largest data-word length at which ``g`` still guarantees the
     requested HD: ``min_k<hd f(k) - 1`` (None if unachievable even at
@@ -274,8 +253,6 @@ def max_length_for_hd(
             g, k,
             n_max=limit,
             exploit_parity=exploit_parity,
-            mem_elems=mem_elems,
-            stream_elems=stream_elems,
             cache=cache,
         )
         if fn is not None:
@@ -291,9 +268,6 @@ def _refute_weights(
     N: int,
     syn: "np.ndarray",
     *,
-    witness_window: int = 400,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
     k_min: int = 3,
 ) -> tuple[int, tuple[int, ...]] | None:
     """The ascending-``k`` refutation loop over weights
@@ -309,10 +283,8 @@ def _refute_weights(
     for k in range(k_min, hd):
         if k % 2 == 1 and divisible_by_x_plus_1(g):
             continue
-        witness = windowed_witness(
-            g, N, k, window=min(witness_window, N), syn=syn
-        ) or find_witness(
-            g, N, k, syn=syn, mem_elems=mem_elems, stream_elems=stream_elems
+        witness = windowed_witness(g, N, k, syn=syn) or find_witness(
+            g, N, k, syn=syn
         )
         if witness is not None:
             return k, witness
@@ -324,9 +296,6 @@ def refute_hd_at(
     hd: int,
     data_word_bits: int,
     *,
-    witness_window: int = 400,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
     syn: "np.ndarray | None" = None,
 ) -> tuple[int, tuple[int, ...]] | None:
     """Inverse filtering: try to *refute* "HD >= hd at this length" by
@@ -353,12 +322,4 @@ def refute_hd_at(
         syn = syndrome_table(g, N)
     elif len(syn) != N:
         syn = extend_syndrome_table(g, syn, N)
-    return _refute_weights(
-        g,
-        hd,
-        N,
-        syn,
-        witness_window=witness_window,
-        mem_elems=mem_elems,
-        stream_elems=stream_elems,
-    )
+    return _refute_weights(g, hd, N, syn)

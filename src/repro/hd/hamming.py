@@ -18,7 +18,7 @@ holds):
    dense regimes; a miss, including a probe past its own envelope, is
    ``None`` and decides nothing;
 4. the full anchored meet-in-the-middle check, which is exact in both
-   directions but subject to the work envelope.
+   directions but subject to the work envelope (:mod:`repro.hd.cost`).
 
 If neither 3 nor 4 can decide (no witness, and the full check exceeds
 the envelope), an :class:`EnvelopeError` propagates -- the library
@@ -34,13 +34,8 @@ import numpy as np
 
 from repro.gf2.poly import degree, divisible_by_x_plus_1
 from repro.gf2.order import order_of_x
-from repro.hd.cost import (
-    DEFAULT_MEM_ELEMS,
-    DEFAULT_STREAM_ELEMS,
-    EnvelopeError,
-    mitm_sorted_side,
-    mitm_cost,
-)
+from repro.hd import cost
+from repro.hd.cost import EnvelopeError, mitm_sorted_side, mitm_cost
 from repro.hd.mitm import exists_weight_k, windowed_witness
 from repro.hd.syndromes import syndrome_table
 
@@ -51,9 +46,6 @@ def hamming_distance(
     *,
     k_max: int = 16,
     exploit_parity: bool = True,
-    witness_window: int = 400,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
     syn: np.ndarray | None = None,
 ) -> int:
     """Exact minimum Hamming distance at the given data-word length.
@@ -80,9 +72,6 @@ def hamming_distance(
         g, N, 3, k_max,
         syn=syn,
         exploit_parity=exploit_parity,
-        witness_window=witness_window,
-        mem_elems=mem_elems,
-        stream_elems=stream_elems,
     ):
         if exists:
             return k
@@ -99,9 +88,6 @@ def _ascending_weights(
     *,
     syn: np.ndarray,
     exploit_parity: bool = True,
-    witness_window: int,
-    mem_elems: int,
-    stream_elems: int,
 ) -> Iterator[tuple[int, bool]]:
     """The ascending HD scan: yield ``(k, exists)`` for ``k = k_min ..
     k_max``, deciding each weight exactly within an ``N``-bit codeword.
@@ -116,41 +102,27 @@ def _ascending_weights(
     parity = exploit_parity and divisible_by_x_plus_1(g)
     for k in range(k_min, k_max + 1):
         yield k, not (parity and k % 2 == 1) and _weight_k_exists(
-            g, N, k,
-            syn=syn,
-            witness_window=witness_window,
-            mem_elems=mem_elems,
-            stream_elems=stream_elems,
+            g, N, k, syn
         )
 
 
-def _weight_k_exists(
-    g: int,
-    N: int,
-    k: int,
-    *,
-    syn: np.ndarray,
-    witness_window: int,
-    mem_elems: int,
-    stream_elems: int,
-) -> bool:
+def _weight_k_exists(g: int, N: int, k: int, syn: np.ndarray) -> bool:
     """Decide weight-k existence exactly, trying cheap proofs first."""
     # Cheap positive proof: windowed witness (verified, hence exact).
     full_is_cheap = (
-        mitm_sorted_side(N, k) <= 2_000_000 and mitm_cost(N, k) <= 20_000_000
+        mitm_sorted_side(N, k) <= cost.CHEAP_SIDE
+        and mitm_cost(N, k) <= cost.CHEAP_STREAM
     )
     if not full_is_cheap and k >= 3:
-        window = min(witness_window, N)
+        window = min(cost.WITNESS_WINDOW, N)
         # Keep the windowed side within a small memory budget by
         # shrinking the window for larger k.
-        while window > k and comb(window - 1, k - 2) > 30_000_000:
+        while window > k and comb(window - 1, k - 2) > cost.WINDOWED_SIDE:
             window //= 2
         if windowed_witness(g, N, k, window=window, syn=syn) is not None:
             return True
     # Exact two-sided answer.
-    return exists_weight_k(
-        g, N, k, syn=syn, mem_elems=mem_elems, stream_elems=stream_elems
-    )
+    return exists_weight_k(g, N, k, syn=syn)
 
 
 def hamming_distance_bound(
@@ -159,9 +131,6 @@ def hamming_distance_bound(
     *,
     k_max: int = 16,
     exploit_parity: bool = True,
-    witness_window: int = 400,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
 ) -> tuple[int, bool]:
     """Like :func:`hamming_distance`, but degrades gracefully: returns
     ``(hd, True)`` when the exact HD was determined, or
@@ -185,9 +154,6 @@ def hamming_distance_bound(
             g, N, 3, k_max,
             syn=syndrome_table(g, N),
             exploit_parity=exploit_parity,
-            witness_window=witness_window,
-            mem_elems=mem_elems,
-            stream_elems=stream_elems,
         ):
             if exists:
                 return k, True
@@ -203,8 +169,6 @@ def hd_profile(
     *,
     k_max: int = 16,
     exploit_parity: bool = True,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
 ) -> dict[int, int]:
     """HD at each of several data-word lengths -- one Figure 1 series.
 
@@ -215,10 +179,6 @@ def hd_profile(
     out: dict[int, int] = {}
     for n in sorted(lengths):
         out[n] = hamming_distance(
-            g, n,
-            k_max=k_max,
-            exploit_parity=exploit_parity,
-            mem_elems=mem_elems,
-            stream_elems=stream_elems,
+            g, n, k_max=k_max, exploit_parity=exploit_parity
         )
     return out

@@ -16,7 +16,7 @@ same polynomial.  This module replaces that engine:
   leads each probe with a **budgeted windowed-witness check**
   (:func:`~repro.hd.mitm.windowed_witness` with a per-weight window
   sized so the materialized side stays under
-  :data:`_WINDOWED_SIDE_BUDGET` elements).  Hits are re-verified
+  :data:`~repro.hd.cost.PROBE_SIDE` elements).  Hits are re-verified
   against the exact big-int syndrome, so a hit is proof; a miss --
   ``None``, also when the probe is past its own envelope -- costs one
   bounded side and falls back to the *same* collect-all scan the old
@@ -51,12 +51,8 @@ from math import comb
 import numpy as np
 
 from repro.gf2.poly import degree, x_pow_mod
-from repro.hd.cost import (
-    DEFAULT_MEM_ELEMS,
-    DEFAULT_STREAM_ELEMS,
-    EnvelopeError,
-    max_affordable_window,
-)
+from repro.hd import cost
+from repro.hd.cost import EnvelopeError, max_affordable_window
 from repro.hd.mitm import minimal_codeword_span, windowed_witness
 from repro.hd.syndromes import _fill, extend_syndrome_table, syndrome_table
 
@@ -111,20 +107,16 @@ class SpanCache:
         return self._syn
 
 
-#: Cap on the materialized windowed-witness side, C(window-1, k-2).
-#: Keeps every windowed probe to one bounded side: the default
-#: 400-bit window is fine for k <= 4 but balloons to C(399, 3) at
-#: weight 5, which would dwarf the collect-all scan it tries to skip.
-_WINDOWED_SIDE_BUDGET = 100_000
-
-
 def _probe_window(k: int, n: int) -> int:
-    """Largest windowed-witness restriction window (<= 400, <= n)
-    whose side stays within :data:`_WINDOWED_SIDE_BUDGET`.  A probe
-    with it returns a verified weight-``k`` witness within ``n`` bits
-    or an inconclusive ``None``."""
-    w = min(400, n)
-    while w > k + 2 and comb(w - 1, k - 2) > _WINDOWED_SIDE_BUDGET:
+    """Largest windowed-witness restriction window (at most
+    :data:`~repro.hd.cost.WITNESS_WINDOW` and ``n``) whose side
+    ``C(window - 1, k - 2)`` stays within
+    :data:`~repro.hd.cost.PROBE_SIDE`: the 400-bit window is fine for
+    k <= 4 but balloons to C(399, 3) at weight 5.  A probe with it
+    returns a verified weight-``k`` witness within ``n`` bits or an
+    inconclusive ``None``."""
+    w = min(cost.WITNESS_WINDOW, n)
+    while w > k + 2 and comb(w - 1, k - 2) > cost.PROBE_SIDE:
         w -= max(1, w // 8)
     return w
 
@@ -135,9 +127,6 @@ def refine_span(
     hi_span: int,
     lo: int,
     syn: np.ndarray,
-    *,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
 ) -> int:
     """Exact minimal weight-``k`` codeword span in ``(lo, hi_span]``.
 
@@ -156,16 +145,14 @@ def refine_span(
     while hi > lo + 1:
         mid = (lo + hi) // 2
         witness = windowed_witness(
-            g, mid, k, window=_probe_window(k, mid), syn=syn, mem_elems=mem_elems
+            g, mid, k, window=_probe_window(k, mid), syn=syn
         )
         if witness is None:
             break
         hi = max(witness) + 1
     if hi == lo + 1:
         return hi
-    span = minimal_codeword_span(
-        g, hi, k, syn=syn, mem_elems=mem_elems, stream_elems=stream_elems
-    )
+    span = minimal_codeword_span(g, hi, k, syn=syn)
     assert span is not None  # a codeword of span <= hi is in hand
     return span
 
@@ -175,8 +162,6 @@ def first_failure_jump(
     k: int,
     *,
     n_max: int,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
     cache: SpanCache | None = None,
 ) -> tuple[int | None, int, bool]:
     """First-failure search for one weight ``k >= 3``.
@@ -196,7 +181,7 @@ def first_failure_jump(
         raise ValueError("first_failure_jump handles k >= 3 (k == 2 is order-based)")
     r = degree(g)
     n_limit = n_max + r
-    affordable = max_affordable_window(k, mem_elems, stream_elems)
+    affordable = max_affordable_window(k)
     # The schedule is part of the contract: capped/cleared outcomes
     # must match the previous engine exactly.
     if k >= 12:
@@ -219,26 +204,19 @@ def first_failure_jump(
             return None, cleared, True
         syn = cache.table(window)
         witness = windowed_witness(
-            g, window, k,
-            window=_probe_window(k, window), syn=syn, mem_elems=mem_elems,
+            g, window, k, window=_probe_window(k, window), syn=syn
         )
         if witness is not None:
             # The previous window (cleared + r bits) was verified
             # empty, so the minimal span lies in (lo, span(witness)];
             # with no previous window, k positions need k bits.
             lo = cleared + r if cleared > 0 else k - 1
-            span = refine_span(
-                g, k, max(witness) + 1, lo, syn,
-                mem_elems=mem_elems, stream_elems=stream_elems,
-            )
+            span = refine_span(g, k, max(witness) + 1, lo, syn)
         else:
             # Inconclusive windowed probe: the old engine's collect-all
             # scan at the same window, on the shared table.
             try:
-                span = minimal_codeword_span(
-                    g, window, k,
-                    syn=syn, mem_elems=mem_elems, stream_elems=stream_elems,
-                )
+                span = minimal_codeword_span(g, window, k, syn=syn)
             except EnvelopeError:  # pragma: no cover - affordable bound guards this
                 return None, cleared, True
         if span is not None:

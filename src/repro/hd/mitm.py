@@ -76,18 +76,13 @@ from collections.abc import Iterator, Callable
 import numpy as np
 
 from repro.gf2.poly import degree
+from repro.hd import cost
 from repro.hd.batched import BatchKeys
-from repro.hd.cost import (
-    DEFAULT_MEM_ELEMS,
-    DEFAULT_STREAM_ELEMS,
-    LEVELWISE_CAP,
-    EnvelopeError,
-    check_envelope,
-)
+from repro.hd.cost import EnvelopeError, check_envelope
 from repro.hd.syndromes import syndrome_table, syndrome_of_positions
 from repro.obs import metrics as obs_metrics
 
-DEFAULT_CHUNK = 1 << 22  # streamed elements per membership query
+CHUNK_ELEMS = 1 << 22  # streamed elements per membership query
 _SPLIT_QUERIES = 1 << 16  # (b, c) queries per windowed-witness block
 
 
@@ -146,7 +141,7 @@ def _levelwise(syn: np.ndarray, s: int, lo: int, hi: int) -> np.ndarray:
     m = hi - lo
     if s < 1 or m < s:
         return np.empty(0, dtype=np.uint64)
-    if comb(m, s) > LEVELWISE_CAP:
+    if comb(m, s) > cost.LEVELWISE_CAP:
         raise EnvelopeError(
             f"level-wise side C({m},{s}) exceeds materialization cap"
         )
@@ -230,7 +225,6 @@ def _stream_side(
     s: int,
     lo: int,
     hi: int,
-    chunk_elems: int,
     *,
     want_max: bool = False,
 ) -> Iterator[_Chunk]:
@@ -241,15 +235,16 @@ def _stream_side(
     by its maximum position ``j`` -- group ``j`` is
     ``syn[j] ^ level[:C(j-lo, s-1)]``, a prefix slice.  When even
     level ``s-1`` exceeds the cap (huge windows), fall back to row
-    streaming, which only ``s <= 3`` can afford.
+    streaming, which only ``s <= 3`` can afford.  Chunks hold about
+    :data:`CHUNK_ELEMS` elements.
     """
     m = hi - lo
     total = comb(m, s) if m >= s else 0
     if total == 0:
         return
     if s == 1:
-        for base in range(lo, hi, chunk_elems):
-            end = min(base + chunk_elems, hi)
+        for base in range(lo, hi, CHUNK_ELEMS):
+            end = min(base + CHUNK_ELEMS, hi)
             yield _Chunk(
                 values=syn[base:end],
                 elem_max=(
@@ -258,7 +253,7 @@ def _stream_side(
                 resolve=(lambda off, base=base: (base + off,)),
             )
         return
-    if comb(m, s - 1) <= LEVELWISE_CAP:
+    if comb(m, s - 1) <= cost.LEVELWISE_CAP:
         base_vals = _levelwise(syn, s - 1, lo, hi)
         groups: list[tuple[int, np.ndarray]] = []
         size = 0
@@ -290,7 +285,7 @@ def _stream_side(
             vals = np.bitwise_xor(base_vals[:cnt], syn[j])
             groups.append((j, vals))
             size += cnt
-            if size >= chunk_elems:
+            if size >= CHUNK_ELEMS:
                 yield emit(groups)
                 groups = []
                 size = 0
@@ -332,7 +327,7 @@ def _stream_side(
     for row in _rows(syn, s, lo, hi, (), 0):
         batch.append(row)
         size += len(row.values)
-        if size >= chunk_elems:
+        if size >= CHUNK_ELEMS:
             yield emit_rows(batch)
             batch = []
             size = 0
@@ -358,9 +353,6 @@ def _scan(
     syn: np.ndarray,
     visit: Callable[[_Side, _Chunk, np.ndarray], object],
     *,
-    chunk_elems: int,
-    mem_elems: int,
-    stream_elems: int,
     want_max: bool = False,
 ) -> object:
     """The one exact weight-``k`` scan (``k >= 3``) of an ``N``-bit
@@ -375,12 +367,10 @@ def _scan(
     """
     metrics = obs_metrics.active()
     metrics.inc("mitm.exists.calls")
-    check_envelope(N, k, mem_elems, stream_elems)
+    check_envelope(N, k)
     s_small, s_large = _split(k)
     side = _Side(syn, s_small, 1, N, 1, degree(g))
-    for chunk in _stream_side(
-        syn, s_large, 1, N, chunk_elems, want_max=want_max
-    ):
+    for chunk in _stream_side(syn, s_large, 1, N, want_max=want_max):
         metrics.inc("mitm.chunks_streamed")
         metrics.inc("mitm.elements_streamed", len(chunk.values))
         hits = np.flatnonzero(side.keys.contains(chunk.values))
@@ -429,9 +419,6 @@ def exists_weight_k(
     k: int,
     *,
     syn: np.ndarray | None = None,
-    chunk_elems: int = DEFAULT_CHUNK,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
 ) -> bool:
     """Exact test: does any weight-``k`` codeword of ``g`` fit within a
     window of ``codeword_bits`` bits?
@@ -444,7 +431,7 @@ def exists_weight_k(
     The scan stops at the first chunk with a hit, without expanding
     it -- the savings the filter cascade banks on in the dense
     regime.  Raises :class:`EnvelopeError` rather than exceeding the
-    configured memory/stream envelope.
+    memory/stream envelope of :mod:`repro.hd.cost`.
 
     >>> exists_weight_k(0b10011, 8, 3)   # x^4+x+1: the generator itself
     True
@@ -457,10 +444,7 @@ def exists_weight_k(
     if k == 2:
         # Duplicate syndromes <=> x^(j-i) == 1 <=> order(x) <= N-1.
         return len(np.unique(syn)) < N
-    return _scan(
-        g, N, k, syn, lambda side, chunk, hits: True,
-        chunk_elems=chunk_elems, mem_elems=mem_elems, stream_elems=stream_elems,
-    ) is not None
+    return _scan(g, N, k, syn, lambda side, chunk, hits: True) is not None
 
 
 def find_witness(
@@ -469,9 +453,6 @@ def find_witness(
     k: int,
     *,
     syn: np.ndarray | None = None,
-    chunk_elems: int = DEFAULT_CHUNK,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
 ) -> tuple[int, ...] | None:
     """Like :func:`exists_weight_k` but returns the positions of a
     weight-``k`` codeword (anchored at 0), or ``None``.
@@ -507,10 +488,7 @@ def find_witness(
                     return positions
         return None
 
-    return _scan(
-        g, N, k, syn, first_codeword,
-        chunk_elems=chunk_elems, mem_elems=mem_elems, stream_elems=stream_elems,
-    )
+    return _scan(g, N, k, syn, first_codeword)
 
 
 def windowed_witness(
@@ -518,14 +496,14 @@ def windowed_witness(
     codeword_bits: int,
     k: int,
     *,
-    window: int = 400,
+    window: int | None = None,
     syn: np.ndarray | None = None,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
 ) -> tuple[int, ...] | None:
     """Cheap *existence proof* for dense regimes: look for a weight-k
     codeword of the restricted shape ``{0, b} | S`` with ``S`` a
     (k-2)-subset of the first ``window`` positions (excluding 0) and
     ``b`` ranging over the whole window of ``codeword_bits``.
+    ``window`` defaults to :data:`repro.hd.cost.WITNESS_WINDOW`.
 
     Far above a breakpoint the number of weight-k codewords grows like
     ``C(N, k) / 2**r``, so even this thin slice of the search space
@@ -545,17 +523,20 @@ def windowed_witness(
     window is so short that the (k-3)-subsets outnumber the
     (k-2)-subsets.
 
-    Past its envelope the search is not run and the answer is a miss,
-    ``None``.  The guard still prices the whole ``C(window - 1, k - 2)``
-    side even where the split never builds it: a miss sends callers to
-    :func:`find_witness`, whose witness differs, so moving the guard
-    would change which witness a record carries.
+    Past its envelope -- the side must fit both
+    :data:`~repro.hd.cost.MEM_ELEMS` and
+    :data:`~repro.hd.cost.LEVELWISE_CAP` -- the search is not run and
+    the answer is a miss, ``None``.  The guard still prices the whole
+    ``C(window - 1, k - 2)`` side even where the split never builds
+    it: a miss sends callers to :func:`find_witness`, whose witness
+    differs, so moving the guard would change which witness a record
+    carries.
     """
     N = codeword_bits
     if k < 3 or N < k:
         return None
-    window = min(window, N)
-    if comb(window - 1, k - 2) > min(mem_elems, LEVELWISE_CAP):
+    window = min(cost.WITNESS_WINDOW if window is None else window, N)
+    if comb(window - 1, k - 2) > min(cost.MEM_ELEMS, cost.LEVELWISE_CAP):
         return None
     if syn is None:
         syn = syndrome_table(g, N)
@@ -632,9 +613,6 @@ def minimal_codeword_span(
     k: int,
     *,
     syn: np.ndarray | None = None,
-    chunk_elems: int = DEFAULT_CHUNK,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
-    stream_elems: int = DEFAULT_STREAM_ELEMS,
 ) -> int | None:
     """Exact minimal span (in bits) of any weight-``k`` codeword, found
     by a single full scan of a ``probe_bits`` window.
@@ -684,9 +662,5 @@ def minimal_codeword_span(
                 if _codeword(g, k, small, large) is not None:
                     best = span
 
-    _scan(
-        g, N, k, syn, shortest,
-        chunk_elems=chunk_elems, mem_elems=mem_elems, stream_elems=stream_elems,
-        want_max=True,
-    )
+    _scan(g, N, k, syn, shortest, want_max=True)
     return best

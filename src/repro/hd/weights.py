@@ -30,11 +30,13 @@ import numpy as np
 
 from repro.gf2.poly import degree
 from repro.gf2.order import order_of_x
-from repro.hd.cost import DEFAULT_MEM_ELEMS, EnvelopeError
+from repro.hd import cost
+from repro.hd.cost import EnvelopeError
 from repro.hd.syndromes import syndrome_table, syndrome_of_positions
 from repro.obs import metrics as obs_metrics
 
 _PAIR_CHUNK = 1 << 22
+W3_CHUNK_ROWS = 2048  # pair rows per weight-3 matching block
 
 
 def _pair_block_indices(
@@ -80,7 +82,6 @@ def count_weight_3(
     g: int,
     codeword_bits: int,
     syn: np.ndarray | None = None,
-    chunk_rows: int = 2048,
 ) -> int:
     """Exact ``W3`` by pair-vs-single syndrome matching.
 
@@ -94,8 +95,8 @@ def count_weight_3(
     metrics = obs_metrics.active()
     singles_sorted = np.sort(syn, kind="stable")
     total = 0
-    for i0 in range(0, N - 1, chunk_rows):
-        i1 = min(i0 + chunk_rows, N - 1)
+    for i0 in range(0, N - 1, W3_CHUNK_ROWS):
+        i1 = min(i0 + W3_CHUNK_ROWS, N - 1)
         # Rows i0..i1: XORs syn[i] ^ syn[i+1:], one vectorized gather.
         left, right = _pair_block_indices(i0, i1, N)
         values = syn[right] ^ syn[left]
@@ -115,7 +116,6 @@ def count_weight_4(
     g: int,
     codeword_bits: int,
     syn: np.ndarray | None = None,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
 ) -> int:
     """Exact ``W4`` by pair-collision counting.
 
@@ -126,7 +126,7 @@ def count_weight_4(
     N = codeword_bits
     _require_distinct_singles(g, N)
     npairs = comb(N, 2)
-    if npairs > mem_elems:
+    if npairs > cost.MEM_ELEMS:
         raise EnvelopeError(
             f"W4 counting at N={N} needs {npairs:.3g} pair syndromes in memory"
         )
@@ -164,7 +164,6 @@ def count_weight_5(
     g: int,
     codeword_bits: int,
     syn: np.ndarray | None = None,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
 ) -> int:
     """Exact ``W5`` by (2,3)-split syndrome matching.
 
@@ -182,13 +181,11 @@ def count_weight_5(
     which W5 is interesting for 32-bit codes (W5 != 0 only below the
     HD=5 limit's neighbourhood or for non-parity generators).
     """
-    from math import comb as _comb
-
     from repro.hd.mitm import _levelwise
 
     N = codeword_bits
     _require_distinct_singles(g, N)
-    if _comb(N, 3) > min(mem_elems, 60_000_000):
+    if comb(N, 3) > min(cost.MEM_ELEMS, cost.LEVELWISE_CAP):
         raise EnvelopeError(
             f"W5 counting at N={N} materializes C({N},3) triple syndromes"
         )
@@ -212,7 +209,6 @@ def count_weight_6(
     g: int,
     codeword_bits: int,
     syn: np.ndarray | None = None,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
 ) -> int:
     """Exact ``W6`` by (3,3)-split matching.
 
@@ -226,13 +222,11 @@ def count_weight_6(
 
     Same materialization envelope as :func:`count_weight_5`.
     """
-    from math import comb as _comb
-
     from repro.hd.mitm import _levelwise
 
     N = codeword_bits
     _require_distinct_singles(g, N)
-    if _comb(N, 3) > min(mem_elems, 60_000_000):
+    if comb(N, 3) > min(cost.MEM_ELEMS, cost.LEVELWISE_CAP):
         raise EnvelopeError(
             f"W6 counting at N={N} materializes C({N},3) triple syndromes"
         )
@@ -245,7 +239,7 @@ def count_weight_6(
     run_ends = np.concatenate((boundaries + 1, [len(triples)]))
     runs = run_ends - run_starts
     pairs_of_triples = int((runs * (runs - 1) // 2).sum())
-    w4 = count_weight_4(g, N, syn, mem_elems=mem_elems)
+    w4 = count_weight_4(g, N, syn)
     spurious = 3 * (N - 4) * w4
     assert (pairs_of_triples - spurious) % 10 == 0, "W6 accounting violated"
     return (pairs_of_triples - spurious) // 10
@@ -285,8 +279,6 @@ def weight_profile(
     g: int,
     data_word_bits: int,
     k_max: int = 4,
-    *,
-    mem_elems: int = DEFAULT_MEM_ELEMS,
 ) -> dict[int, int]:
     """Exact weights ``{2: W2, ..., k_max: W_k}`` (``k_max <= 6``) for
     a data word of ``data_word_bits`` bits.
@@ -308,11 +300,11 @@ def weight_profile(
         if k_max >= 3:
             profile[3] = count_weight_3(g, N, syn)
         if k_max >= 4:
-            profile[4] = count_weight_4(g, N, syn, mem_elems=mem_elems)
+            profile[4] = count_weight_4(g, N, syn)
         if k_max >= 5:
-            profile[5] = count_weight_5(g, N, syn, mem_elems=mem_elems)
+            profile[5] = count_weight_5(g, N, syn)
         if k_max >= 6:
-            profile[6] = count_weight_6(g, N, syn, mem_elems=mem_elems)
+            profile[6] = count_weight_6(g, N, syn)
     return profile
 
 

@@ -28,7 +28,6 @@ import numpy as np
 from repro.gf2.poly import degree
 from repro.gf2.order import order_of_x
 from repro.hd.breakpoints import _refute_weights
-from repro.hd.cost import DEFAULT_MEM_ELEMS, DEFAULT_STREAM_ELEMS
 from repro.hd.hamming import _ascending_weights
 from repro.hd.invariants import WeightMonitor
 from repro.hd.syndromes import extend_syndrome_table, syndrome_table
@@ -60,15 +59,17 @@ class SearchConfig:
     ``"packed"`` falls back to scalar beyond
     :data:`~repro.hd.packed.PACKED_MAX_WIDTH` (63), where a generator
     no longer fits a machine word.
+
+    The work envelope -- memory and stream budgets, the windowed
+    witness's window -- is not part of a config: every search reads it
+    from :mod:`repro.hd.cost`, so records depend only on the fields
+    here.
     """
 
     width: int
     target_hd: int
     filter_lengths: tuple[int, ...]
     confirm_weights: bool = True
-    witness_window: int = 400
-    mem_elems: int = DEFAULT_MEM_ELEMS
-    stream_elems: int = DEFAULT_STREAM_ELEMS
     backend: str = "packed"
     batch_size: int = 4096
 
@@ -201,15 +202,7 @@ def _screen_candidate(
             if syn is None
             else extend_syndrome_table(g, syn, N)
         )
-        refutation = _refute_weights(
-            g,
-            config.target_hd,
-            N,
-            syn,
-            witness_window=config.witness_window,
-            mem_elems=config.mem_elems,
-            stream_elems=config.stream_elems,
-        )
+        refutation = _refute_weights(g, config.target_hd, N, syn)
         if refutation is not None:
             weight, witness = refutation
             return (
@@ -255,11 +248,7 @@ def confirm_survivor(
         syn = syn.astype(np.uint64)
     k_max = max(config.target_hd + 4, 10)
     for hd, exists in _ascending_weights(
-        g, N, config.target_hd, k_max,
-        syn=syn,
-        witness_window=config.witness_window,
-        mem_elems=config.mem_elems,
-        stream_elems=config.stream_elems,
+        g, N, config.target_hd, k_max, syn=syn
     ):
         if exists:
             break
@@ -268,7 +257,7 @@ def confirm_survivor(
     weights = None
     if config.confirm_weights:
         monitor = WeightMonitor(g)
-        weights = weight_profile(g, n, 4, mem_elems=config.mem_elems)
+        weights = weight_profile(g, n, 4)
         monitor.observe(n, weights)
     return PolyRecord(
         poly=g,

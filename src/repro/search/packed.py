@@ -63,6 +63,7 @@ import time
 
 import numpy as np
 
+from repro.hd import cost
 from repro.hd.batched import BatchKeys, weight4_exists, weight5_exists
 from repro.hd.breakpoints import _refute_weights
 from repro.hd.cost import EnvelopeError, check_envelope
@@ -85,7 +86,6 @@ def _keyed_kills(
     g_alive: np.ndarray,
     N: int,
     start: int,
-    config: SearchConfig,
 ) -> Kills:
     """Weight-``k`` kills among the ``cand`` rows (weights 4 and 5),
     each with the scalar path's witness.
@@ -101,14 +101,11 @@ def _keyed_kills(
     stage's window, which every candidate passed at this weight.
     """
     tables = keys.tables
-    window = min(config.witness_window, N)
     if k == 4:
         cand = weight4_exists(keys, cand, start) & cand
     kills, missed = [], np.zeros_like(cand)
     for row in np.flatnonzero(cand).tolist():
-        witness = windowed_witness(
-            int(g_alive[row]), N, k, window=window, syn=tables[row]
-        )
+        witness = windowed_witness(int(g_alive[row]), N, k, syn=tables[row])
         if witness is None:
             missed[row] = True
         else:
@@ -118,12 +115,7 @@ def _keyed_kills(
     # A row the screen proved killable that the windowed witness
     # missed takes the full search, as on the scalar path.
     for row in np.flatnonzero(missed).tolist():
-        witness = find_witness(
-            int(g_alive[row]), N, k,
-            syn=tables[row],
-            mem_elems=config.mem_elems,
-            stream_elems=config.stream_elems,
-        )
+        witness = find_witness(int(g_alive[row]), N, k, syn=tables[row])
         assert witness is not None, "batch screen asserted existence"
         kills.append((row, witness))
     return kills
@@ -201,12 +193,12 @@ def _screen_batch_packed(
                 hits = [
                     (int(rows[i]), wit)
                     for i, wit in weight3_witnesses(
-                        sweep, lanes[rows], N, config.witness_window
+                        sweep, lanes[rows], N, cost.WITNESS_WINDOW
                     )
                 ]
             else:
                 try:
-                    check_envelope(N, k, config.mem_elems, config.stream_elems)
+                    check_envelope(N, k)
                 except EnvelopeError:
                     # The scalar path would be envelope-bound here
                     # too; delegate this weight and everything
@@ -217,7 +209,7 @@ def _screen_batch_packed(
                 if keys is None:
                     tables = sweep.values(lanes, N, np.uint64)
                     keys = BatchKeys(tables, r)
-                hits = _keyed_kills(k, keys, cand, g_alive, N, prev_N, config)
+                hits = _keyed_kills(k, keys, cand, g_alive, N, prev_N)
             for row, wit in hits:
                 kill_weight[row] = k
                 witnesses[row] = wit
@@ -229,14 +221,7 @@ def _screen_batch_packed(
             for row in np.flatnonzero(eligible).tolist():
                 g = int(g_alive[row])
                 refutation = _refute_weights(
-                    g,
-                    hd,
-                    N,
-                    tables[row],
-                    witness_window=config.witness_window,
-                    mem_elems=config.mem_elems,
-                    stream_elems=config.stream_elems,
-                    k_min=tail_k_min,
+                    g, hd, N, tables[row], k_min=tail_k_min
                 )
                 if refutation is not None:
                     kill_weight[row], witnesses[row] = refutation

@@ -27,8 +27,9 @@ Design points:
   :func:`repro.crc.stream.crc_combine` -- scatter/gather reassembly
   without touching payload bytes.
 
-It is the package's one streaming CRC state: the backend gate, the
-examples and the CRC service all stream through it.
+It is the package's one streaming CRC state: the registry's identity
+tests (``tests/crc/test_backends.py``), the examples and the CRC
+service all stream through it.
 
 Every operation agrees bit-for-bit with one-shot
 :func:`~repro.crc.backends.crc_compute` (``tests/service/test_session.py``

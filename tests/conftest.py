@@ -9,11 +9,14 @@ every change.
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack, contextmanager
+from unittest.mock import patch
 
 import pytest
 
 from repro.crc.catalog import PAPER_POLYS
 from repro.gf2.notation import koopman_to_full
+from repro.hd import cost
 
 
 def pytest_collection_modifyitems(config, items):
@@ -25,6 +28,24 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@contextmanager
+def envelope(module=cost, **values):
+    """Rebind module constants for the ``with`` block -- by default the
+    work envelope of :mod:`repro.hd.cost` (``MEM_ELEMS``,
+    ``STREAM_ELEMS``, ``WITNESS_WINDOW``, ...), which every HD check
+    and search reads at call time; pass a module to set its own
+    constants, e.g. ``envelope(mitm, CHUNK_ELEMS=3)``.
+
+    A plain context manager over :func:`unittest.mock.patch.object`,
+    so a Hypothesis test can set a different budget per example; a
+    misspelt name raises ``AttributeError`` instead of setting nothing.
+    """
+    with ExitStack() as stack:
+        for name, value in values.items():
+            stack.enter_context(patch.object(module, name, value))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 """Differential tests for the generated kernel registry.
 
 Every registered backend of every catalog spec must agree with the
-bit-serial reference -- on the published check vectors, on random data
-split at random chunk boundaries (including empty fragments), and
-through ``CrcSession`` / ``crc_combine``.  Plus a regression test
+bit-serial reference -- on the published check vectors, on five fixed
+adversarial buffers, on random data split at random chunk boundaries
+(including empty fragments), and through ``CrcSession`` /
+``crc_combine`` / ``append_fcs`` at one awkward 97-byte split, the
+registry's end-to-end identity gate.  Plus a regression test
 that reproduces the seed's narrow-reflected streaming orientation bug
 against the exact old update/digest logic.
 """
@@ -29,6 +31,7 @@ from repro.crc.backends import (
     _verify,
 )
 from repro.crc.catalog import CATALOG
+from repro.crc.codeword import append_fcs, check_fcs
 from repro.crc.engine import _reflect, crc_bitwise
 from repro.crc.spec import CRCSpec
 from repro.crc.stream import crc_combine
@@ -37,9 +40,21 @@ from repro.service.session import CrcSession
 SPEC_IDS = sorted(CATALOG)
 
 # Backends every environment must provide (wordwise additionally
-# appears when numpy is importable; CI has numpy, so the identity gate
-# in tools/backend_gate.py covers it there).
+# appears when numpy is importable; CI has numpy, so the fixed-vector
+# identity cases below cover it there).
 CORE_BACKENDS = ("bitwise", "bytewise")
+
+#: Fixed adversarial buffers: empty, one byte, the check string, every
+#: byte value, and a multi-KiB buffer past the wordwise cutover.
+VECTORS = (
+    b"",
+    b"\x00",
+    b"123456789",
+    bytes(range(256)),
+    bytes((i * 167 + 13) & 0xFF for i in range(4096)),
+)
+#: The awkward split point: not a word, block or table boundary.
+SPLIT = 97
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +72,60 @@ def test_every_backend_matches_check_vector(name):
 @pytest.mark.parametrize("name", SPEC_IDS)
 def test_core_backends_present(name):
     assert set(CORE_BACKENDS) <= set(available_backends(CATALOG[name]))
+
+
+# ---------------------------------------------------------------------------
+# the identity gate: fixed vectors and one awkward split, end to end
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", SPEC_IDS)
+def test_auto_backend_matches_check_vector(name):
+    spec = CATALOG[name]
+    assert crc_compute(spec, b"123456789") == spec.check
+
+
+@pytest.mark.parametrize("vector", range(len(VECTORS)))
+@pytest.mark.parametrize("name", SPEC_IDS)
+def test_every_backend_matches_reference_on_fixed_vectors(name, vector):
+    spec = CATALOG[name]
+    data = VECTORS[vector]
+    ref = crc_bitwise(spec, data)
+    for backend in available_backends(spec):
+        assert crc_compute(spec, data, backend=backend) == ref, backend
+
+
+@pytest.mark.parametrize("name", SPEC_IDS)
+def test_session_split_matches_one_shot(name):
+    spec = CATALOG[name]
+    data = VECTORS[-1]
+    session = CrcSession(spec).add(data[:SPLIT]).add(b"").add(data[SPLIT:])
+    assert session.value == crc_bitwise(spec, data)
+
+
+@pytest.mark.parametrize("name", SPEC_IDS)
+def test_combine_split_matches_one_shot(name):
+    spec = CATALOG[name]
+    data = VECTORS[-1]
+    head, tail = data[:SPLIT], data[SPLIT:]
+    combined = crc_combine(
+        spec, crc_bitwise(spec, head), crc_bitwise(spec, tail), len(tail)
+    )
+    assert combined == crc_bitwise(spec, data)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in SPEC_IDS if CATALOG[n].width % 8 == 0]
+)
+def test_append_fcs_round_trip_on_reference(name):
+    spec = CATALOG[name]
+    data = VECTORS[-1]
+    order = "little" if spec.refout else "big"
+    frame = append_fcs(spec, data)
+    assert frame == data + crc_bitwise(spec, data).to_bytes(
+        spec.width // 8, order
+    )
+    assert check_fcs(spec, frame)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Protocol robustness for the ``repro-work/1`` coordinator.
+"""Protocol robustness for the ``repro-work/2`` coordinator.
 
 These tests drive :meth:`WorkServer._handle_connection` directly over
 a loopback wire -- no serve loop, no client library -- so every frame
@@ -130,6 +130,16 @@ class TestHandshake:
         reply, after = session(script)
         assert error_code(reply) == "version-mismatch"
         assert after is None  # coordinator hung up
+
+    def test_version_1_hello_is_a_version_mismatch(self):
+        # Version 1's hello config carried three budget fields that
+        # SearchConfig no longer has: a version-1 peer must be refused
+        # by code, not fail in the config decoder.
+        async def script(server, conn):
+            return await ask(conn, hello(protocol="repro-work/1"))
+
+        assert PROTOCOL == "repro-work/2"
+        assert error_code(session(script)) == "version-mismatch"
 
     def test_op_before_hello_is_refused_but_survivable(self):
         async def script(server, conn):

@@ -19,6 +19,7 @@ from repro.hd import mitm
 from repro.hd.syndromes import is_undetected_pattern
 from repro.hd.weights import brute_force_weights
 from repro.search.exhaustive import SearchConfig, _screen_candidate
+from tests.conftest import envelope
 
 gen_polys = st.integers(min_value=0b100101, max_value=(1 << 10) - 1).filter(
     lambda p: p & 1
@@ -147,7 +148,8 @@ class TestRefute:
 
         stream_side = mitm._stream_side
         monkeypatch.setattr(mitm, "_stream_side", spy)
-        out = refute_hd_at(0x1F99, 5, 40, witness_window=8)
+        with envelope(WITNESS_WINDOW=8):
+            out = refute_hd_at(0x1F99, 5, 40)
         assert out == (4, (0, 7, 8, 47))
         # Weight 3 (large side of 1 position) is cleared, weight 4
         # (pairs) is killed: one scan each.

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hd import mitm
 from repro.hd.mitm import exists_weight_k, find_witness, minimal_codeword_span
 from repro.hd.syndromes import syndrome_of_positions
+from tests.conftest import envelope
 
 gen_polys = st.integers(min_value=0b100101, max_value=(1 << 11) - 1).filter(
     lambda p: p & 1
@@ -22,14 +24,16 @@ class TestChunkInvariance:
     @settings(max_examples=150, deadline=None)
     def test_exists_invariant(self, g, N, k, chunk):
         baseline = exists_weight_k(g, N, k)
-        assert exists_weight_k(g, N, k, chunk_elems=chunk) == baseline
+        with envelope(mitm, CHUNK_ELEMS=chunk):
+            assert exists_weight_k(g, N, k) == baseline
 
     @given(gen_polys, st.integers(min_value=8, max_value=30),
            st.integers(min_value=3, max_value=5), chunks)
     @settings(max_examples=100, deadline=None)
     def test_span_invariant(self, g, N, k, chunk):
         baseline = minimal_codeword_span(g, N, k)
-        assert minimal_codeword_span(g, N, k, chunk_elems=chunk) == baseline
+        with envelope(mitm, CHUNK_ELEMS=chunk):
+            assert minimal_codeword_span(g, N, k) == baseline
 
     @given(gen_polys, st.integers(min_value=8, max_value=30),
            st.integers(min_value=3, max_value=5), chunks)
@@ -38,7 +42,8 @@ class TestChunkInvariance:
         # witnesses may differ across chunkings, but existence must
         # agree and every returned witness must verify
         w_base = find_witness(g, N, k)
-        w_chunk = find_witness(g, N, k, chunk_elems=chunk)
+        with envelope(mitm, CHUNK_ELEMS=chunk):
+            w_chunk = find_witness(g, N, k)
         assert (w_base is None) == (w_chunk is None)
         if w_chunk is not None:
             assert len(w_chunk) == k

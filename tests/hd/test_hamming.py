@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.gf2.poly import degree, divisible_by_x_plus_1
 from repro.hd.hamming import hamming_distance, hd_profile
 from repro.hd.weights import brute_force_weights
+from tests.conftest import envelope
 
 gen_polys = st.integers(min_value=0b10011, max_value=(1 << 11) - 1).filter(
     lambda p: p & 1
@@ -98,10 +99,8 @@ class TestBound:
         # tiny envelope: the weight-4 check at 500 bits is unaffordable,
         # so we get a verified HD >= 4 lower bound instead of an answer
         g = 0x11021  # CCITT: true HD is 4 at 500 bits
-        hd, exact = hamming_distance_bound(
-            g, 500, mem_elems=10_000, stream_elems=10_000,
-            witness_window=3,
-        )
+        with envelope(MEM_ELEMS=10_000, STREAM_ELEMS=10_000, WITNESS_WINDOW=3):
+            hd, exact = hamming_distance_bound(g, 500)
         assert not exact
         assert hd >= 3
 

@@ -38,6 +38,7 @@ from repro.hd.jump import (
 )
 from repro.hd.mitm import minimal_codeword_span
 from repro.hd.syndromes import extend_syndrome_table, syndrome_table
+from tests.conftest import envelope
 
 
 @st.composite
@@ -85,12 +86,13 @@ class TestRandomAccess:
         )
 
 
-def reference_first_failure(g, k, *, n_max, mem_elems, stream_elems):
+def reference_first_failure(g, k, *, n_max):
     """The engine first_failure_jump replaced: identical geometric
-    schedule, collect-all span scan at every window."""
+    schedule, collect-all span scan at every window, under the
+    envelope in force."""
     r = degree(g)
     n_limit = n_max + r
-    affordable = max_affordable_window(k, mem_elems, stream_elems)
+    affordable = max_affordable_window(k)
     if k >= 12:
         window, growth = max(2 * k, r + 8), 1.25
     elif k >= 9:
@@ -104,9 +106,7 @@ def reference_first_failure(g, k, *, n_max, mem_elems, stream_elems):
         if window - r <= cleared and cleared > 0:
             return None, cleared, True
         try:
-            span = minimal_codeword_span(
-                g, window, k, mem_elems=mem_elems, stream_elems=stream_elems
-            )
+            span = minimal_codeword_span(g, window, k)
         except EnvelopeError:
             return None, cleared, True
         if span is not None:
@@ -130,14 +130,9 @@ class TestFirstFailureIdentity:
     )
     @settings(max_examples=30, deadline=None)
     def test_matches_collect_all_reference(self, g, k, n_max):
-        ref = reference_first_failure(
-            g, k, n_max=n_max,
-            mem_elems=10**6, stream_elems=10**8,
-        )
-        out = first_failure_jump(
-            g, k, n_max=n_max,
-            mem_elems=10**6, stream_elems=10**8,
-        )
+        with envelope(MEM_ELEMS=10**6, STREAM_ELEMS=10**8):
+            ref = reference_first_failure(g, k, n_max=n_max)
+            out = first_failure_jump(g, k, n_max=n_max)
         assert out == ref
 
     @given(
@@ -148,12 +143,9 @@ class TestFirstFailureIdentity:
     )
     @settings(max_examples=20, deadline=None)
     def test_matches_reference_when_capped(self, g, k, n_max, mem):
-        ref = reference_first_failure(
-            g, k, n_max=n_max, mem_elems=mem, stream_elems=200_000
-        )
-        out = first_failure_jump(
-            g, k, n_max=n_max, mem_elems=mem, stream_elems=200_000
-        )
+        with envelope(MEM_ELEMS=mem, STREAM_ELEMS=200_000):
+            ref = reference_first_failure(g, k, n_max=n_max)
+            out = first_failure_jump(g, k, n_max=n_max)
         assert out == ref
 
     def test_crc32_doctest_values_hold(self):

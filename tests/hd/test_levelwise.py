@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hd import mitm
 from repro.hd.cost import EnvelopeError
 from repro.hd.mitm import (
     _levelwise,
@@ -20,6 +21,7 @@ from repro.hd.mitm import (
     find_witness,
 )
 from repro.hd.syndromes import syndrome_of_positions, syndrome_table
+from tests.conftest import envelope
 
 gen_polys = st.integers(min_value=0b1000001, max_value=(1 << 12) - 1).filter(
     lambda p: p & 1
@@ -94,7 +96,9 @@ class TestStreamSide:
             return
         syn = syndrome_table(g, hi)
         streamed = []
-        for ch in _stream_side(syn, s, 1, hi, chunk, want_max=True):
+        with envelope(mitm, CHUNK_ELEMS=chunk):
+            chunks = list(_stream_side(syn, s, 1, hi, want_max=True))
+        for ch in chunks:
             assert len(ch.values) == len(ch.elem_max)
             for off in range(len(ch.values)):
                 positions = ch.resolve(off)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.gf2.notation import koopman_to_full
 from repro.gf2.poly import degree
 from repro.hd import batched as hd_batched
+from repro.hd import mitm
 from repro.hd.mitm import (
     _levelwise,
     _stream_side,
@@ -31,6 +32,7 @@ from repro.hd.mitm import (
     windowed_witness,
 )
 from repro.hd.syndromes import syndrome_of_positions, syndrome_table
+from tests.conftest import envelope
 
 gen_polys = st.integers(min_value=0b1001, max_value=(1 << 13) - 1).filter(
     lambda p: p & 1
@@ -151,20 +153,21 @@ def sorted_ranks(side, value) -> list[int]:
     return order[lo:hi].tolist()
 
 
-def ref_exists(g: int, N: int, k: int, chunk: int) -> bool:
+def ref_exists(g: int, N: int, k: int) -> bool:
     syn = syndrome_table(g, N)
     s, t = _split(k)
     side = sorted_side(syn, s, N)
-    return any(sorted_hits(side, ch.values) for ch in _stream_side(syn, t, 1, N, chunk))
+    return any(sorted_hits(side, ch.values) for ch in _stream_side(syn, t, 1, N))
 
 
-def ref_hits(g: int, N: int, k: int, chunk: int):
+def ref_hits(g: int, N: int, k: int):
     """Each stream hit's large-side positions with the ranks of its
-    equal small-side entries, in stream order."""
+    equal small-side entries, in stream order (chunked at
+    ``mitm.CHUNK_ELEMS``)."""
     syn = syndrome_table(g, N)
     s, t = _split(k)
     side = sorted_side(syn, s, N)
-    for ch in _stream_side(syn, t, 1, N, chunk):
+    for ch in _stream_side(syn, t, 1, N):
         for flat in sorted_hits(side, ch.values):
             yield ch.resolve(flat), sorted_ranks(side, ch.values[flat])
 
@@ -178,9 +181,9 @@ def ref_codeword(g: int, k: int, small: tuple, large: tuple):
     return None
 
 
-def ref_find_witness(g: int, N: int, k: int, chunk: int):
+def ref_find_witness(g: int, N: int, k: int):
     s = _split(k)[0]
-    for large, ranks in ref_hits(g, N, k, chunk):
+    for large, ranks in ref_hits(g, N, k):
         for rank in ranks:
             w = ref_codeword(g, k, _unrank_levelwise(rank, s, 1), large)
             if w is not None:
@@ -188,10 +191,10 @@ def ref_find_witness(g: int, N: int, k: int, chunk: int):
     return None
 
 
-def ref_min_span(g: int, N: int, k: int, chunk: int):
+def ref_min_span(g: int, N: int, k: int):
     s = _split(k)[0]
     best = None
-    for large, ranks in ref_hits(g, N, k, chunk):
+    for large, ranks in ref_hits(g, N, k):
         if best is not None and large[-1] + 1 >= best:
             continue  # the large side alone already spans too far
         for rank in ranks:
@@ -232,10 +235,10 @@ def ref_windowed(g: int, N: int, k: int, window: int = 400, syn=None):
 
 
 def assert_matches_reference(g: int, N: int, k: int, chunk: int) -> None:
-    kw = dict(chunk_elems=chunk)
-    assert exists_weight_k(g, N, k, **kw) == ref_exists(g, N, k, chunk)
-    assert find_witness(g, N, k, **kw) == ref_find_witness(g, N, k, chunk)
-    assert minimal_codeword_span(g, N, k, **kw) == ref_min_span(g, N, k, chunk)
+    with envelope(mitm, CHUNK_ELEMS=chunk):
+        assert exists_weight_k(g, N, k) == ref_exists(g, N, k)
+        assert find_witness(g, N, k) == ref_find_witness(g, N, k)
+        assert minimal_codeword_span(g, N, k) == ref_min_span(g, N, k)
 
 
 def polys_of_width(widths):
@@ -305,7 +308,7 @@ class TestAgainstSortedReference:
         chunk = 1 << 22
         syn = syndrome_table(g, N)
         s, t = _split(k)
-        (ch,) = _stream_side(syn, t, 1, N, chunk)
+        (ch,) = _stream_side(syn, t, 1, N)
         hit_values = ch.values[sorted_hits(sorted_side(syn, s, N), ch.values)]
         assert len(hit_values) >= 2 * len(set(hit_values.tolist()))
         patch = (
@@ -408,14 +411,17 @@ class TestWindowedWitness:
 
     def test_envelope_guard(self):
         # Past its envelope the windowed search is a miss, not an error.
-        assert windowed_witness(0x107, 4000, 6, window=4000, mem_elems=1000) is None
+        with envelope(MEM_ELEMS=1000):
+            assert windowed_witness(0x107, 4000, 6, window=4000) is None
 
     def test_envelope_guard_prices_the_whole_side(self):
         # The guard counts all C(window - 1, k - 2) = C(37, 3) = 7,770
         # subsets, though the weight-5 search sorts only C(37, 2) pairs.
         expect = (0, 3, 6, 17, 18)
-        assert windowed_witness(0x1F99, 46, 5, window=38, mem_elems=7770) == expect
-        assert windowed_witness(0x1F99, 46, 5, window=38, mem_elems=7769) is None
+        with envelope(MEM_ELEMS=7770):
+            assert windowed_witness(0x1F99, 46, 5, window=38) == expect
+        with envelope(MEM_ELEMS=7769):
+            assert windowed_witness(0x1F99, 46, 5, window=38) is None
 
     def test_weight5_memory(self):
         # A width-32 weight-5 kill.  Sorting all C(399, 3) window triples

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.gf2.order import order_of_x
 from repro.gf2.poly import degree
+from repro.hd import weights
 from repro.hd.cost import EnvelopeError
 from repro.hd.syndromes import syndrome_table
 from repro.hd.weights import (
@@ -20,6 +21,7 @@ from repro.hd.weights import (
     undetected_fraction,
     weight_profile,
 )
+from tests.conftest import envelope
 
 gen_polys = st.integers(min_value=0b10001, max_value=(1 << 13) - 1).filter(
     lambda p: p & 1
@@ -50,8 +52,10 @@ class TestCountingAgainstBruteForce:
     def test_chunking_invariance(self):
         g = 0x107
         N = 120
-        baseline = count_weight_3(g, N, chunk_rows=2048)
-        assert count_weight_3(g, N, chunk_rows=7) == baseline
+        with envelope(weights, W3_CHUNK_ROWS=2048):
+            baseline = count_weight_3(g, N)
+        with envelope(weights, W3_CHUNK_ROWS=7):
+            assert count_weight_3(g, N) == baseline
 
     @given(gen_polys, st.integers(min_value=6, max_value=22))
     @settings(max_examples=80, deadline=None)
@@ -95,8 +99,8 @@ class TestPreconditionsAndGuards:
             count_weight_3(0b111, 10)  # order 3 << 10
 
     def test_w4_memory_guard(self):
-        with pytest.raises(EnvelopeError):
-            count_weight_4(0x104C11DB7, 10_000, mem_elems=100)
+        with envelope(MEM_ELEMS=100), pytest.raises(EnvelopeError):
+            count_weight_4(0x104C11DB7, 10_000)
 
     def test_brute_force_guard(self):
         with pytest.raises(EnvelopeError):

@@ -36,6 +36,7 @@ from repro.search.exhaustive import (
 )
 from repro.search import packed as search_packed
 from repro.search.space import canonical, poly_to_index
+from tests.conftest import envelope
 
 #: Odd, so chunk edges drift against every batch size used below.
 CHUNK = 37
@@ -433,9 +434,10 @@ class TestMembershipEngines:
         engines = self.spy(monkeypatch)
         # An 8-position witness window misses weight-5 codewords the
         # driver must then screen for, so pair filters get built.
-        cfg = SearchConfig.for_bits(12, 6, 200, witness_window=8)
-        packed = search_chunk(cfg, 0, 256)
-        scalar = search_chunk(replace(cfg, backend="scalar"), 0, 256)
+        cfg = SearchConfig.for_bits(12, 6, 200)
+        with envelope(WITNESS_WINDOW=8):
+            packed = search_chunk(cfg, 0, 256)
+            scalar = search_chunk(replace(cfg, backend="scalar"), 0, 256)
         assert_identical(packed, scalar)
         assert {keys.hashed for keys in engines} == {False, True}
         assert {r.hd for r in packed.records if not r.survived} >= {4, 5}
@@ -446,7 +448,7 @@ def test_weight5_windowed_miss_killed_by_full_search(monkeypatch):
     # some rows at the 37-bit stage: the screen condemns them and the
     # full search alone supplies their witnesses -- the scalar path's
     # witnesses, with no second windowed search.
-    cfg = SearchConfig.for_bits(12, 6, 200, witness_window=8)
+    cfg = SearchConfig.for_bits(12, 6, 200)
     windowed, full = [], []
 
     def spy(log, fn):
@@ -463,8 +465,10 @@ def test_weight5_windowed_miss_killed_by_full_search(monkeypatch):
     monkeypatch.setattr(
         search_packed, "find_witness", spy(full, search_packed.find_witness)
     )
-    packed = search_chunk(cfg, 0, 256)
-    assert_identical(packed, search_chunk(replace(cfg, backend="scalar"), 0, 256))
+    with envelope(WITNESS_WINDOW=8):
+        packed = search_chunk(cfg, 0, 256)
+        scalar = search_chunk(replace(cfg, backend="scalar"), 0, 256)
+    assert_identical(packed, scalar)
     by_full = {(g, N): wit for g, N, k, wit in full if k == 5}
     assert by_full
     for g, N in by_full:

@@ -9,7 +9,7 @@ plus the error paths, SIGTERM it, and assert the whole story --
 responses correct, exit status 0, ``service.start`` /
 ``service.drain`` / ``service.stop`` in the event log, and the final
 ``metrics.snapshot`` counters agreeing with the requests we sent
-(`make service-smoke`, wired into CI alongside backend-gate and
+(`make service-smoke`, wired into CI alongside tier-1 and
 dash-smoke).
 
 Exit status 0 iff every assertion holds.
